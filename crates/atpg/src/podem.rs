@@ -1,10 +1,18 @@
 //! PODEM test generation for stuck-at faults on the combinational test
 //! view, plus justification-only mode (used for the V1 half of two-pattern
 //! transition tests).
+//!
+//! Implication is event-driven. A search keeps one [`Dual8`] per cell from
+//! one decision to the next — lane 0 the good machine, lane 1 the faulty
+//! one — and after each decision or backtrack re-evaluates only the
+//! readers of the assignables that changed, level by level through the
+//! lowered [`Program`]. The fault is an overlay at its site. The D-frontier
+//! and X-path scans walk only the site's fanout cone in ascending cell id,
+//! so every decision is the one a whole-circuit scan would take.
 
-use flh_netlist::{CellId, CellKind};
+use flh_netlist::{CellId, CellKind, CompiledCircuit, Dual64, Dual8, Program};
 use flh_rng::Rng;
-use flh_sim::Logic;
+use flh_sim::{logic_to_dual8, Logic};
 
 use crate::fault::{Fault, FaultSite};
 use crate::tview::TestView;
@@ -90,19 +98,415 @@ impl TestCube {
 enum Status {
     Detected,
     Conflict,
-    Objective(CellId, bool),
+    Objective(u32, bool),
+}
+
+/// Good-machine lane of a search's [`Dual8`] cell word. Every lane but
+/// [`FAULTY`] replicates the good value.
+const GOOD: u8 = 1;
+/// Faulty-machine lane.
+const FAULTY: u8 = 2;
+
+/// The value `w` carries in the lane `mask` selects.
+#[inline]
+fn lane(w: Dual8, mask: u8) -> Logic {
+    if w.one & mask != 0 {
+        Logic::One
+    } else if w.zero & mask != 0 {
+        Logic::Zero
+    } else {
+        Logic::X
+    }
+}
+
+/// `w` with the lanes in `lanes` forced to `value`.
+#[inline]
+fn force(w: Dual8, lanes: u8, value: bool) -> Dual8 {
+    let (one, zero) = if value { (lanes, 0) } else { (0, lanes) };
+    Dual8 {
+        one: (w.one & !lanes) | one,
+        zero: (w.zero & !lanes) | zero,
+    }
+}
+
+/// Where a search's fault is overlaid on the faulty lane.
+#[derive(Clone, Copy)]
+enum Overlay {
+    /// Fault-free search (justification): both lanes agree everywhere.
+    None,
+    /// Stem fault: the cell's faulty lane is forced to the stuck value.
+    Stem { cell: u32, stuck: bool },
+    /// Branch fault: the gate evaluates its faulty lane with the stuck
+    /// value on `pin` only.
+    Branch { gate: u32, pin: usize, stuck: bool },
+}
+
+/// One search's implication state, kept from one decision to the next.
+///
+/// Each cell holds a [`Dual8`]: lane [`GOOD`] is the good machine and lane
+/// [`FAULTY`] the faulty one, exactly what [`TestView::eval3`] computes
+/// without and with the fault for the current assignment. A decision or
+/// backtrack changes a few assignables; [`Implication::update`] re-evaluates
+/// only their readers, level by level through [`Program::eval_cell`], until
+/// the change dies out — the bucket-and-stamp scheme of
+/// [`crate::replay::DeviationReplay`].
+struct Implication<'p> {
+    view: &'p TestView<'p>,
+    compiled: &'p CompiledCircuit,
+    program: &'p Program,
+    overlay: Overlay,
+    /// The cube under construction, in assignable order.
+    assignment: Vec<Logic>,
+    values: Vec<Dual8>,
+    /// Per-cell generation stamps: a cell joins the level buckets at most
+    /// once per update (`queued == gen`)...
+    queued: Vec<u64>,
+    gen: u64,
+    /// ...and a walk over the circuit visits it at most once
+    /// (`visited == walk`).
+    visited: Vec<u64>,
+    walk: u64,
+    /// Update queue, one bucket per logic level; `lo..=hi` spans the
+    /// non-empty ones.
+    buckets: Vec<Vec<u32>>,
+    lo: usize,
+    hi: usize,
+    scratch: Vec<Dual8>,
+    /// The fault site and every evaluable cell downstream of it, in
+    /// ascending id: the only cells where the two lanes can differ.
+    cone: Vec<u32>,
+    /// The cone cells that observation points read.
+    observed: Vec<u32>,
+    /// X-path walk stack, reused across decisions.
+    stack: Vec<u32>,
+}
+
+impl<'p> Implication<'p> {
+    /// All assignables X, the fault overlaid at its site.
+    fn new(podem: &Podem<'p, '_>, fault: Option<&Fault>) -> Self {
+        let view = podem.view;
+        let compiled = view.compiled();
+        let overlay = match fault.map(|f| (f.site, f.stuck.as_bool())) {
+            None => Overlay::None,
+            Some((FaultSite::Stem(cell), stuck)) => Overlay::Stem {
+                cell: cell.index() as u32,
+                stuck,
+            },
+            Some((FaultSite::Branch { gate, pin }, stuck)) => Overlay::Branch {
+                gate: gate.index() as u32,
+                pin,
+                stuck,
+            },
+        };
+        let mut imp = Implication {
+            view,
+            compiled,
+            program: view.program(),
+            overlay,
+            assignment: vec![Logic::X; view.assignable().len()],
+            values: podem.unassigned.clone(),
+            queued: vec![0; compiled.cell_count()],
+            gen: 1,
+            visited: vec![0; compiled.cell_count()],
+            walk: 0,
+            buckets: vec![Vec::new(); compiled.levels() + 1],
+            lo: usize::MAX,
+            hi: 0,
+            scratch: vec![Dual8::all_x(); view.program().scratch_words()],
+            cone: Vec::new(),
+            observed: Vec::new(),
+            stack: Vec::new(),
+        };
+        let site = match overlay {
+            Overlay::None => return imp,
+            Overlay::Stem { cell, .. } => cell,
+            Overlay::Branch { gate, .. } => gate,
+        };
+        imp.collect_cone(site);
+        if compiled.level_of(site) > 0 {
+            imp.queue(site);
+        } else if let Overlay::Stem { cell, stuck } = overlay {
+            // An assignable stem: force its faulty lane directly. (A branch
+            // into a flip-flop's D pin never reaches the frame's logic.)
+            imp.values[cell as usize] = force(imp.values[cell as usize], FAULTY, stuck);
+            imp.queue_readers(cell);
+        }
+        imp.update();
+        imp
+    }
+
+    /// Collects `site` and everything downstream of it into `cone`, and
+    /// the observed cells among them into `observed`.
+    fn collect_cone(&mut self, site: u32) {
+        let walk = self.next_walk();
+        self.visited[site as usize] = walk;
+        self.cone.push(site);
+        let mut next = 0;
+        while next < self.cone.len() {
+            let id = self.cone[next];
+            next += 1;
+            for &r in self.compiled.readers(id) {
+                if self.compiled.level_of(r) > 0 && self.visited[r as usize] != walk {
+                    self.visited[r as usize] = walk;
+                    self.cone.push(r);
+                }
+            }
+        }
+        self.cone.sort_unstable();
+        let flags = self.view.observed_drivers();
+        self.observed = self
+            .cone
+            .iter()
+            .copied()
+            .filter(|&c| flags[c as usize])
+            .collect();
+    }
+
+    fn next_walk(&mut self) -> u64 {
+        self.walk += 1;
+        self.walk
+    }
+
+    fn good(&self, cell: u32) -> Logic {
+        lane(self.values[cell as usize], GOOD)
+    }
+
+    /// Both machines known and different: the cell carries a D or D̄.
+    fn has_d(&self, cell: u32) -> bool {
+        let w = self.values[cell as usize];
+        let (g, f) = (lane(w, GOOD), lane(w, FAULTY));
+        g.is_known() && f.is_known() && g != f
+    }
+
+    /// An observation point reads a D or D̄.
+    fn detected(&self) -> bool {
+        self.observed.iter().any(|&c| self.has_d(c))
+    }
+
+    /// Either machine still X.
+    fn unresolved(&self, cell: u32) -> bool {
+        let w = self.values[cell as usize];
+        !lane(w, GOOD).is_known() || !lane(w, FAULTY).is_known()
+    }
+
+    /// Sets assignable `input` to `value` and queues its readers; call
+    /// [`Implication::update`] once every change of a step is in.
+    fn set(&mut self, input: usize, value: Logic) {
+        self.assignment[input] = value;
+        let cell = self.view.assignable()[input].index() as u32;
+        let mut w = logic_to_dual8(value);
+        if let Overlay::Stem { cell: site, stuck } = self.overlay {
+            if site == cell {
+                w = force(w, FAULTY, stuck);
+            }
+        }
+        if self.values[cell as usize] != w {
+            self.values[cell as usize] = w;
+            self.queue_readers(cell);
+        }
+    }
+
+    fn queue(&mut self, cell: u32) {
+        if self.queued[cell as usize] == self.gen {
+            return;
+        }
+        self.queued[cell as usize] = self.gen;
+        let lvl = self.compiled.level_of(cell) as usize;
+        self.buckets[lvl].push(cell);
+        self.lo = self.lo.min(lvl);
+        self.hi = self.hi.max(lvl);
+    }
+
+    fn queue_readers(&mut self, cell: u32) {
+        for &r in self.compiled.readers(cell) {
+            // Level-0 readers are flip-flops: their D pin is an observation
+            // point, their Q an assignable of its own.
+            if self.compiled.level_of(r) > 0 {
+                self.queue(r);
+            }
+        }
+    }
+
+    /// Drains the level buckets: re-evaluates every queued cell and queues
+    /// the readers of those whose word changed. A reader sits at a strictly
+    /// higher level than its drivers, so each cell is evaluated once, after
+    /// all of its changed inputs.
+    fn update(&mut self) {
+        let mut lvl = self.lo;
+        while lvl <= self.hi {
+            let mut bucket = std::mem::take(&mut self.buckets[lvl]);
+            for &id in &bucket {
+                let new = self.eval(id);
+                if new != self.values[id as usize] {
+                    self.values[id as usize] = new;
+                    self.queue_readers(id);
+                }
+            }
+            bucket.clear();
+            self.buckets[lvl] = bucket;
+            lvl += 1;
+        }
+        self.lo = usize::MAX;
+        self.hi = 0;
+        self.gen += 1;
+    }
+
+    /// One cell's word from its inputs, with the fault overlay applied.
+    fn eval(&mut self, id: u32) -> Dual8 {
+        match self.overlay {
+            Overlay::Stem { cell, stuck } if cell == id => force(
+                self.program.eval_cell(id, &self.values, &mut self.scratch),
+                FAULTY,
+                stuck,
+            ),
+            Overlay::Branch { gate, pin, stuck } if gate == id => {
+                // The faulted pin's driver may feed other pins of the same
+                // gate, so the overlay goes on the pin, not on the driver's
+                // word: gather the pins and evaluate the cell function.
+                let pins: Vec<Dual64> = self
+                    .compiled
+                    .fanin(id)
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &f)| {
+                        let mut w = self.values[f as usize];
+                        if p == pin {
+                            w = force(w, FAULTY, stuck);
+                        }
+                        Dual64 {
+                            one: w.one.into(),
+                            zero: w.zero.into(),
+                        }
+                    })
+                    .collect();
+                let out = self.compiled.kind(id).eval_dual(&pins);
+                Dual8 {
+                    one: out.one as u8,
+                    zero: out.zero as u8,
+                }
+            }
+            _ => self.program.eval_cell(id, &self.values, &mut self.scratch),
+        }
+    }
+
+    /// Forward reachability from the fault effect through unresolved cells
+    /// to any observation point, once the faulted line `driver` is
+    /// activated. Without such a path the branch is hopeless — this is what
+    /// keeps redundant faults cheap to prove.
+    fn x_path_exists(&mut self, driver: u32) -> bool {
+        let walk = self.next_walk();
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        // Seeds: every cell carrying the effect (all inside the cone), the
+        // branch gate itself (its injected pin carries a D the cell words
+        // cannot show) and the faulted line.
+        stack.extend(self.cone.iter().copied().filter(|&c| self.has_d(c)));
+        if let Overlay::Branch { gate, .. } = self.overlay {
+            if self.unresolved(gate) {
+                self.visited[gate as usize] = walk;
+                stack.push(gate);
+            }
+        }
+        stack.push(driver);
+        let mut found = false;
+        'walk: while let Some(id) = stack.pop() {
+            for &r in self.compiled.readers(id) {
+                if self.visited[r as usize] == walk {
+                    continue;
+                }
+                let kind = self.compiled.kind(r);
+                if kind == CellKind::Output || kind.is_flip_flop() {
+                    found = true; // the effect can reach a PO or a D capture
+                    break 'walk;
+                }
+                if self.unresolved(r) {
+                    self.visited[r as usize] = walk;
+                    stack.push(r);
+                }
+            }
+        }
+        self.stack = stack;
+        found
+    }
+
+    /// The first D-frontier gate in ascending id — a cell with an effect on
+    /// an input and an unresolved output — that still has an X input, as
+    /// the objective "that input to its non-controlling value". Only cone
+    /// cells can carry or read an effect (a flip-flop reading one never has
+    /// an X input), so the cone walk finds the gate a whole-circuit scan in
+    /// id order would.
+    fn frontier_objective(&self, want: bool) -> Option<(u32, bool)> {
+        for &id in &self.cone {
+            let kind = self.compiled.kind(id);
+            if kind == CellKind::Output || !self.unresolved(id) {
+                continue;
+            }
+            let fanin = self.compiled.fanin(id);
+            let d_input = fanin
+                .iter()
+                .enumerate()
+                .any(|(pin, &f)| match self.overlay {
+                    Overlay::Branch { gate, pin: p, .. } if gate == id && p == pin => {
+                        self.good(f).to_bool() == Some(want)
+                    }
+                    _ => self.has_d(f),
+                });
+            if !d_input {
+                continue;
+            }
+            if let Some((pin, &f)) = fanin
+                .iter()
+                .enumerate()
+                .find(|&(_, &f)| !self.good(f).is_known())
+            {
+                return Some((f, noncontrolling(kind, pin)));
+            }
+        }
+        None
+    }
+
+    /// Differential check against the oracle: both lanes of every cell
+    /// equal [`TestView::eval3`] without and with the fault.
+    #[cfg(test)]
+    fn assert_matches_eval3(&self, fault: Option<&Fault>) {
+        let good = self.view.eval3(&self.assignment, None);
+        let faulty = self.view.eval3(&self.assignment, fault);
+        for (id, &w) in self.values.iter().enumerate() {
+            assert_eq!(
+                lane(w, GOOD),
+                good[id],
+                "good lane of cell {id} under {fault:?}"
+            );
+            assert_eq!(
+                lane(w, FAULTY),
+                faulty[id],
+                "faulty lane of cell {id} under {fault:?}"
+            );
+        }
+    }
 }
 
 /// PODEM engine over a test view.
 pub struct Podem<'v, 'a> {
     view: &'v TestView<'a>,
     config: PodemConfig,
+    /// Every cell's word with all assignables X and no fault: the state
+    /// each search starts from.
+    unassigned: Vec<Dual8>,
 }
 
 impl<'v, 'a> Podem<'v, 'a> {
     /// Creates an engine.
     pub fn new(view: &'v TestView<'a>, config: PodemConfig) -> Self {
-        Podem { view, config }
+        let program = view.program();
+        let mut unassigned = vec![Dual8::all_x(); program.cell_words()];
+        let mut scratch = vec![Dual8::all_x(); program.scratch_words()];
+        program.execute(&mut unassigned, &mut scratch);
+        Podem {
+            view,
+            config,
+            unassigned,
+        }
     }
 
     /// Generates a test cube detecting `fault` while *also* satisfying the
@@ -157,283 +561,196 @@ impl<'v, 'a> Podem<'v, 'a> {
         self.search(None, goals)
     }
 
-    fn search(&self, fault: Option<&Fault>, justify: &[(CellId, bool)]) -> Option<TestCube> {
-        let n = self.view.assignable().len();
-        let mut assignment = vec![Logic::X; n];
+    fn search(&self, fault: Option<&Fault>, goals: &[(CellId, bool)]) -> Option<TestCube> {
+        let mut imp = Implication::new(self, fault);
+        // The faulted line and the good value that activates the fault.
+        let target = fault.map(|f| {
+            (
+                f.driver(self.view.netlist()).index() as u32,
+                !f.stuck.as_bool(),
+            )
+        });
         // Decision stack: (assignable index, current value, other tried).
         let mut stack: Vec<(usize, bool, bool)> = Vec::new();
+        // Deterministic work counters, accumulated as plain locals and
+        // flushed once per search. The search shape depends only on the
+        // view, fault and goals — deterministic at any pool width.
         let mut backtracks = 0usize;
+        let mut decisions = 0u64;
+        let mut aborted = false;
 
-        loop {
-            let good = self.view.eval3(&assignment, None);
-            let status = if let Some(f) = fault {
-                // Side goals first: contradicted => dead branch; unknown
-                // goals become objectives once the fault itself is covered.
-                let mut goal_pending: Option<(CellId, bool)> = None;
-                let mut goal_conflict = false;
-                for &(cell, value) in justify {
-                    match good[cell.index()].to_bool() {
-                        Some(v) if v == value => {}
-                        Some(_) => {
-                            goal_conflict = true;
-                            break;
-                        }
-                        None => {
-                            if goal_pending.is_none() {
-                                goal_pending = Some((cell, value));
-                            }
-                        }
-                    }
-                }
-                if goal_conflict {
-                    Status::Conflict
-                } else {
-                    let faulty = self.view.eval3(&assignment, Some(f));
-                    match self.fault_status(f, &good, &faulty) {
-                        Status::Detected => match goal_pending {
-                            Some((cell, value)) => Status::Objective(cell, value),
-                            None => Status::Detected,
-                        },
-                        other => other,
-                    }
-                }
-            } else {
-                // Multi-goal justification: conflict beats objective beats
-                // success, scanning all goals.
-                let mut status = Status::Detected;
-                for &(cell, value) in justify {
-                    match good[cell.index()].to_bool() {
-                        Some(v) if v == value => {}
-                        Some(_) => {
-                            status = Status::Conflict;
-                            break;
-                        }
-                        None => {
-                            if matches!(status, Status::Detected) {
-                                status = Status::Objective(cell, value);
-                            }
-                        }
-                    }
-                }
-                status
+        let cube = loop {
+            #[cfg(test)]
+            imp.assert_matches_eval3(fault);
+            let status = match target {
+                Some((driver, want)) => self.fault_status(&mut imp, goals, driver, want),
+                None => justify_status(&imp, goals),
             };
-
             match status {
                 Status::Detected => {
-                    return Some(TestCube { assignment });
+                    break Some(TestCube {
+                        assignment: imp.assignment,
+                    })
                 }
                 Status::Conflict => {
-                    if !self.backtrack(&mut assignment, &mut stack, &mut backtracks) {
-                        return None;
+                    if !backtrack(&mut imp, &mut stack, &mut backtracks) {
+                        break None;
                     }
                 }
-                Status::Objective(cell, value) => match self.backtrace(cell, value, &good) {
+                Status::Objective(cell, value) => match self.backtrace(cell, value, &imp) {
                     Some((input, v)) => {
-                        assignment[input] = Logic::from_bool(v);
+                        decisions += 1;
                         stack.push((input, v, false));
+                        imp.set(input, Logic::from_bool(v));
+                        imp.update();
                     }
                     None => {
-                        if !self.backtrack(&mut assignment, &mut stack, &mut backtracks) {
-                            return None;
+                        if !backtrack(&mut imp, &mut stack, &mut backtracks) {
+                            break None;
                         }
                     }
                 },
             }
             if backtracks > self.config.max_backtracks {
-                return None;
+                aborted = true;
+                break None;
             }
+        };
+        if flh_obs::enabled() {
+            flh_obs::add(flh_obs::Counter::PodemBacktracks, backtracks as u64);
+            flh_obs::add(flh_obs::Counter::PodemDecisions, decisions);
+            flh_obs::add(flh_obs::Counter::PodemAborts, u64::from(aborted));
         }
-    }
-
-    fn backtrack(
-        &self,
-        assignment: &mut [Logic],
-        stack: &mut Vec<(usize, bool, bool)>,
-        backtracks: &mut usize,
-    ) -> bool {
-        while let Some((input, value, tried_other)) = stack.pop() {
-            assignment[input] = Logic::X;
-            if !tried_other {
-                *backtracks += 1;
-                // Search shape depends only on the view, fault and goals —
-                // deterministic at any pool width.
-                flh_obs::add(flh_obs::Counter::PodemBacktracks, 1);
-                assignment[input] = Logic::from_bool(!value);
-                stack.push((input, !value, true));
-                return true;
-            }
-        }
-        false
+        cube
     }
 
     /// Determines success / failure / next objective for a fault goal.
-    fn fault_status(&self, fault: &Fault, good: &[Logic], faulty: &[Logic]) -> Status {
+    fn fault_status(
+        &self,
+        imp: &mut Implication<'_>,
+        goals: &[(CellId, bool)],
+        driver: u32,
+        want: bool,
+    ) -> Status {
+        // Side goals first: contradicted => dead branch; unknown goals
+        // become objectives once the fault itself is covered.
+        let mut goal_pending: Option<(u32, bool)> = None;
+        for &(cell, value) in goals {
+            let cell = cell.index() as u32;
+            match imp.good(cell).to_bool() {
+                Some(v) if v == value => {}
+                Some(_) => return Status::Conflict,
+                None => {
+                    if goal_pending.is_none() {
+                        goal_pending = Some((cell, value));
+                    }
+                }
+            }
+        }
+
         // Detection at an observation point?
-        let obs_good = self.view.observe3(good);
-        let obs_faulty = self.view.observe3(faulty);
-        if obs_good
-            .iter()
-            .zip(&obs_faulty)
-            .any(|(g, f)| g.is_known() && f.is_known() && g != f)
-        {
-            return Status::Detected;
+        if imp.detected() {
+            return match goal_pending {
+                Some((cell, value)) => Status::Objective(cell, value),
+                None => Status::Detected,
+            };
         }
 
         // Activation: the faulted line's good value must be the opposite of
         // the stuck value.
-        let line_driver = fault.driver(self.view.netlist());
-        let want = !fault.stuck.as_bool();
-        match good[line_driver.index()].to_bool() {
+        match imp.good(driver).to_bool() {
             Some(v) if v != want => return Status::Conflict,
-            None => return Status::Objective(line_driver, want),
+            None => return Status::Objective(driver, want),
             Some(_) => {}
         }
 
-        // Propagation: find the D-frontier and pick an X input to set to a
-        // non-controlling value.
-        let netlist = self.view.netlist();
-        let has_d = |cell: CellId| -> bool {
-            good[cell.index()].is_known()
-                && faulty[cell.index()].is_known()
-                && good[cell.index()] != faulty[cell.index()]
-        };
-
-        // X-path check: the fault effect must be able to reach some
-        // observation through cells that are still unresolved. Without such
-        // a path the branch is hopeless — this is what keeps redundant
-        // faults cheap to prove.
-        if !self.x_path_exists(fault, good, faulty) {
+        // Propagation: with an X-path to an observation point, pick an X
+        // input of the D-frontier to set to a non-controlling value.
+        if !imp.x_path_exists(driver) {
             return Status::Conflict;
         }
-        for (id, cell) in netlist.iter() {
-            let kind = cell.kind();
-            if kind == CellKind::Output {
-                continue;
-            }
-            // Output still unresolved in at least one circuit?
-            let unresolved = !good[id.index()].is_known() || !faulty[id.index()].is_known();
-            if !unresolved {
-                continue;
-            }
-            // Any input carrying the fault effect (including an injected
-            // branch pin)?
-            let mut d_input = false;
-            for (pin, &f) in cell.fanin().iter().enumerate() {
-                let branch_injected = matches!(
-                    fault.site,
-                    FaultSite::Branch { gate, pin: p } if gate == id && p == pin
-                );
-                if branch_injected {
-                    if good[f.index()].to_bool() == Some(want) {
-                        d_input = true;
-                    }
-                } else if has_d(f) {
-                    d_input = true;
-                }
-            }
-            if !d_input {
-                continue;
-            }
-            // Frontier gate found: objective = first X input to its
-            // non-controlling value.
-            for (pin, &f) in cell.fanin().iter().enumerate() {
-                if !good[f.index()].is_known() {
-                    return Status::Objective(f, noncontrolling(kind, pin));
-                }
-            }
+        match imp.frontier_objective(want) {
+            Some((cell, value)) => Status::Objective(cell, value),
+            // Fault activated but nothing can propagate further.
+            None => Status::Conflict,
         }
-        // Fault activated but nothing can propagate further.
-        Status::Conflict
-    }
-
-    /// Forward reachability from the fault effect through unresolved cells
-    /// to any observation point.
-    fn x_path_exists(&self, fault: &Fault, good: &[Logic], faulty: &[Logic]) -> bool {
-        let netlist = self.view.netlist();
-        let compiled = self.view.compiled();
-        let unresolved =
-            |c: CellId| -> bool { !good[c.index()].is_known() || !faulty[c.index()].is_known() };
-        let has_d = |c: CellId| -> bool {
-            good[c.index()].is_known()
-                && faulty[c.index()].is_known()
-                && good[c.index()] != faulty[c.index()]
-        };
-
-        // Seeds: every cell currently carrying the effect, plus the branch
-        // gate itself for branch faults (its injected pin carries a D that
-        // the value arrays cannot show).
-        let mut reach = vec![false; netlist.cell_count()];
-        let mut stack: Vec<CellId> = Vec::new();
-        for id in netlist.ids() {
-            if has_d(id) {
-                stack.push(id);
-            }
-        }
-        if let FaultSite::Branch { gate, .. } = fault.site {
-            if unresolved(gate) && !reach[gate.index()] {
-                reach[gate.index()] = true;
-                stack.push(gate);
-            }
-        }
-        let driver = fault.driver(netlist);
-        if good[driver.index()].to_bool() == Some(!fault.stuck.as_bool()) {
-            stack.push(driver);
-        }
-        while let Some(id) = stack.pop() {
-            for &rd in compiled.readers(id.index() as u32) {
-                let r = CellId::from_index(rd as usize);
-                if reach[r.index()] {
-                    continue;
-                }
-                let kind = compiled.kind(rd);
-                if kind == flh_netlist::CellKind::Output {
-                    return true; // effect can reach a primary output
-                }
-                if kind.is_flip_flop() {
-                    return true; // effect can reach a flip-flop D capture
-                }
-                if unresolved(r) {
-                    reach[r.index()] = true;
-                    stack.push(r);
-                }
-            }
-        }
-        false
     }
 
     /// Walks an objective back to an unassigned primary input / flip-flop.
     fn backtrace(
         &self,
-        mut cell: CellId,
+        mut cell: u32,
         mut value: bool,
-        good: &[Logic],
+        imp: &Implication<'_>,
     ) -> Option<(usize, bool)> {
-        let netlist = self.view.netlist();
+        let compiled = self.view.compiled();
         loop {
-            if let Some(idx) = self.view.assignable_index(cell) {
+            if let Some(idx) = self
+                .view
+                .assignable_index(CellId::from_index(cell as usize))
+            {
                 // Already assigned assignables are not re-decided.
-                if good[cell.index()].is_known() {
+                if imp.good(cell).is_known() {
                     return None;
                 }
                 return Some((idx, value));
             }
-            let kind = netlist.cell(cell).kind();
+            let kind = compiled.kind(cell);
             if matches!(kind, CellKind::Const0 | CellKind::Const1) {
                 return None;
             }
             // Choose an X-valued fanin to continue through.
-            let next = netlist
-                .cell(cell)
-                .fanin()
+            let next = compiled
+                .fanin(cell)
                 .iter()
                 .copied()
-                .find(|&f| !good[f.index()].is_known())?;
+                .find(|&f| !imp.good(f).is_known())?;
             if inverts(kind) {
                 value = !value;
             }
             cell = next;
         }
     }
+}
+
+/// Multi-goal justification: conflict beats objective beats success,
+/// scanning all goals.
+fn justify_status(imp: &Implication<'_>, goals: &[(CellId, bool)]) -> Status {
+    let mut status = Status::Detected;
+    for &(cell, value) in goals {
+        let cell = cell.index() as u32;
+        match imp.good(cell).to_bool() {
+            Some(v) if v == value => {}
+            Some(_) => return Status::Conflict,
+            None => {
+                if matches!(status, Status::Detected) {
+                    status = Status::Objective(cell, value);
+                }
+            }
+        }
+    }
+    status
+}
+
+/// Undoes decisions back to the newest one whose other value is untried,
+/// flips it and re-implies. `false` once the decision tree is exhausted.
+fn backtrack(
+    imp: &mut Implication<'_>,
+    stack: &mut Vec<(usize, bool, bool)>,
+    backtracks: &mut usize,
+) -> bool {
+    while let Some((input, value, tried_other)) = stack.pop() {
+        if tried_other {
+            imp.set(input, Logic::X);
+            continue;
+        }
+        *backtracks += 1;
+        stack.push((input, !value, true));
+        imp.set(input, Logic::from_bool(!value));
+        imp.update();
+        return true;
+    }
+    false
 }
 
 /// Whether a backtrace through this cell flips the objective value.
@@ -483,6 +800,7 @@ fn noncontrolling(kind: CellKind, pin: usize) -> bool {
 mod tests {
     use super::*;
     use crate::fault::{enumerate_stuck_faults, StuckValue};
+    use flh_core::{apply_style, DftStyle};
     use flh_netlist::{generate_circuit, GeneratorConfig, Netlist};
 
     fn view_podem(n: &Netlist) -> TestView<'_> {
@@ -651,6 +969,148 @@ mod tests {
             });
             assert_eq!(found, testable, "PODEM disagrees on {fault:?}");
         }
+    }
+
+    /// One generated circuit in each holding style: hold latch, hold MUX
+    /// and FLH.
+    fn holding_style_netlists(seed: u64) -> Vec<Netlist> {
+        let base = generate_circuit(&GeneratorConfig {
+            name: "podem_diff".into(),
+            primary_inputs: 5,
+            primary_outputs: 4,
+            flip_flops: 6,
+            gates: 50,
+            logic_depth: 6,
+            avg_ff_fanout: 2.2,
+            unique_flg_ratio: 1.8,
+            hot_ff_fanout: None,
+            seed,
+        })
+        .unwrap();
+        [DftStyle::EnhancedScan, DftStyle::MuxHold, DftStyle::Flh]
+            .iter()
+            .map(|&style| apply_style(&base, style).unwrap().netlist)
+            .collect()
+    }
+
+    /// Differential test of the implication state: every search step
+    /// re-checks both lanes of every cell against `TestView::eval3` (the
+    /// `assert_matches_eval3` hook in `Podem::search`), here over every
+    /// stuck fault — stems and branches — and both justification values of
+    /// every cell, on generated circuits in each holding style.
+    #[test]
+    fn implication_matches_eval3_in_every_holding_style() {
+        for seed in [11, 12] {
+            for n in holding_style_netlists(seed) {
+                let view = view_podem(&n);
+                let podem = Podem::new(&view, PodemConfig::paper_default());
+                for fault in enumerate_stuck_faults(&n) {
+                    podem.generate(&fault);
+                }
+                for (id, _) in n.iter() {
+                    podem.justify(id, false);
+                    podem.justify(id, true);
+                }
+            }
+        }
+    }
+
+    /// Arbitrary assign / unassign walks, not just the ones a search takes,
+    /// keep both lanes equal to the oracle after every update.
+    #[test]
+    fn implication_tracks_random_assignment_walks() {
+        let mut rng = Rng::seed_from_u64(29);
+        for n in holding_style_netlists(13) {
+            let view = view_podem(&n);
+            let podem = Podem::new(&view, PodemConfig::paper_default());
+            let faults = enumerate_stuck_faults(&n);
+            let na = view.assignable().len();
+            for fault in faults.iter().step_by(3) {
+                let mut imp = Implication::new(&podem, Some(fault));
+                imp.assert_matches_eval3(Some(fault));
+                for _ in 0..24 {
+                    for _ in 0..rng.gen_range(1usize..4) {
+                        let value = match rng.gen_range(0u8..3) {
+                            0 => Logic::X,
+                            v => Logic::from_bool(v == 1),
+                        };
+                        imp.set(rng.gen_range(0..na), value);
+                    }
+                    imp.update();
+                    imp.assert_matches_eval3(Some(fault));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stem_fault_on_an_assignable_flip_flop() {
+        // y = NAND(a, ff), ff.D = y: ff s-a-0 needs ff = 1 (activation) and
+        // a = 1 (propagation through the NAND).
+        let mut n = Netlist::new("ff_stem");
+        let a = n.add_input("a");
+        let ff = n.add_cell("ff", CellKind::Dff, vec![a]);
+        let g = n.add_cell("g", CellKind::Nand2, vec![a, ff]);
+        n.set_fanin_pin(ff, 0, g);
+        n.add_output("y", g);
+        let view = view_podem(&n);
+        let podem = Podem::new(&view, PodemConfig::paper_default());
+        let cube = podem.generate(&Fault::stem(ff, StuckValue::Zero)).unwrap();
+        assert_eq!(cube.assignment, vec![Logic::One, Logic::One]);
+        // Stuck-at-1 is activated by ff = 0 and still needs a = 1.
+        let cube = podem.generate(&Fault::stem(ff, StuckValue::One)).unwrap();
+        assert_eq!(cube.assignment, vec![Logic::One, Logic::Zero]);
+    }
+
+    #[test]
+    fn branch_fault_reaches_only_its_own_gate() {
+        // a fans out to y1 = NOT a and y2 = BUF a; the branch into the
+        // inverter s-a-0 is activated by a = 1 and observed at y1 only.
+        let mut n = Netlist::new("branch");
+        let a = n.add_input("a");
+        let g1 = n.add_cell("g1", CellKind::Inv, vec![a]);
+        let g2 = n.add_cell("g2", CellKind::Buf, vec![a]);
+        n.add_output("y1", g1);
+        n.add_output("y2", g2);
+        let view = view_podem(&n);
+        let podem = Podem::new(&view, PodemConfig::paper_default());
+        let fault = Fault::branch(g1, 0, StuckValue::Zero);
+        let cube = podem.generate(&fault).unwrap();
+        assert_eq!(cube.assignment, vec![Logic::One]);
+        let imp = {
+            let mut imp = Implication::new(&podem, Some(&fault));
+            imp.set(0, Logic::One);
+            imp.update();
+            imp
+        };
+        assert!(imp.has_d(g1.index() as u32));
+        assert!(!imp.has_d(g2.index() as u32));
+        assert!(!imp.has_d(a.index() as u32));
+    }
+
+    #[test]
+    fn branch_overlay_forces_the_faulted_pin_only() {
+        // y = XOR(a, a) is constant 0. Pin 0 s-a-1 turns it into NOT a —
+        // detectable with a = 0. Forcing the driver's faulty word instead
+        // would hit both pins (XOR(1, 1) = 0) and hide the fault.
+        let mut n = Netlist::new("double_pin");
+        let a = n.add_input("a");
+        let g = n.add_cell("g", CellKind::Xor2, vec![a, a]);
+        n.add_output("y", g);
+        let view = view_podem(&n);
+        let podem = Podem::new(&view, PodemConfig::paper_default());
+        for pin in 0..2 {
+            let cube = podem
+                .generate(&Fault::branch(g, pin, StuckValue::One))
+                .unwrap();
+            assert_eq!(cube.assignment, vec![Logic::Zero], "pin {pin}");
+            let cube = podem
+                .generate(&Fault::branch(g, pin, StuckValue::Zero))
+                .unwrap();
+            assert_eq!(cube.assignment, vec![Logic::One], "pin {pin}");
+        }
+        // The stem fault on the XOR output is the constant-0 redundancy.
+        assert!(podem.generate(&Fault::stem(g, StuckValue::Zero)).is_none());
     }
 
     #[test]

@@ -48,6 +48,12 @@ pub enum Counter {
     FaultsDropped,
     /// PODEM decision backtracks.
     PodemBacktracks,
+    /// PODEM decisions: assignments a backtrace pushed on the decision
+    /// stack (a backtrack's flip of an earlier decision is not one).
+    PodemDecisions,
+    /// PODEM searches ended by the backtrack budget rather than by an
+    /// exhausted decision tree.
+    PodemAborts,
     /// Cells evaluated by `CompiledSim::settle` (scalar three-valued).
     SimCellEvals,
     /// Bytecode instructions executed by the compiled-program engines
@@ -66,7 +72,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in the fixed report order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 21] = [
         Counter::ReplayCalls,
         Counter::ReplayEvents,
         Counter::ReplayDedupHits,
@@ -80,6 +86,8 @@ impl Counter {
         Counter::TransitionDetections,
         Counter::FaultsDropped,
         Counter::PodemBacktracks,
+        Counter::PodemDecisions,
+        Counter::PodemAborts,
         Counter::SimCellEvals,
         Counter::SimBytecodeInsts,
         Counter::CodegenFusedOps,
@@ -104,6 +112,8 @@ impl Counter {
             Counter::TransitionDetections => "fsim.transition.detections",
             Counter::FaultsDropped => "drops.faults_dropped",
             Counter::PodemBacktracks => "podem.backtracks",
+            Counter::PodemDecisions => "podem.decisions",
+            Counter::PodemAborts => "podem.aborts",
             Counter::SimCellEvals => "sim.cell_evals",
             Counter::SimBytecodeInsts => "sim.bytecode_insts",
             Counter::CodegenFusedOps => "codegen.fused_ops",

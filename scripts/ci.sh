@@ -100,6 +100,41 @@ if ! diff "$bench_tmp/metrics_w1.json" "$bench_tmp/metrics_w4.json"; then
 fi
 echo "identical deterministic metrics at both pool widths"
 
+echo "== ATPG gate (flh atpg s1196: pinned pattern file, repeatable metrics) =="
+# PODEM's decisions are pinned: every decision, backtrack and frontier
+# choice shows in the pattern file, whose FNV-1a hash (as
+# flh_serve::fnv1a computes it) must stay the recorded value. Two runs
+# must also agree on every deterministic counter (podem.backtracks,
+# podem.decisions, podem.aborts, replay work).
+fnv1a() {
+    local h=$((0xcbf29ce484222325)) b
+    for b in $(od -An -v -tu1 "$1"); do
+        h=$(((h ^ b) * 0x100000001b3))
+    done
+    printf '%016x\n' "$h"
+}
+for run in 1 2; do
+    cargo run -q --release --offline --bin flh -- atpg s1196 \
+        --out "$bench_tmp/atpg_$run.txt" \
+        --metrics-det-json "$bench_tmp/atpg_metrics_$run.json"
+    hash="$(fnv1a "$bench_tmp/atpg_$run.txt")"
+    if [ "$hash" != 5f98df5b980b665c ]; then
+        echo "ATPG GATE FAILED: s1196 pattern file hash $hash, pinned 5f98df5b980b665c" >&2
+        exit 1
+    fi
+done
+if ! diff "$bench_tmp/atpg_metrics_1.json" "$bench_tmp/atpg_metrics_2.json"; then
+    echo "ATPG GATE FAILED: deterministic metrics differ between two runs" >&2
+    exit 1
+fi
+echo "pinned pattern file and identical deterministic metrics on both runs"
+
+echo "== flowbench helper tests =="
+# The end-to-end benchmark is a package of its own, outside the workspace;
+# its helpers (metric tables vs BENCHMARK.json, statistics, argument
+# parsing, the serve mix) are tested here.
+cargo test -q --release --offline --manifest-path flowbench/Cargo.toml
+
 echo "== serve smoke (scripted session, cache hit, FLH_THREADS=1 vs 4) =="
 # Three jobs — the third an exact duplicate of the first — through the
 # line protocol. The duplicate must be served from the compiled-circuit
