@@ -15,7 +15,7 @@
 //! [`random_transition_campaign`] quantifies this with seeded random
 //! pattern-pair campaigns under each constraint.
 
-use flh_exec::{DropMask, ThreadPool};
+use flh_exec::{gather, DropMask, ThreadPool};
 use flh_netlist::{LaneWord, Netlist, Packed256, PatternWord};
 use flh_rng::Rng;
 
@@ -88,9 +88,9 @@ pub fn random_transition_campaign(
 /// Pooled [`random_transition_campaign`]: the pair stream is generated up
 /// front (consuming the RNG in exactly the order the streaming serial path
 /// does — the stream never depends on detection), then the fault list is
-/// sharded over the pool and every shard replays the full stream on its
-/// own simulator. Detection counts are summed in fault-id shard order, so
-/// the result is bit-identical at any pool size.
+/// dealt out over the pool and every shard replays the full stream on its
+/// own simulator. Detection flags merge back by fault id, so the result is
+/// bit-identical at any pool size.
 ///
 /// # Errors
 ///
@@ -145,29 +145,19 @@ pub fn transition_campaign_filtered(
     let mut rng = Rng::seed_from_u64(seed);
     let n = view.assignable().len();
 
-    // Assemble 256-lane pair blocks from four *sequential* 64-lane fills:
-    // sub-batch `j` lands in limb `j`, so the RNG is consumed in exactly
-    // the order the streaming 64-lane path ([`campaign_impl`]) consumes it
-    // and the generated pair stream is unchanged — only its grouping into
-    // simulation blocks widened. A final partial block keeps only the
-    // lanes that hold real pairs in its mask.
+    // The whole pair stream, in 256-lane blocks (see `fill_pair_block`
+    // for why the RNG order matches the streaming path's). A final
+    // partial block keeps only the lanes that hold real pairs in its mask.
     let mut batches: Vec<(Vec<Packed256>, Vec<Packed256>, Packed256)> =
         Vec::with_capacity(pairs.div_ceil(PATTERN_BLOCK));
+    let mut launch = Vec::new();
     let mut remaining = pairs;
     while remaining > 0 {
         let lanes = remaining.min(PATTERN_BLOCK);
         let mut v1 = vec![Packed256::bot(); n];
         let mut v2 = vec![Packed256::bot(); n];
-        let mut sub1 = vec![0u64; n];
-        let mut sub2 = vec![0u64; n];
-        for limb in 0..lanes.div_ceil(64) {
-            fill_pair_batch(view, style, &mut rng, &mut sub1, &mut sub2);
-            for i in 0..n {
-                v1[i].0[limb] = sub1[i];
-                v2[i].0[limb] = sub2[i];
-            }
-        }
-        batches.push((v1, v2, Packed256::mask_lanes(lanes)));
+        let mask = fill_pair_block(view, style, &mut rng, lanes, &mut v1, &mut v2, &mut launch);
+        batches.push((v1, v2, mask));
         remaining -= lanes;
     }
 
@@ -180,22 +170,25 @@ pub fn transition_campaign_filtered(
         None => order_transition_faults(view.compiled(), faults),
     };
 
-    // Shards never go below the minimum granularity (per-shard setup —
-    // simulator, good-machine evaluations per batch — must amortize), and
-    // each shard drops detected faults across its whole batch stream: a
-    // fault is replayed at most until its first detecting batch.
+    // The ordered list is dealt out in fixed-size chunks, so every shard
+    // takes a slice of every level band and the shards carry near-equal
+    // replay work; a list too short for two chunks runs as one shard (the
+    // per-shard setup — simulator, good-machine evaluations per batch —
+    // must amortize). Each shard drops detected faults across its whole
+    // batch stream: a fault is replayed at most until its first detecting
+    // batch.
     let mut drops = DropMask::new(ordered.len());
-    let parts = pool.run_partitioned_min(ordered.len(), MIN_FAULTS_PER_SHARD, |range| {
-        let shard = &ordered[range.clone()];
+    let parts = pool.run_partitioned_min(ordered.len(), MIN_FAULTS_PER_SHARD, |shard| {
+        let faults = gather(&ordered, shard);
         let mut sim = TransitionSimulator::new(view);
-        let mut detected = drops.shard(range);
+        let mut detected = drops.shard(shard);
         for (v1, v2, mask) in &batches {
-            sim.run_batch(v1, v2, *mask, shard, &mut detected);
+            sim.run_batch(v1, v2, *mask, &faults, &mut detected);
         }
         detected
     });
-    for (range, flags) in parts {
-        drops.merge_shard(range, &flags);
+    for (shard, flags) in parts {
+        drops.merge_shard(&shard, &flags);
     }
 
     CampaignResult {
@@ -259,58 +252,74 @@ pub fn pairs_to_reach_coverage(
     })
 }
 
-/// Fills one 64-lane batch of random (V1, V2) words under `style`. RNG
-/// consumption order is fixed — all V1 words, V2 primary-input words, then
-/// the style-specific state fill — and is the determinism anchor shared by
-/// the streaming ([`campaign_impl`]) and precomputed
-/// ([`random_transition_campaign_pooled`]) pair generators.
-fn fill_pair_batch(
+/// Fills one block of `lanes` random (V1, V2) pairs under `style` into
+/// `v1`/`v2` (one superword per assignable) and returns the block's lane
+/// mask. Limb `j` holds 64-lane sub-batch `j`, and each limb draws its
+/// words in a fixed order — all V1 words, the V2 primary-input words, then
+/// the style's state fill. That order is the determinism anchor shared by
+/// the streaming ([`campaign_impl`], one-limb blocks) and precomputed
+/// ([`transition_campaign_filtered`], 256-lane blocks) pair generators:
+/// the pair stream does not depend on the block width.
+///
+/// The broadside launch — V2's state is the flip-flop capture of V1's
+/// response — consumes no randomness, so it runs once after every limb
+/// has drawn: one good-machine evaluation of the whole V1 block into the
+/// reusable `launch` buffer.
+fn fill_pair_block(
     view: &TestView<'_>,
     style: ApplicationStyle,
     rng: &mut Rng,
-    v1: &mut [u64],
-    v2: &mut [u64],
-) {
+    lanes: usize,
+    v1: &mut [Packed256],
+    v2: &mut [Packed256],
+    launch: &mut Vec<Packed256>,
+) -> Packed256 {
     let n_pi = view.primary_input_count();
     let n_ff = v1.len() - n_pi;
-    for w in v1.iter_mut() {
-        *w = rng.gen();
-    }
-    // V2 primary inputs are always free.
-    for w in v2.iter_mut().take(n_pi) {
-        *w = rng.gen();
-    }
-    match style {
-        ApplicationStyle::ArbitraryTwoPattern => {
-            for w in v2.iter_mut().skip(n_pi) {
-                *w = rng.gen();
-            }
+    v1.fill(Packed256::bot());
+    v2.fill(Packed256::bot());
+    for limb in 0..lanes.div_ceil(64) {
+        for w in v1.iter_mut() {
+            w.0[limb] = rng.gen();
         }
-        ApplicationStyle::Broadside => {
-            // State part of V2 = the flip-flop D values under V1.
-            let good1 = view.eval64(v1, None);
-            let mut ff_idx = 0;
-            for obs in view.observations() {
-                if let Observation::FfD(ff) = obs {
-                    let d = view.netlist().cell(*ff).fanin()[0];
-                    v2[n_pi + ff_idx] = good1[d.index()];
-                    ff_idx += 1;
+        // V2 primary inputs are always free.
+        for w in v2.iter_mut().take(n_pi) {
+            w.0[limb] = rng.gen();
+        }
+        match style {
+            ApplicationStyle::ArbitraryTwoPattern => {
+                for w in v2.iter_mut().skip(n_pi) {
+                    w.0[limb] = rng.gen();
                 }
             }
-            debug_assert_eq!(ff_idx, n_ff);
-        }
-        ApplicationStyle::SkewedLoad => {
-            // State part of V2 = V1's state shifted one position down
-            // the chain (position i takes position i-1; position 0
-            // takes a random scan-in bit).
-            for i in (1..n_ff).rev() {
-                v2[n_pi + i] = v1[n_pi + i - 1];
-            }
-            if n_ff > 0 {
-                v2[n_pi] = rng.gen();
+            ApplicationStyle::Broadside => {} // launched below, block-wide
+            ApplicationStyle::SkewedLoad => {
+                // State part of V2 = V1's state shifted one position down
+                // the chain (position i takes position i-1; position 0
+                // takes a random scan-in bit).
+                for i in (1..n_ff).rev() {
+                    v2[n_pi + i].0[limb] = v1[n_pi + i - 1].0[limb];
+                }
+                if n_ff > 0 {
+                    v2[n_pi].0[limb] = rng.gen();
+                }
             }
         }
     }
+    if style == ApplicationStyle::Broadside {
+        // State part of V2 = the flip-flop D values under V1.
+        view.eval_lanes_into(v1, launch);
+        let mut ff_idx = 0;
+        for obs in view.observations() {
+            if let Observation::FfD(ff) = obs {
+                let d = view.netlist().cell(*ff).fanin()[0];
+                v2[n_pi + ff_idx] = launch[d.index()];
+                ff_idx += 1;
+            }
+        }
+        debug_assert_eq!(ff_idx, n_ff);
+    }
+    Packed256::mask_lanes(lanes)
 }
 
 /// Streaming campaign core: generates and simulates one batch at a time so
@@ -335,18 +344,15 @@ fn campaign_impl(
     let mut applied = 0usize;
     let mut detected_count = 0usize;
     let mut remaining = pairs;
-    let mut sub1 = vec![0u64; n];
-    let mut sub2 = vec![0u64; n];
+    let mut v1 = vec![Packed256::bot(); n];
+    let mut v2 = vec![Packed256::bot(); n];
+    let mut launch = Vec::new();
     while remaining > 0 {
-        // One 64-lane fill per step, widened into the low limb: the stop
-        // predicate still sees coverage every 64 pairs, so early-stop
-        // points (and the RNG stream) are identical to the historical
-        // 64-lane streaming path.
+        // One-limb blocks: the stop predicate still sees coverage every 64
+        // pairs, so early-stop points (and the RNG stream) are identical
+        // to the historical 64-lane streaming path.
         let lanes = remaining.min(64);
-        fill_pair_batch(&view, style, &mut rng, &mut sub1, &mut sub2);
-        let v1: Vec<Packed256> = sub1.iter().map(|&w| Packed256::from_word(w)).collect();
-        let v2: Vec<Packed256> = sub2.iter().map(|&w| Packed256::from_word(w)).collect();
-        let mask = Packed256::mask_lanes(lanes);
+        let mask = fill_pair_block(&view, style, &mut rng, lanes, &mut v1, &mut v2, &mut launch);
         detected_count += sim.run_batch(&v1, &v2, mask, &faults, &mut detected);
         remaining -= lanes;
         applied += lanes;

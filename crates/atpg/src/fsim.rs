@@ -20,17 +20,19 @@
 //! miscompare is intersected with it, so padding lanes never touch
 //! detection flags or coverage counts.
 
-use flh_exec::{DropMask, ThreadPool};
+use flh_exec::{gather, DropMask, ThreadPool};
 use flh_netlist::{CellKind, CompiledCircuit, LaneWord, Packed256, PatternWord};
 
 use crate::fault::{Fault, FaultSite};
 use crate::replay::DeviationReplay;
 use crate::tview::TestView;
 
-/// Minimum faults per shard of a partitioned campaign: below this, the
-/// per-shard cost (a fresh simulator, a good-machine evaluation per batch)
-/// outweighs any parallelism. Shard boundaries never affect results — stats
-/// are merged by fault id — so this is purely a throughput knob.
+/// Faults per dealt chunk of a partitioned campaign
+/// ([`ThreadPool::partition_min`]): a list of fewer than two chunks runs as
+/// one shard, because the per-shard cost (a fresh simulator, a
+/// good-machine evaluation per batch) would outweigh any parallelism.
+/// Shard boundaries never affect results — stats are scattered back by
+/// fault id — so this is purely a throughput knob.
 pub(crate) const MIN_FAULTS_PER_SHARD: usize = 64;
 
 /// Pattern lanes per simulation block — the width of one [`Packed256`]
@@ -207,7 +209,7 @@ fn pack_batch(chunk: &[Vec<bool>], n: usize, words: &mut [Packed256]) -> Packed2
 }
 
 /// One worker's share of a partitioned campaign: a fresh simulator over the
-/// shared view, the full pattern set, a contiguous fault shard. Faults
+/// shared view, the full pattern set, the faults of one dealt shard. Faults
 /// flagged in `dropped` were detected by an earlier call and are never
 /// replayed again; the shard's updated flags are merged back by the caller.
 fn stats_shard(
@@ -237,12 +239,12 @@ fn stats_shard(
 }
 
 impl StuckSimulator<'_, '_> {
-    /// Partitioned stuck-at campaign: splits `faults` into one contiguous
-    /// shard per pool worker, runs each shard on its own simulator, and
-    /// merges per-fault stats **by fault id** (the shards are contiguous
-    /// ascending ranges, so concatenation in partition order is fault-id
-    /// order — completion order never matters). Bit-identical at any pool
-    /// size.
+    /// Partitioned stuck-at campaign: deals `faults` out to the pool
+    /// workers in [`MIN_FAULTS_PER_SHARD`]-sized chunks
+    /// ([`ThreadPool::partition_min`]), runs each shard on its own
+    /// simulator, and scatters per-fault stats back **by fault id**
+    /// through each shard's ranges — completion order never matters.
+    /// Bit-identical at any pool size.
     pub fn simulate_partitioned(
         view: &TestView<'_>,
         faults: &[Fault],
@@ -267,13 +269,15 @@ impl StuckSimulator<'_, '_> {
         drops: &mut DropMask,
     ) -> Vec<FaultStats> {
         assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
-        let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |range| {
-            stats_shard(view, &faults[range.clone()], patterns, drops.shard(range))
+        let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |shard| {
+            stats_shard(view, &gather(faults, shard), patterns, drops.shard(shard))
         });
-        let mut stats = Vec::with_capacity(faults.len());
-        for (range, (shard, flags)) in parts {
-            stats.extend(shard);
-            drops.merge_shard(range, &flags);
+        let mut stats = vec![FaultStats::default(); faults.len()];
+        for (shard, (shard_stats, flags)) in parts {
+            for (fi, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
+                stats[fi] = s;
+            }
+            drops.merge_shard(&shard, &flags);
         }
         stats
     }

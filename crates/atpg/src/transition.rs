@@ -9,7 +9,7 @@
 //! justification for V1 — precisely why the paper's technique, which
 //! enables arbitrary pairs cheaply, preserves full ATPG power.
 
-use flh_exec::{DropMask, ThreadPool};
+use flh_exec::{gather, DropMask, ThreadPool};
 use flh_netlist::{
     analysis, CellId, CellKind, CompiledCircuit, LaneWord, Netlist, Packed256, PatternWord,
 };
@@ -264,17 +264,28 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
     }
 
     /// Event-driven replay of the V2 machine under `fault`'s stuck
-    /// equivalent; returns the observation miscompare word and leaves
-    /// `values2` restored to the good machine. `stop_lanes` is forwarded
+    /// equivalent, forced only in the activated `lanes`; returns the
+    /// observation miscompare word and leaves `values2` restored to the
+    /// good machine. The other lanes keep the site's good value: every
+    /// opcode is lane-wise, so a lane's faulty value depends on that lane
+    /// alone, and a deviation in a lane that is not activated could only
+    /// feed miscompare bits the caller masks off — forcing there would
+    /// just propagate events no detection reads. `stop_lanes` is forwarded
     /// to [`DeviationReplay::replay`]: detection passes the activation
     /// lanes (abort on first miscompare there), counting passes
     /// [`Packed256::bot`] (full propagation for an exact per-lane word).
-    fn faulty_miscompare(&mut self, fault: &TransitionFault, stop_lanes: Packed256) -> Packed256 {
+    fn faulty_miscompare(
+        &mut self,
+        fault: &TransitionFault,
+        lanes: Packed256,
+        stop_lanes: Packed256,
+    ) -> Packed256 {
         let seed = fault.site.index() as u32;
+        let good = self.values2[seed as usize];
         let forced = if fault.stuck_equivalent().stuck.as_bool() {
-            Packed256::top()
+            good.or(lanes)
         } else {
-            Packed256::bot()
+            good.and(lanes.not())
         };
         self.replay.replay(
             self.view.compiled(),
@@ -316,7 +327,7 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
                 activation_skips += 1;
                 continue;
             }
-            if self.faulty_miscompare(fault, lanes).and(lanes).any() {
+            if self.faulty_miscompare(fault, lanes, lanes).and(lanes).any() {
                 detected[fi] = true;
                 new_hits += 1;
             }
@@ -382,7 +393,7 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
             // stop_lanes = bot: counting needs the exact per-lane word, so
             // the replay must run to quiescence — no early exit.
             let hits = self
-                .faulty_miscompare(fault, Packed256::bot())
+                .faulty_miscompare(fault, lanes, Packed256::bot())
                 .and(lanes)
                 .count_ones();
             if hits > 0 {
@@ -446,9 +457,10 @@ pub fn order_transition_faults(
 }
 
 /// One worker's share of a partitioned pair campaign: a fresh simulator,
-/// the full pattern-pair set, a contiguous fault shard. Faults flagged in
-/// `dropped` were detected by an earlier call and are never replayed
-/// again; the shard's updated flags are merged back by the caller.
+/// the full pattern-pair set, the faults of one dealt shard. Faults
+/// flagged in `dropped` were detected by an earlier call and are never
+/// replayed again; the shard's updated flags are merged back by the
+/// caller.
 fn pair_stats_shard(
     view: &TestView<'_>,
     faults: &[TransitionFault],
@@ -477,10 +489,11 @@ fn pair_stats_shard(
 }
 
 impl TransitionSimulator<'_, '_> {
-    /// Partitioned pattern-pair campaign: one contiguous fault shard per
-    /// pool worker, each on its own simulator, per-fault stats merged **by
-    /// fault id** (contiguous ascending shards, concatenated in partition
-    /// order — never completion order). Bit-identical at any pool size.
+    /// Partitioned pattern-pair campaign: faults dealt out to the pool
+    /// workers in chunks ([`ThreadPool::partition_min`]), each shard on its
+    /// own simulator, per-fault stats scattered back **by fault id**
+    /// through each shard's ranges — never in completion order.
+    /// Bit-identical at any pool size.
     pub fn simulate_partitioned(
         view: &TestView<'_>,
         faults: &[TransitionFault],
@@ -505,13 +518,15 @@ impl TransitionSimulator<'_, '_> {
         drops: &mut DropMask,
     ) -> Vec<FaultStats> {
         assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
-        let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |range| {
-            pair_stats_shard(view, &faults[range.clone()], patterns, drops.shard(range))
+        let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |shard| {
+            pair_stats_shard(view, &gather(faults, shard), patterns, drops.shard(shard))
         });
-        let mut stats = Vec::with_capacity(faults.len());
-        for (range, (shard, flags)) in parts {
-            stats.extend(shard);
-            drops.merge_shard(range, &flags);
+        let mut stats = vec![FaultStats::default(); faults.len()];
+        for (shard, (shard_stats, flags)) in parts {
+            for (fi, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
+                stats[fi] = s;
+            }
+            drops.merge_shard(&shard, &flags);
         }
         stats
     }
@@ -1066,22 +1081,62 @@ mod tests {
         let faults = enumerate_transition_faults(&n);
         let mut rng = Rng::seed_from_u64(23);
         let na = view.assignable().len();
-        let v1: Vec<u64> = (0..na).map(|_| rng.gen()).collect();
-        let v2: Vec<u64> = (0..na).map(|_| rng.gen()).collect();
-        // The 64 reference lanes ride in the low limb of the superword.
-        let w1: Vec<Packed256> = v1.iter().map(|&w| Packed256::from_word(w)).collect();
-        let w2: Vec<Packed256> = v2.iter().map(|&w| Packed256::from_word(w)).collect();
-        let mask = Packed256::mask_lanes(64);
+        // One random 256-lane block; limb `l` of assignable `i` is
+        // `v1[l][i]` / `v2[l][i]`, checked limb by limb against the
+        // 64-lane reference.
+        let mut limbs = || -> Vec<Vec<u64>> {
+            (0..4)
+                .map(|_| (0..na).map(|_| rng.gen()).collect())
+                .collect()
+        };
+        let (v1, v2) = (limbs(), limbs());
+        let pack = |v: &[Vec<u64>]| -> Vec<Packed256> {
+            (0..na)
+                .map(|i| Packed256::from_limbs([v[0][i], v[1][i], v[2][i], v[3][i]]))
+                .collect()
+        };
+        let (w1, w2) = (pack(&v1), pack(&v2));
+        // Mask shapes: the low 64 lanes; a single active lane (what
+        // `transition_atpg` passes), in the first and in the last limb;
+        // one active limb; random masks of about 1/16 density.
+        let mut masks = vec![
+            Packed256::mask_lanes(64),
+            Packed256::lane_bit(0),
+            Packed256::lane_bit(255),
+            Packed256::from_limbs([0, 0, !0, 0]),
+        ];
+        for _ in 0..3 {
+            let sparse = [(); 4].map(|_| (0..4).fold(!0u64, |acc, _| acc & rng.gen::<u64>()));
+            masks.push(Packed256::from_limbs(sparse));
+        }
         let mut sim = TransitionSimulator::new(&view);
-        for fault in &faults {
-            let mut detected = vec![false];
-            sim.run_batch(&w1, &w2, mask, std::slice::from_ref(fault), &mut detected);
-            let reference = transition_detects_reference(&view, fault, &v1, &v2, !0);
-            assert_eq!(detected[0], reference != 0, "{fault:?}");
-            // And exact per-lane agreement through the counting path.
-            let mut counts = vec![0u32];
-            sim.run_batch_counting(&w1, &w2, mask, std::slice::from_ref(fault), &mut counts, 64);
-            assert_eq!(counts[0], reference.count_ones(), "{fault:?}");
+        for mask in masks {
+            for fault in &faults {
+                let reference: Vec<u64> = (0..4)
+                    .map(|l| {
+                        transition_detects_reference(&view, fault, &v1[l], &v2[l], mask.limb(l))
+                    })
+                    .collect();
+                let mut detected = vec![false];
+                sim.run_batch(&w1, &w2, mask, std::slice::from_ref(fault), &mut detected);
+                assert_eq!(
+                    detected[0],
+                    reference.iter().any(|&r| r != 0),
+                    "{fault:?} {mask:?}"
+                );
+                // And exact per-lane agreement through the counting path.
+                let mut counts = vec![0u32];
+                sim.run_batch_counting(
+                    &w1,
+                    &w2,
+                    mask,
+                    std::slice::from_ref(fault),
+                    &mut counts,
+                    256,
+                );
+                let hits: u32 = reference.iter().map(|r| r.count_ones()).sum();
+                assert_eq!(counts[0], hits, "{fault:?} {mask:?}");
+            }
         }
     }
 

@@ -2,25 +2,21 @@
 //!
 //! A [`Campaign`] pairs an `Arc`-owned immutable payload — typically a
 //! compiled circuit, a profile list, or a whole evaluation context — with
-//! a [`ThreadPool`], and fans independent work units (partitions of a
-//! fault list, vector shards, circuit × style cells) out over the pool.
+//! a [`ThreadPool`], and fans independent work units (vector shards,
+//! circuit × style cells) out over the pool.
 //! Owning the payload through an `Arc` lets a campaign outlive the scope
 //! that built it and be handed between layers without re-borrowing.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::pool::ThreadPool;
 
 /// Shared-state fan-out: an `Arc<C>` payload plus the pool that runs the
-/// partitions. All determinism rules of [`ThreadPool`] apply unchanged.
+/// cells. All determinism rules of [`ThreadPool`] apply unchanged.
 #[derive(Clone, Debug)]
 pub struct Campaign<C> {
     shared: Arc<C>,
     pool: ThreadPool,
-    /// Minimum items per partition of [`Campaign::run_partitioned`]; shards
-    /// smaller than this are not worth their setup cost.
-    min_unit: usize,
 }
 
 impl<C: Send + Sync> Campaign<C> {
@@ -29,32 +25,12 @@ impl<C: Send + Sync> Campaign<C> {
         Campaign {
             shared: Arc::new(shared),
             pool,
-            min_unit: 1,
         }
     }
 
     /// Campaign over an already-shared payload (no clone of the data).
     pub fn with_arc(shared: Arc<C>, pool: ThreadPool) -> Self {
-        Campaign {
-            shared,
-            pool,
-            min_unit: 1,
-        }
-    }
-
-    /// Sets the minimum work-unit granularity: partitioned runs produce no
-    /// shard smaller than `min_unit` items (unless the whole set is), so
-    /// per-shard setup cost is amortized over real work. Purely a
-    /// throughput knob — the decomposition depends only on the lengths, so
-    /// results are unchanged.
-    pub fn with_min_unit(mut self, min_unit: usize) -> Self {
-        self.min_unit = min_unit.max(1);
-        self
-    }
-
-    /// Minimum items per partitioned shard.
-    pub fn min_unit(&self) -> usize {
-        self.min_unit
+        Campaign { shared, pool }
     }
 
     /// Campaign on the environment-selected pool ([`ThreadPool::from_env`]).
@@ -91,25 +67,6 @@ impl<C: Send + Sync> Campaign<C> {
         let shared = &*self.shared;
         self.pool.run(cells, move |i| f(shared, i))
     }
-
-    /// Partitions `0..len` one range per worker — but never below the
-    /// campaign's [`Campaign::min_unit`] items per range — and runs `f` on
-    /// each against the shared payload; `(range, result)` pairs in
-    /// partition order (see [`ThreadPool::run_partitioned_min`]).
-    pub fn run_partitioned<T, F>(&self, len: usize, f: F) -> Vec<(Range<usize>, T)>
-    where
-        T: Send,
-        F: Fn(&C, Range<usize>) -> T + Sync,
-    {
-        if flh_obs::enabled() {
-            // Partition stats vary with pool width: sched section only.
-            flh_obs::sched_add("campaign.partitioned_runs", 1);
-            flh_obs::sched_add("campaign.partitioned_items", len as u64);
-        }
-        let shared = &*self.shared;
-        self.pool
-            .run_partitioned_min(len, self.min_unit, move |r| f(shared, r))
-    }
 }
 
 #[cfg(test)]
@@ -122,35 +79,6 @@ mod tests {
         let doubled = campaign.run_cells(5, |data, i| data[i] * 2);
         assert_eq!(doubled, vec![4, 6, 10, 14, 22]);
         assert_eq!(campaign.pool().size(), 4);
-    }
-
-    #[test]
-    fn partitioned_fanout_is_deterministic() {
-        let data: Vec<u64> = (0..513).collect();
-        let serial = Campaign::new(data.clone(), ThreadPool::serial());
-        let reference = serial.run_partitioned(513, |d, r| d[r].iter().sum::<u64>());
-        let total: u64 = reference.iter().map(|(_, s)| s).sum();
-        for workers in [2, 4, 8] {
-            let campaign = Campaign::new(data.clone(), ThreadPool::new(workers));
-            let parts = campaign.run_partitioned(513, |d, r| d[r].iter().sum::<u64>());
-            let sum: u64 = parts.iter().map(|(_, s)| s).sum();
-            assert_eq!(sum, total, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn min_unit_coarsens_shards_without_changing_results() {
-        let data: Vec<u64> = (0..100).collect();
-        let fine = Campaign::new(data.clone(), ThreadPool::new(4));
-        let coarse = Campaign::new(data.clone(), ThreadPool::new(4)).with_min_unit(64);
-        assert_eq!(coarse.min_unit(), 64);
-        let fine_parts = fine.run_partitioned(100, |d, r| d[r].iter().sum::<u64>());
-        let coarse_parts = coarse.run_partitioned(100, |d, r| d[r].iter().sum::<u64>());
-        assert_eq!(fine_parts.len(), 4);
-        assert_eq!(coarse_parts.len(), 1);
-        let fine_total: u64 = fine_parts.iter().map(|(_, s)| s).sum();
-        let coarse_total: u64 = coarse_parts.iter().map(|(_, s)| s).sum();
-        assert_eq!(fine_total, coarse_total);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! shard that is a local `detected` flag — but a campaign that runs in
 //! *stages* (incremental pattern blocks, repeated pooled calls) needs the
 //! flags to survive between calls and to round-trip through the shard
-//! partitioning. [`DropMask`] is that persistent flag set: shards borrow a
-//! contiguous snapshot of it on the way in ([`DropMask::shard`]) and merge
-//! their updated flags back by range on the way out
-//! ([`DropMask::merge_shard`]). Because shards are contiguous index ranges
-//! and flags only ever go `false → true`, the merged mask is independent of
-//! shard count and completion order — the same determinism contract as the
-//! rest of this crate.
+//! partitioning. [`DropMask`] is that persistent flag set: shards gather a
+//! snapshot of their flags on the way in ([`DropMask::shard`]) and scatter
+//! their updated flags back on the way out ([`DropMask::merge_shard`]),
+//! both through the shard's range list from
+//! [`ThreadPool::partition_min`](crate::ThreadPool::partition_min).
+//! Because the shards of one deal are disjoint and flags only ever go
+//! `false → true`, the merged mask is independent of shard count and
+//! completion order — the same determinism contract as the rest of this
+//! crate.
 
 use std::ops::Range;
 
@@ -59,30 +61,32 @@ impl DropMask {
         self.flags.iter().filter(|&&f| f).count()
     }
 
-    /// Snapshot of the flags for one contiguous shard, to seed a worker's
-    /// local `detected` vector.
-    pub fn shard(&self, range: Range<usize>) -> Vec<bool> {
-        self.flags[range].to_vec()
+    /// Snapshot of the flags for one shard (an ascending range list), in
+    /// shard order, to seed a worker's local `detected` vector.
+    pub fn shard(&self, shard: &[Range<usize>]) -> Vec<bool> {
+        crate::pool::gather(&self.flags, shard)
     }
 
-    /// Merges a shard's updated flags back. Flags are monotone (`false →
-    /// true` only): a fault dropped before the shard ran stays dropped even
-    /// if the shard's copy went stale.
+    /// Merges a shard's updated flags back through its range list. Flags
+    /// are monotone (`false → true` only): a fault dropped before the
+    /// shard ran stays dropped even if the shard's copy went stale.
     ///
     /// # Panics
     ///
-    /// Panics if `flags` does not match the range length.
-    pub fn merge_shard(&mut self, range: Range<usize>, flags: &[bool]) {
-        assert_eq!(range.len(), flags.len(), "shard flag length mismatch");
+    /// Panics if `flags` does not match the shard's total length.
+    pub fn merge_shard(&mut self, shard: &[Range<usize>], flags: &[bool]) {
+        let len: usize = shard.iter().map(|r| r.len()).sum();
+        assert_eq!(len, flags.len(), "shard flag length mismatch");
         let mut newly_dropped = 0u64;
-        for (slot, &f) in self.flags[range].iter_mut().zip(flags) {
-            newly_dropped += u64::from(f && !*slot);
-            *slot |= f;
+        let slots = shard.iter().flat_map(|r| r.clone());
+        for (slot, &f) in slots.zip(flags) {
+            newly_dropped += u64::from(f && !self.flags[slot]);
+            self.flags[slot] |= f;
         }
         if flh_obs::enabled() {
             // Which faults flip is decided by the patterns alone; the
-            // per-range merges partition the flag set, so the total is
-            // shard-count invariant.
+            // shards of a deal are disjoint, so the total is shard-count
+            // invariant.
             flh_obs::add(flh_obs::Counter::FaultsDropped, newly_dropped);
         }
     }
@@ -93,32 +97,82 @@ mod tests {
     use super::*;
     use crate::pool::ThreadPool;
 
-    #[test]
-    fn shard_round_trip_is_monotone_and_order_free() {
-        let mut mask = DropMask::new(10);
-        mask.drop_fault(3);
-        assert!(mask.is_dropped(3));
-        assert_eq!(mask.dropped(), 1);
-
-        // Two shards, merged in either order, agree with a serial pass.
-        let ranges = ThreadPool::partition(10, 2);
-        let mut shards: Vec<Vec<bool>> = ranges.iter().map(|r| mask.shard(r.clone())).collect();
-        shards[0][1] = true; // fault 1 detected by shard 0
-        shards[1][9 - ranges[1].start] = true; // fault 9 detected by shard 1
-        for (r, s) in ranges.iter().zip(&shards).rev() {
-            mask.merge_shard(r.clone(), s);
+    /// Drops every fault whose id is a multiple of 3 or 7, shard by shard,
+    /// merging in reverse shard order; returns the mask and the recorded
+    /// `faults.dropped` total.
+    fn dealt_round(len: usize, parts: usize) -> (DropMask, u64) {
+        let mut mask = DropMask::new(len);
+        mask.drop_fault(1);
+        let shards = ThreadPool::partition_min(len, parts, 8);
+        let updated: Vec<Vec<bool>> = shards
+            .iter()
+            .map(|shard| {
+                let mut flags = mask.shard(shard);
+                let ids = shard.iter().flat_map(|r| r.clone());
+                for (f, id) in flags.iter_mut().zip(ids) {
+                    *f |= id % 3 == 0 || id % 7 == 0;
+                }
+                flags
+            })
+            .collect();
+        // Only this test merges non-empty flags in this binary, so the
+        // counter's growth across the merges is this round's total.
+        flh_obs::install(false);
+        let before = dropped_counter();
+        for (shard, flags) in shards.iter().zip(&updated).rev() {
+            mask.merge_shard(shard, flags);
         }
-        let expected: Vec<bool> = (0..10).map(|i| matches!(i, 1 | 3 | 9)).collect();
-        assert_eq!(mask.flags(), expected.as_slice());
-        // Merging again (idempotent) and merging stale all-false shards
-        // never clears a flag.
-        mask.merge_shard(0..10, &vec![false; 10]);
-        assert_eq!(mask.flags(), expected.as_slice());
+        (mask, dropped_counter() - before)
+    }
+
+    fn dropped_counter() -> u64 {
+        let name = flh_obs::Counter::FaultsDropped.name();
+        flh_obs::snapshot()
+            .counters
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
+    #[test]
+    fn dealt_round_trip_is_monotone_and_shard_count_free() {
+        let expected: Vec<bool> = (0..100)
+            .map(|i| i == 1 || i % 3 == 0 || i % 7 == 0)
+            .collect();
+        let mut totals = Vec::new();
+        for parts in [1, 2, 3, 4, 8] {
+            let (mut mask, dropped) = dealt_round(100, parts);
+            assert_eq!(mask.flags(), expected.as_slice(), "parts = {parts}");
+            totals.push(dropped);
+            // Merging stale all-false flags through any shard never
+            // clears a flag.
+            for shard in ThreadPool::partition_min(100, parts, 8) {
+                let len = shard.iter().map(|r| r.len()).sum();
+                mask.merge_shard(&shard, &vec![false; len]);
+            }
+            assert_eq!(mask.flags(), expected.as_slice(), "parts = {parts}");
+        }
+        // Fault 1 was dropped before the deal; every other set flag is new.
+        let newly = expected.iter().filter(|&&f| f).count() as u64 - 1;
+        assert_eq!(totals, vec![newly; 5]);
+    }
+
+    #[test]
+    fn shard_gathers_in_shard_order() {
+        let mut mask = DropMask::new(10);
+        for i in [2, 5, 9] {
+            mask.drop_fault(i);
+        }
+        assert_eq!(mask.dropped(), 3);
+        assert_eq!(
+            mask.shard(&[0..3, 5..6, 8..10]),
+            vec![false, false, true, true, false, true]
+        );
     }
 
     #[test]
     #[should_panic(expected = "shard flag length mismatch")]
     fn merge_rejects_wrong_length() {
-        DropMask::new(4).merge_shard(0..4, &[true]);
+        DropMask::new(4).merge_shard(&[0..2, 3..4], &[true]);
     }
 }

@@ -15,10 +15,11 @@
 //! Three rules make that hold:
 //!
 //! * **Deterministic decomposition** — work is split by *index* (job ids,
-//!   contiguous partitions via [`ThreadPool::partition`]), never by timing,
-//!   queue pressure, wall clock or OS randomness;
-//! * **Deterministic merge** — results are collected in index/partition
-//!   order, never in completion order;
+//!   fixed-size chunks dealt round-robin via [`ThreadPool::partition_min`]),
+//!   never by timing, queue pressure, wall clock or OS randomness;
+//! * **Deterministic merge** — results are collected in index/shard order
+//!   and scattered back through each shard's ranges, never in completion
+//!   order;
 //! * **Independent units** — a job may only read shared immutable state
 //!   (e.g. an `Arc<CompiledCircuit>` held by a [`Campaign`]); all mutable
 //!   state is job-local and returned by value.
@@ -44,5 +45,5 @@ pub mod queue;
 
 pub use campaign::Campaign;
 pub use drops::DropMask;
-pub use pool::{ThreadPool, THREADS_ENV};
+pub use pool::{gather, ThreadPool, THREADS_ENV};
 pub use queue::{BoundedQueue, PushError};

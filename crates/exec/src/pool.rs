@@ -100,7 +100,8 @@ impl ThreadPool {
     ///
     /// # Panics
     ///
-    /// Propagates the panic of any job.
+    /// Propagates the panic of any job, with that job's own payload (the
+    /// lowest-numbered panicking worker's, if several panic).
     pub fn run<T, F>(&self, jobs: usize, job: F) -> Vec<T>
     where
         T: Send,
@@ -122,28 +123,38 @@ impl ThreadPool {
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let (slots, next, job) = (&slots, &next, &job);
-            for w in 0..self.dispatch.min(jobs) {
-                scope.spawn(move || {
-                    // Worker stats (busy wall clock, jobs claimed) are
-                    // scheduling shape: nondeterministic section only.
-                    let t0 = obs.then(|| {
-                        flh_obs::bind_worker_shard(w);
-                        std::time::Instant::now() // time-ok: worker stats only
-                    });
-                    let mut claimed = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
+            let workers: Vec<_> = (0..self.dispatch.min(jobs))
+                .map(|w| {
+                    scope.spawn(move || {
+                        // Worker stats (busy wall clock, jobs claimed) are
+                        // scheduling shape: nondeterministic section only.
+                        let t0 = obs.then(|| {
+                            flh_obs::bind_worker_shard(w);
+                            std::time::Instant::now() // time-ok: worker stats only
+                        });
+                        let mut claimed = 0u64;
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= jobs {
+                                break;
+                            }
+                            let value = job(i);
+                            *slots[i].lock().expect("result slot poisoned") = Some(value);
+                            claimed += 1;
                         }
-                        let value = job(i);
-                        *slots[i].lock().expect("result slot poisoned") = Some(value);
-                        claimed += 1;
-                    }
-                    if let Some(t0) = t0 {
-                        flh_obs::worker_busy("exec.pool", w, t0.elapsed(), claimed);
-                    }
-                });
+                        if let Some(t0) = t0 {
+                            flh_obs::worker_busy("exec.pool", w, t0.elapsed(), claimed);
+                        }
+                    })
+                })
+                .collect();
+            // Joined by hand so a job's panic resumes with its own payload;
+            // the scope's automatic join would replace it with a generic
+            // "a scoped thread panicked".
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
         slots
@@ -156,81 +167,72 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Splits `0..len` into `parts` contiguous balanced ranges (the first
-    /// `len % parts` ranges are one longer). Pure arithmetic on the
-    /// arguments — the decomposition never depends on scheduling.
-    /// `parts` is clamped to `1..=len` (one non-empty range per part);
-    /// `len == 0` yields a single empty range.
-    pub fn partition(len: usize, parts: usize) -> Vec<Range<usize>> {
-        let parts = parts.clamp(1, len.max(1));
-        let base = len / parts;
-        let extra = len % parts;
-        let mut ranges = Vec::with_capacity(parts);
-        let mut start = 0;
-        for p in 0..parts {
-            let size = base + usize::from(p < extra);
-            ranges.push(start..start + size);
-            start += size;
-        }
-        ranges
-    }
-
-    /// Partitions `0..len` into one contiguous range per worker (see
-    /// [`ThreadPool::partition`]), runs `f` on each range, and returns
-    /// `(range, result)` pairs **in partition order**. The canonical
-    /// building block for fault-list and vector-set sharding.
-    pub fn run_partitioned<T, F>(&self, len: usize, f: F) -> Vec<(Range<usize>, T)>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        let ranges = Self::partition(len, self.workers);
-        if flh_obs::enabled() {
-            flh_obs::sched_add("pool.partition.calls", 1);
-            flh_obs::sched_add("pool.partition.shards", ranges.len() as u64);
-            flh_obs::sched_add("pool.partition.items", len as u64);
-        }
-        let results = self.run(ranges.len(), |i| f(ranges[i].clone()));
-        ranges.into_iter().zip(results).collect()
-    }
-
-    /// [`ThreadPool::partition`] with a minimum range length: the part
-    /// count is first capped at `len / min_len` (at least 1), so no range
-    /// is shorter than `min_len` unless `len` itself is. Still pure
-    /// arithmetic — for a given `(len, parts, min_len)` the decomposition
-    /// is fixed.
-    pub fn partition_min(len: usize, parts: usize, min_len: usize) -> Vec<Range<usize>> {
+    /// Deals `0..len` out to at most `parts` shards in `min_len`-sized
+    /// chunks, round-robin: chunk `k` (`k·min_len..(k+1)·min_len`, the last
+    /// one clipped at `len`) goes to shard `k mod shards`, where `shards =
+    /// min(parts, chunk count)`. Each shard is an ascending list of
+    /// disjoint ranges, so a shard walks a slice of every region of the
+    /// index space in order. On a list whose per-item cost drifts with the
+    /// index — a level-sorted fault list, where low-level sites propagate
+    /// furthest — every shard then takes a slice of every cost band, and
+    /// the shards carry near-equal work.
+    ///
+    /// With one shard (`parts <= 1`, or fewer than two chunks) the result
+    /// is the single range `0..len`, so a serial run walks the list in its
+    /// own order. Pure arithmetic on the arguments: the decomposition
+    /// depends on the logical width, never on scheduling.
+    pub fn partition_min(len: usize, parts: usize, min_len: usize) -> Vec<Vec<Range<usize>>> {
         let min_len = min_len.max(1);
-        Self::partition(len, parts.min((len / min_len).max(1)))
+        let chunks = len.div_ceil(min_len);
+        let shards = parts.min(chunks);
+        if shards <= 1 {
+            return vec![vec![0..len]];
+        }
+        let mut dealt = vec![Vec::with_capacity(chunks.div_ceil(shards)); shards];
+        for k in 0..chunks {
+            dealt[k % shards].push(k * min_len..((k + 1) * min_len).min(len));
+        }
+        dealt
     }
 
-    /// [`ThreadPool::run_partitioned`] with a minimum work-unit size: fewer
-    /// ranges than workers are produced when `len` is small, so per-shard
-    /// setup cost (a fresh simulator, a good-machine evaluation) is not
-    /// paid for shards too small to amortize it. The decomposition depends
-    /// only on `(len, size, min_len)` — results stay bit-identical across
+    /// Deals `0..len` over the pool ([`ThreadPool::partition_min`]: chunks
+    /// of `min_len` items, so per-shard setup cost — a fresh simulator, a
+    /// good-machine evaluation per batch — is never paid for a sliver of
+    /// work), runs `f` on each shard's range list, and returns `(shard,
+    /// result)` pairs **in shard order**. The decomposition depends only
+    /// on `(len, size, min_len)`, so results stay bit-identical across
     /// hosts and dispatch counts.
     pub fn run_partitioned_min<T, F>(
         &self,
         len: usize,
         min_len: usize,
         f: F,
-    ) -> Vec<(Range<usize>, T)>
+    ) -> Vec<(Vec<Range<usize>>, T)>
     where
         T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
+        F: Fn(&[Range<usize>]) -> T + Sync,
     {
-        let ranges = Self::partition_min(len, self.workers, min_len);
+        let shards = Self::partition_min(len, self.workers, min_len);
         if flh_obs::enabled() {
             // Partition shape follows the pool width — nondeterministic
             // (sched) section only, never a deterministic counter.
             flh_obs::sched_add("pool.partition.calls", 1);
-            flh_obs::sched_add("pool.partition.shards", ranges.len() as u64);
+            flh_obs::sched_add("pool.partition.shards", shards.len() as u64);
             flh_obs::sched_add("pool.partition.items", len as u64);
         }
-        let results = self.run(ranges.len(), |i| f(ranges[i].clone()));
-        ranges.into_iter().zip(results).collect()
+        let results = self.run(shards.len(), |i| f(&shards[i]));
+        shards.into_iter().zip(results).collect()
     }
+}
+
+/// The items of `items` a shard's range list selects, in shard order —
+/// the gather half of a dealt fan-out (the scatter half writes results
+/// back through the same ranges).
+pub fn gather<T: Clone>(items: &[T], shard: &[Range<usize>]) -> Vec<T> {
+    shard
+        .iter()
+        .flat_map(|r| items[r.clone()].iter().cloned())
+        .collect()
 }
 
 impl Default for ThreadPool {
@@ -281,81 +283,125 @@ mod tests {
         }
     }
 
+    /// Every `(len, parts, min_len)` shape the deal tests sweep: empty and
+    /// tiny lists, exact multiples, a short last chunk, more parts than
+    /// chunks, and degenerate floors.
+    const SHAPES: [(usize, usize, usize); 10] = [
+        (0, 4, 64),
+        (1, 4, 64),
+        (64, 2, 64),
+        (100, 2, 64),
+        (1122, 2, 64),
+        (1122, 3, 64),
+        (1122, 8, 64),
+        (257, 8, 32),
+        (10, 3, 0),
+        (7, 20, 1),
+    ];
+
     #[test]
-    fn partition_min_respects_the_floor() {
-        // 100 items at a 64 floor: only one 64+ shard fits.
-        assert_eq!(ThreadPool::partition_min(100, 4, 64), vec![0..100]);
-        // 128 items: exactly two.
-        assert_eq!(ThreadPool::partition_min(128, 4, 64), vec![0..64, 64..128]);
-        // A large set still fans out to every worker.
-        assert_eq!(ThreadPool::partition_min(1000, 4, 64).len(), 4);
-        // Floor of 0/1 degenerates to the plain partition.
-        assert_eq!(
-            ThreadPool::partition_min(10, 3, 0),
-            ThreadPool::partition(10, 3)
-        );
-        // Ranges still cover 0..len contiguously and respect the floor.
-        for (len, parts, min) in [(0, 4, 64), (1, 4, 64), (257, 8, 32), (64, 64, 64)] {
-            let ranges = ThreadPool::partition_min(len, parts, min);
-            let mut cursor = 0;
-            for r in &ranges {
-                assert_eq!(r.start, cursor);
-                cursor = r.end;
-                assert!(r.len() >= min.min(len), "len={len} parts={parts} min={min}");
+    fn dealt_shards_are_disjoint_and_cover_the_list() {
+        for (len, parts, min) in SHAPES {
+            let shards = ThreadPool::partition_min(len, parts, min);
+            assert!(!shards.is_empty() && shards.len() <= parts.max(1));
+            let mut seen = vec![false; len];
+            for r in shards.iter().flatten() {
+                for i in r.clone() {
+                    assert!(!seen[i], "index {i} dealt twice: {shards:?}");
+                    seen[i] = true;
+                }
             }
-            assert_eq!(cursor, len);
+            assert!(seen.iter().all(|&s| s), "len={len} parts={parts} min={min}");
         }
     }
 
     #[test]
-    fn run_partitioned_min_matches_plain_sums() {
+    fn chunk_k_lands_in_shard_k_mod_parts_in_ascending_order() {
+        for (len, parts, min) in SHAPES {
+            let shards = ThreadPool::partition_min(len, parts, min);
+            if shards.len() == 1 {
+                continue; // the single-shard case has its own test
+            }
+            let min = min.max(1);
+            let chunks = len.div_ceil(min);
+            assert_eq!(shards.len(), parts.min(chunks));
+            for (s, shard) in shards.iter().enumerate() {
+                assert!(shard.windows(2).all(|w| w[0].end < w[1].start));
+                for r in shard {
+                    assert_eq!(r.start % min, 0, "ranges start on chunk boundaries");
+                    assert_eq!((r.start / min) % shards.len(), s, "{shards:?}");
+                }
+            }
+        }
+        // Spelled out: 5 chunks of 4 dealt over 2 shards.
+        assert_eq!(
+            ThreadPool::partition_min(18, 2, 4),
+            vec![vec![0..4, 8..12, 16..18], vec![4..8, 12..16]]
+        );
+    }
+
+    #[test]
+    fn one_shard_is_the_whole_range() {
+        assert_eq!(ThreadPool::partition_min(1122, 1, 64), vec![vec![0..1122]]);
+        // Fewer than two chunks: no deal, whatever the width.
+        assert_eq!(ThreadPool::partition_min(64, 4, 64), vec![vec![0..64]]);
+        assert_eq!(ThreadPool::partition_min(0, 4, 64), vec![vec![0..0]]);
+    }
+
+    #[test]
+    fn only_the_last_chunk_is_short() {
+        for (len, parts, min) in SHAPES {
+            let shards = ThreadPool::partition_min(len, parts, min);
+            if shards.len() == 1 {
+                continue;
+            }
+            let min = min.max(1);
+            for r in shards.iter().flatten() {
+                assert!(
+                    r.len() == min || r.end == len,
+                    "short chunk {r:?} before the end (len={len} min={min})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_partitioned_min_returns_shards_in_order() {
         let data: Vec<u64> = (0..300).collect();
         let expected: u64 = data.iter().sum();
-        for workers in [1, 2, 4, 8] {
+        for workers in [1, 2, 3, 8] {
             let pool = ThreadPool::new(workers);
-            let parts = pool.run_partitioned_min(data.len(), 128, |r| data[r].iter().sum::<u64>());
-            assert!(parts.len() <= 2, "workers = {workers}");
+            let parts = pool.run_partitioned_min(data.len(), 32, |shard| {
+                gather(&data, shard).iter().sum::<u64>()
+            });
+            assert_eq!(
+                parts.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
+                ThreadPool::partition_min(data.len(), workers, 32)
+            );
             let total: u64 = parts.iter().map(|(_, s)| s).sum();
             assert_eq!(total, expected, "workers = {workers}");
         }
+        let shard = [1..3, 5..6];
+        assert_eq!(gather(&data, &shard), vec![1, 2, 5]);
     }
 
     #[test]
-    fn partition_is_balanced_and_exhaustive() {
-        for (len, parts) in [(10, 3), (7, 7), (7, 20), (64, 4), (1, 1), (0, 5)] {
-            let ranges = ThreadPool::partition(len, parts);
-            // Contiguous cover of 0..len.
-            let mut cursor = 0;
-            for r in &ranges {
-                assert_eq!(r.start, cursor);
-                cursor = r.end;
-            }
-            assert_eq!(cursor, len, "len={len} parts={parts}");
-            // Balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "unbalanced {sizes:?}");
-            // Never more parts than items (except the len == 0 singleton).
-            assert!(ranges.len() <= len.max(1));
-        }
-    }
-
-    #[test]
-    fn run_partitioned_merges_in_partition_order() {
-        let data: Vec<u64> = (0..1000).collect();
-        let serial_sum: u64 = data.iter().sum();
-        for workers in [1, 2, 4, 8] {
-            let pool = ThreadPool::new(workers);
-            let parts = pool.run_partitioned(data.len(), |r| data[r].iter().sum::<u64>());
-            // Ranges come back sorted by start, results aligned.
-            let mut cursor = 0;
-            let mut total = 0u64;
-            for (r, s) in &parts {
-                assert_eq!(r.start, cursor);
-                cursor = r.end;
-                total += s;
-            }
-            assert_eq!(total, serial_sum, "workers = {workers}");
+    fn a_job_panic_keeps_its_own_message() {
+        for workers in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                ThreadPool::new(workers).run(4, |i| {
+                    if i == 2 {
+                        panic!("job {i} failed");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the job panic propagates");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(message, Some("job 2 failed"), "workers = {workers}");
         }
     }
 

@@ -44,6 +44,8 @@ pub struct JobEngine {
     /// and ETA. Off by default — wall clock on the wire would break the
     /// byte-identical transcript contract.
     timings: bool,
+    /// Circuit whose jobs panic ([`JobEngine::corrupt_panic_on`]).
+    panic_on: Option<String>,
 }
 
 impl JobEngine {
@@ -55,6 +57,7 @@ impl JobEngine {
             cache: Mutex::new(CircuitCache::new(cache_capacity)),
             tick: AtomicU64::new(0),
             timings: false,
+            panic_on: None,
         }
     }
 
@@ -69,6 +72,18 @@ impl JobEngine {
     #[must_use]
     pub fn with_timings(mut self, on: bool) -> Self {
         self.timings = on;
+        self
+    }
+
+    /// Corruption hook: every job on the circuit named `circuit` panics
+    /// right after its `Started` event, inside a pool job — on a worker
+    /// thread whenever the pool dispatches more than one. Like the
+    /// `Netlist::corrupt_*` mutators, it breaks one thing on purpose: the
+    /// session tests use it to check that a panicking job fails alone.
+    /// Production code must never call it.
+    #[must_use]
+    pub fn corrupt_panic_on(mut self, circuit: &str) -> Self {
+        self.panic_on = Some(circuit.to_string());
         self
     }
 
@@ -138,6 +153,13 @@ impl JobEngine {
             circuit: spec.source.name().to_string(),
             cache,
         });
+        if self.panic_on.as_deref() == Some(spec.source.name()) {
+            self.pool.run(2, |i| {
+                if i == 1 {
+                    panic!("corrupt_panic_on: job-{} panicked in pool job {i}", job.0);
+                }
+            });
+        }
 
         let mut batches = Vec::new();
         match &spec.kind {

@@ -24,7 +24,10 @@
 //! (the job may complete first); the serve protocol therefore always runs
 //! gated.
 
+use std::any::Any;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant; // time-ok: session latency ledger; read only in the nondet `stats --full` section
@@ -142,6 +145,16 @@ impl Gate {
     }
 }
 
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// format string; anything else is reported generically).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 struct QueuedJob {
     id: JobId,
     spec: JobSpec,
@@ -209,24 +222,39 @@ impl JobSession {
                         }
                         continue;
                     }
-                    let tx_job = tx.clone();
-                    let exec_clock = Arc::clone(&exec_ns);
                     // time-ok: exec-latency ledger, read only by `latency()`.
                     let started = Instant::now();
-                    // The engine already turns failures into a Failed
-                    // event; nothing further to do with the Result here.
-                    let _ = engine.run(id, &spec, &mut move |event| {
+                    let retired = Cell::new(false);
+                    let mut forward = |event: JobEvent| {
                         if event.is_terminal() {
+                            retired.set(true);
                             // Ledger first, then forward: a barrier that
                             // observes the terminal event must already
                             // find this job's exec time in the ledger.
-                            exec_clock
+                            exec_ns
                                 .lock()
                                 .unwrap_or_else(|e| e.into_inner())
                                 .push((id.0, started.elapsed().as_nanos() as u64));
                         }
-                        let _ = tx_job.send(event);
-                    });
+                        let _ = tx.send(event);
+                    };
+                    // The engine turns ordinary failures into a Failed
+                    // event itself. A panic — the engine's own, or one
+                    // propagated out of a pool worker — is caught here and
+                    // fails this job alone: the executor lives on, and the
+                    // job still retires exactly once, so the ledger and
+                    // every later job stay consistent.
+                    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        engine.run(id, &spec, &mut forward)
+                    }));
+                    if let Err(payload) = run {
+                        if !retired.get() {
+                            forward(JobEvent::Failed {
+                                job: id,
+                                reason: format!("panic: {}", panic_message(payload.as_ref())),
+                            });
+                        }
+                    }
                 }
             })
         };
@@ -406,7 +434,9 @@ impl JobSession {
         let mut retired = 0;
         while self.completed < self.submitted {
             let Ok(event) = self.events.recv() else {
-                break; // executor gone (panic); nothing more will arrive
+                // The executor is gone. Job panics are caught per job, so
+                // this only happens if the executor thread itself failed.
+                break;
             };
             if event.is_terminal() {
                 self.retire(&event);

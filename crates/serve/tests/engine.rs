@@ -1,7 +1,8 @@
 //! Engine and session integration tests: JobEngine campaigns must equal
 //! the direct pooled campaign API bit-for-bit, repeat runs must be served
-//! from the compiled-circuit cache with identical batches, and gated
-//! sessions must expose deterministic back-pressure and cancel behavior.
+//! from the compiled-circuit cache with identical batches, gated
+//! sessions must expose deterministic back-pressure and cancel behavior,
+//! and a panicking job must fail alone.
 
 use std::sync::Arc;
 
@@ -235,4 +236,53 @@ fn gated_session_backpressure_cancel_and_event_order() {
         matches!(tail.last(), Some(JobEvent::Done { job, .. }) if job.0 == 3),
         "shutdown drains the remaining job"
     );
+}
+
+#[test]
+fn a_panicking_job_fails_alone() {
+    // Width 2 panics on a pool worker thread (where the host has two
+    // cores), width 1 inline on the executor thread.
+    for width in [1, 2] {
+        let engine = Arc::new(JobEngine::new(ThreadPool::new(width), 4).corrupt_panic_on("s344"));
+        let mut session = JobSession::new(
+            Arc::clone(&engine),
+            SessionConfig {
+                queue_capacity: 4,
+                autostart: false,
+            },
+        );
+        let s344 = iscas89_profile("s344").expect("builtin profile");
+        let bad = session
+            .submit(JobSpec::campaign(CircuitSource::profile(s344)).with_pairs(PAIRS))
+            .expect("submit");
+        let good = session.submit(s298_spec()).expect("submit");
+
+        let mut events = Vec::new();
+        assert_eq!(session.wait(&mut |e| events.push(e)), 2, "width {width}");
+        let terminal: Vec<&JobEvent> = events.iter().filter(|e| e.is_terminal()).collect();
+        assert_eq!(terminal.len(), 2, "one terminal event per job: {events:?}");
+        match terminal[0] {
+            JobEvent::Failed { job, reason } => {
+                assert_eq!(*job, bad);
+                assert!(
+                    reason.starts_with("panic: corrupt_panic_on: job-1 panicked"),
+                    "the panic message reaches the event: {reason}"
+                );
+            }
+            other => panic!("job 1 should fail, got {other:?}"),
+        }
+        assert!(matches!(terminal[1], JobEvent::Done { job, .. } if *job == good));
+        let stats = session.stats();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.in_flight),
+            (2, 2, 0)
+        );
+
+        // The executor survived the panic: a later job still runs.
+        let third = session.submit(s298_spec()).expect("post-panic submit");
+        let mut tail = Vec::new();
+        let summary = session.shutdown(&mut |e| tail.push(e));
+        assert_eq!((summary.submitted, summary.completed), (3, 3));
+        assert!(matches!(tail.last(), Some(JobEvent::Done { job, .. }) if *job == third));
+    }
 }
