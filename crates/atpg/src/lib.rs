@@ -66,7 +66,7 @@ pub use patterns_io::{parse_patterns, read_patterns_file, write_patterns};
 pub use podem::{Podem, PodemConfig, TestCube};
 pub use prune::{
     order_stuck_faults_pruned, order_transition_faults_pruned, stuck_coverage_pruned, PruneOutcome,
-    StaticFilter,
+    RedundantTransitions, StaticFilter,
 };
 pub use replay::DeviationReplay;
 pub use transition::{

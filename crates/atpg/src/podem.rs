@@ -25,8 +25,12 @@ pub struct PodemConfig {
 }
 
 impl PodemConfig {
-    /// Default budget, ample for ISCAS89-scale cones (the X-path check
-    /// exhausts redundant faults long before the limit).
+    /// Default budget of 300 backtracks. The X-path check does not settle
+    /// redundant faults early: without pruning, 158 of the 440 searches
+    /// of `flh atpg s1196` hit this limit, most of them on redundant
+    /// faults. Transition ATPG therefore skips the faults the FIRE
+    /// redundancy pass proves redundant (`StaticFilter::redundant_transitions`,
+    /// DESIGN.md §2m).
     pub fn paper_default() -> Self {
         PodemConfig {
             max_backtracks: 300,

@@ -29,10 +29,21 @@
 //!   flip-flop D pin is itself observed and is only pruned by activation.
 //! * **Transition at s**: untestable when `s` is constant (cannot launch a
 //!   transition) or `!obs_sens(s)` (V2 cannot make the slow edge visible).
+//!
+//! # The redundancy pass
+//!
+//! [`StaticFilter::redundant_transitions`] adds one more class on demand:
+//! transition faults whose stuck-at equivalent (the site stuck at its
+//! initial value) the FIRE stem-conflict pass
+//! (`flh_netlist::static_analysis::redundant_stem_faults`) proves
+//! redundant. The constant lattice cannot see this redundancy, because it
+//! comes from reconvergent fanout. The pass costs far more than the rest of
+//! the filter, so [`StaticFilter::from_view`] does not run it; deterministic
+//! ATPG runs it once per call (DESIGN.md §2m).
 
 use std::sync::Arc;
 
-use flh_netlist::static_analysis::{analyze, pin_blocked, StaticAnalysis};
+use flh_netlist::static_analysis::{analyze, pin_blocked, redundant_stem_faults, StaticAnalysis};
 use flh_netlist::{CellKind, CompiledCircuit};
 
 use crate::fault::{Fault, FaultSite};
@@ -110,6 +121,27 @@ impl StaticFilter {
         self.analysis.constants[s].is_some() || !self.analysis.obs.obs_sens[s]
     }
 
+    /// Run the FIRE redundancy pass for the faults of `faults` this filter
+    /// keeps. A flagged fault's stuck-at equivalent is detected by no input
+    /// vector, so no pattern pair detects the fault.
+    pub fn redundant_transitions(&self, faults: &[TransitionFault]) -> RedundantTransitions {
+        let mut targets = vec![false; self.compiled.cell_count()];
+        for f in faults.iter().filter(|f| !self.transition_untestable(f)) {
+            targets[self.compiled.id_of(f.site) as usize] = true;
+        }
+        let pass = redundant_stem_faults(&self.compiled, &self.analysis.constants, &targets);
+        RedundantTransitions {
+            flags: faults
+                .iter()
+                .map(|f| {
+                    let site = self.compiled.id_of(f.site);
+                    targets[site as usize] && pass.stuck_redundant(site, f.initial_value())
+                })
+                .collect(),
+            stems: pass.stems(),
+        }
+    }
+
     /// Split a stuck-at fault list into the kept faults (original order),
     /// their indices in the input list, and the pruned count.
     pub fn prune_stuck(&self, faults: &[Fault]) -> PruneOutcome<Fault> {
@@ -120,6 +152,17 @@ impl StaticFilter {
     pub fn prune_transition(&self, faults: &[TransitionFault]) -> PruneOutcome<TransitionFault> {
         prune_by(faults, |f| self.transition_untestable(f))
     }
+}
+
+/// Transition faults the redundancy pass proves undetectable beyond the
+/// static classes.
+#[derive(Clone, Debug)]
+pub struct RedundantTransitions {
+    /// Per input fault: proven redundant. Never set on a fault
+    /// [`StaticFilter::transition_untestable`] already prunes.
+    pub flags: Vec<bool>,
+    /// Stems the pass implied both ways.
+    pub stems: usize,
 }
 
 /// Result of a prune pass over a fault list.

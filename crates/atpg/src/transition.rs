@@ -663,12 +663,15 @@ pub fn transition_atpg(
 }
 
 /// [`transition_atpg`] with an explicit prune filter (`None` disables
-/// pruning). The two modes produce byte-identical results on a sound
+/// pruning). With a filter, the FIRE redundancy pass
+/// ([`crate::prune::StaticFilter::redundant_transitions`]) runs once before
+/// the fault loop, and the faults it flags are counted untestable without a
+/// PODEM search. The two modes produce byte-identical results on a sound
 /// filter: PODEM consumes no randomness during generation (`fill_random`
-/// runs only after both cubes exist), and a statically untestable fault is
-/// exactly one PODEM would have declared untestable anyway — skipping it
-/// changes neither the RNG stream nor the pattern sequence. The bench
-/// suite asserts this equality on real circuits.
+/// runs only after both cubes exist), and a pruned fault is exactly one
+/// PODEM would have declared untestable anyway — skipping it changes
+/// neither the RNG stream nor the pattern sequence. The bench suite asserts
+/// this equality on real circuits.
 pub fn transition_atpg_with_filter(
     view: &TestView<'_>,
     faults: &[TransitionFault],
@@ -676,10 +679,19 @@ pub fn transition_atpg_with_filter(
     seed: u64,
     filter: Option<&crate::prune::StaticFilter>,
 ) -> TransitionAtpgResult {
+    let redundant = filter.map(|f| {
+        let _span = flh_obs::span("atpg.redundancy");
+        let redundant = f.redundant_transitions(faults);
+        if flh_obs::enabled() {
+            flh_obs::named_add("atpg.redundancy.stems", redundant.stems as u64);
+        }
+        redundant.flags
+    });
     let podem = Podem::new(view, config.clone());
     let mut rng = Rng::seed_from_u64(seed);
     let mut detected = vec![false; faults.len()];
     let mut untestable = 0usize;
+    let mut pruned = 0u64;
     let mut patterns = Vec::new();
     let mut sim = TransitionSimulator::new(view);
     let n = view.assignable().len();
@@ -691,6 +703,11 @@ pub fn transition_atpg_with_filter(
         let fault = faults[fi];
         if filter.is_some_and(|f| f.transition_untestable(&fault)) {
             untestable += 1;
+            continue;
+        }
+        if redundant.as_ref().is_some_and(|r| r[fi]) {
+            untestable += 1;
+            pruned += 1;
             continue;
         }
         let v2_cube = match podem.generate(&fault.stuck_equivalent()) {
@@ -729,6 +746,9 @@ pub fn transition_atpg_with_filter(
         debug_assert!(detected[fi], "generated pair must detect its target");
         detected[fi] = true;
         patterns.push(pattern);
+    }
+    if redundant.is_some() && flh_obs::enabled() {
+        flh_obs::named_add("atpg.redundancy.pruned", pruned);
     }
 
     TransitionAtpgResult {

@@ -13,17 +13,23 @@
 //! * statically-untestable ∩ simulated-detected = ∅, checked with random
 //!   stuck-at patterns and random two-pattern transition tests, plus a
 //!   hand-built redundant circuit where the untestable set is *non-empty*
-//!   (the profile generator emits irredundant logic, so profiles alone
-//!   would make this check vacuous);
-//! * pruned vs. unpruned equivalence: `transition_atpg` (filter on by
-//!   default) against `transition_atpg_with_filter(.., None)`, and the
-//!   campaign twins, pattern-for-pattern and count-for-count.
+//!   (the constant lattice proves nothing untestable on the profiles, so
+//!   they alone would make this check vacuous);
+//! * the same for the FIRE redundancy pass, whose class is not empty on
+//!   the profiles: the generator's reconvergent fanout leaves redundant
+//!   faults (the pass flags 175 of FLH s1196's 1122 transition faults,
+//!   and a 100000-backtrack PODEM proves 171 of their stuck equivalents
+//!   redundant), and random pairs must detect none the pass flags;
+//! * pruned vs. unpruned equivalence: `transition_atpg` (filter and
+//!   redundancy pass on by default) against
+//!   `transition_atpg_with_filter(.., None)`, and the campaign twins,
+//!   pattern-for-pattern and count-for-count.
 
 use flh_atpg::{
     enumerate_stuck_faults, enumerate_transition_faults, order_stuck_faults,
     order_stuck_faults_pruned, simulate_transition_patterns, stuck_coverage, transition_atpg,
     transition_atpg_with_filter, transition_campaign_filtered, transition_campaign_with_view,
-    ApplicationStyle, PodemConfig, StaticFilter, TestView, TransitionPattern,
+    ApplicationStyle, PodemConfig, StaticFilter, TestView, TransitionFault, TransitionPattern,
 };
 use flh_bench::build_circuit;
 use flh_core::{apply_style, DftStyle};
@@ -36,6 +42,7 @@ const STYLES: [DftStyle; 3] = [DftStyle::EnhancedScan, DftStyle::MuxHold, DftSty
 const MAX_FAULTS: usize = 600;
 const STUCK_PATTERNS: usize = 64;
 const PAIRS: usize = 32;
+const REDUNDANT_PAIRS: usize = 256;
 
 /// Every k-th element: bounds debug-build runtime while spanning the full
 /// fault-id range.
@@ -123,6 +130,42 @@ fn static_untestability_is_sound_on_every_profile_and_style() {
     }
 }
 
+/// No random pair detects a transition fault the redundancy pass flags.
+/// Only the flagged faults are simulated, which keeps the check cheap.
+#[test]
+fn redundancy_pass_is_sound_on_every_profile_and_style() {
+    let mut flagged_total = 0;
+    for profile in iscas89_profiles() {
+        let base = build_circuit(&profile);
+        for style in STYLES {
+            let dft = apply_style(&base, style).expect("style applies");
+            let view = TestView::new(&dft.netlist).expect("test view");
+            let filter = StaticFilter::from_view(&view);
+            let faults = enumerate_transition_faults(&dft.netlist);
+            let redundant = filter.redundant_transitions(&faults);
+            let flagged: Vec<TransitionFault> = faults
+                .iter()
+                .zip(&redundant.flags)
+                .filter(|(_, &r)| r)
+                .map(|(f, _)| *f)
+                .collect();
+            flagged_total += flagged.len();
+            let mut rng = Rng::seed_from_u64(0xF12E);
+            let pairs = random_pairs(&mut rng, view.assignable().len(), REDUNDANT_PAIRS);
+            let detected = simulate_transition_patterns(&view, &flagged, &pairs);
+            for (f, &d) in flagged.iter().zip(&detected) {
+                assert!(
+                    !d,
+                    "{}/{}: redundant transition fault {f:?} detected by simulation",
+                    profile.name,
+                    style.label()
+                );
+            }
+        }
+    }
+    assert!(flagged_total > 0, "the pass flagged nothing on any profile");
+}
+
 /// Redundant logic the profile generator never emits: gates tied to
 /// constants and a gate whose output is masked on every path. Here the
 /// untestable set is non-empty, so the soundness check actually bites.
@@ -192,15 +235,29 @@ fn pruned_stuck_ordering_preserves_coverage() {
 
 #[test]
 fn pruned_transition_atpg_is_bit_identical_to_unpruned() {
-    for name in ["s298", "s420"] {
+    // FLH s1196 runs its whole fault list: the redundancy pass prunes 175
+    // of its 1122 faults.
+    for (name, flh) in [("s298", false), ("s420", false), ("s1196", true)] {
         let profile = iscas89_profiles()
             .into_iter()
             .find(|p| p.name == name)
             .expect("profile exists");
-        let netlist = build_circuit(&profile);
+        let mut netlist = build_circuit(&profile);
+        if flh {
+            netlist = apply_style(&netlist, DftStyle::Flh)
+                .expect("style applies")
+                .netlist;
+        }
         let view = TestView::new(&netlist).expect("test view");
         let filter = StaticFilter::from_view(&view);
-        let faults = subsample(&enumerate_transition_faults(&netlist), 200);
+        let faults = enumerate_transition_faults(&netlist);
+        let faults = if flh {
+            let flags = filter.redundant_transitions(&faults).flags;
+            assert_eq!(flags.iter().filter(|&&f| f).count(), 175);
+            faults
+        } else {
+            subsample(&faults, 200)
+        };
         let config = PodemConfig::paper_default();
         let with = transition_atpg_with_filter(&view, &faults, &config, 0xF1, Some(&filter));
         let without = transition_atpg_with_filter(&view, &faults, &config, 0xF1, None);

@@ -1,7 +1,7 @@
 //! Static analysis over compiled programs (DESIGN.md §2i).
 //!
-//! Three cooperating analyses run on a lowered [`Program`] without ever
-//! simulating a pattern:
+//! Cooperating analyses run on a lowered [`Program`] and its circuit without
+//! ever simulating a pattern:
 //!
 //! * [`verify_program`] — a bytecode verifier that decodes every fixed-stride
 //!   instruction and proves the emission invariants `Program::lower` relies
@@ -21,6 +21,9 @@
 //!   observation roots; `obs_sens` additionally rules out propagation paths
 //!   that the constant lattice proves unsensitizable (a definite side pin
 //!   blocks the only path through a gate).
+//! * [`redundant_stem_faults`] — FIRE stem-conflict redundancy on top of
+//!   the lattice: stem faults that need a stem at 0 and also at 1, which
+//!   reconvergent fanout creates and the lattice cannot see (DESIGN.md §2m).
 //!
 //! # Soundness of `obs_sens`
 //!
@@ -835,6 +838,535 @@ pub fn analyze(compiled: &CompiledCircuit, program: &Program) -> StaticAnalysis 
     }
 }
 
+// ---------------------------------------------------------------------------
+// FIRE stem-conflict redundancy (DESIGN.md §2m)
+// ---------------------------------------------------------------------------
+
+/// Logic value of a cell during implication; `X` is unknown.
+const X: u8 = 2;
+
+/// How a cell takes part in implication and propagation.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A gate with a truth table (an index into the table list).
+    Gate(u8),
+    /// A gate kind with no truth table (the generic wide gates): it implies
+    /// nothing and never blocks a difference.
+    Opaque,
+    /// A source, a constant or an observation cell (output marker,
+    /// flip-flop D pin): no implication crosses it.
+    Boundary,
+}
+
+/// Truth table of a gate with at most four pins. Bit `m` of `out` is the
+/// output on the input combination whose pin `p` is bit `p` of `m`.
+/// `fixed[mask]` has bit `vals` set when every combination that agrees with
+/// `vals` on the pins in `mask` gives the same output, i.e. those known
+/// pins fix the output on their own.
+struct Table {
+    arity: usize,
+    out: u16,
+    fixed: [u16; 16],
+}
+
+impl Table {
+    fn of(kind: CellKind) -> Table {
+        let arity = kind.arity();
+        debug_assert!(arity <= 4);
+        let mut out = 0u16;
+        for m in 0..1usize << arity {
+            let pins: Vec<bool> = (0..arity).map(|p| m >> p & 1 == 1).collect();
+            out |= u16::from(kind.eval_bool(&pins)) << m;
+        }
+        let mut fixed = [0u16; 16];
+        for (mask, fixed) in fixed.iter_mut().enumerate().take(1 << arity) {
+            for vals in (0..1usize << arity).filter(|v| v & !mask == 0) {
+                let outs = (0..1usize << arity)
+                    .filter(|m| m & mask == vals)
+                    .fold(0u8, |acc, m| acc | 1 << (out >> m & 1));
+                if outs != 3 {
+                    *fixed |= 1 << vals;
+                }
+            }
+        }
+        Table { arity, out, fixed }
+    }
+
+    /// Do the known pins in `mask` (values in `vals`) fix the output?
+    #[inline]
+    fn fixes(&self, mask: usize, vals: usize) -> bool {
+        self.fixed[mask] >> (vals & mask) & 1 == 1
+    }
+}
+
+/// The circuit as the FIRE pass sees it: a role per cell, the distinct
+/// truth tables, and which cells an observation point reads.
+struct Frame<'c> {
+    compiled: &'c CompiledCircuit,
+    roles: Vec<Role>,
+    tables: Vec<Table>,
+    observed_driver: Vec<bool>,
+}
+
+impl<'c> Frame<'c> {
+    fn new(compiled: &'c CompiledCircuit) -> Self {
+        use CellKind::*;
+        let mut kinds: Vec<CellKind> = Vec::new();
+        let roles = compiled
+            .kinds()
+            .iter()
+            .map(|&kind| match kind {
+                Input | Output | Const0 | Const1 | Dff | ScanDff => Role::Boundary,
+                k if k.is_generic() => Role::Opaque,
+                // Hold elements evaluate as buffers, as in the test view.
+                k => Role::Gate(match kinds.iter().position(|&seen| seen == k) {
+                    Some(i) => i as u8,
+                    None => {
+                        kinds.push(k);
+                        kinds.len() as u8 - 1
+                    }
+                }),
+            })
+            .collect();
+        let mut observed_driver = vec![false; compiled.cell_count()];
+        for &c in compiled.outputs().iter().chain(compiled.flip_flops()) {
+            observed_driver[compiled.fanin(c)[0] as usize] = true;
+        }
+        Frame {
+            compiled,
+            roles,
+            tables: kinds.into_iter().map(Table::of).collect(),
+            observed_driver,
+        }
+    }
+
+    /// Known-pin mask and values of gate `g` under `value`, counting only
+    /// the pins `keep` accepts.
+    #[inline]
+    fn known_pins(&self, g: u32, value: &[u8], keep: impl Fn(u32) -> bool) -> (usize, usize) {
+        let (mut mask, mut vals) = (0, 0);
+        for (p, &f) in self.compiled.fanin(g).iter().enumerate() {
+            let v = value[f as usize];
+            if v != X && keep(f) {
+                mask |= 1 << p;
+                vals |= (v as usize) << p;
+            }
+        }
+        (mask, vals)
+    }
+}
+
+/// Forward and backward implication of one assumption on top of the
+/// constant lattice. Every value it derives holds on every input vector
+/// whose good machine satisfies the assumption.
+struct Implication {
+    value: Vec<u8>,
+    /// Cells assigned since the lattice, in assignment order; also the
+    /// implication queue.
+    trail: Vec<u32>,
+}
+
+impl Implication {
+    fn new(constants: &[Option<bool>]) -> Self {
+        Implication {
+            value: constants.iter().map(|c| c.map_or(X, u8::from)).collect(),
+            trail: Vec::new(),
+        }
+    }
+
+    /// Reset to the lattice, assume `cell = v` and imply to a fixpoint.
+    /// `false` means a conflict: no input vector has `cell = v`.
+    fn assume(&mut self, frame: &Frame<'_>, cell: u32, v: bool) -> bool {
+        for c in self.trail.drain(..) {
+            self.value[c as usize] = X;
+        }
+        if !self.set(cell, v) {
+            return false;
+        }
+        let mut head = 0;
+        while head < self.trail.len() {
+            let c = self.trail[head];
+            head += 1;
+            if !self.check(frame, c) {
+                return false;
+            }
+            for &g in frame.compiled.readers(c) {
+                if !self.check(frame, g) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    fn set(&mut self, cell: u32, v: bool) -> bool {
+        match self.value[cell as usize] {
+            X => {
+                self.value[cell as usize] = u8::from(v);
+                self.trail.push(cell);
+                true
+            }
+            known => known == u8::from(v),
+        }
+    }
+
+    /// Local consistency of gate `g`: a pin or the output is implied when
+    /// every input combination that fits the known pins agrees on it; no
+    /// fitting combination is a conflict.
+    fn check(&mut self, frame: &Frame<'_>, g: u32) -> bool {
+        let Role::Gate(t) = frame.roles[g as usize] else {
+            return true;
+        };
+        let table = &frame.tables[t as usize];
+        let (mask, vals) = frame.known_pins(g, &self.value, |_| true);
+        let out = self.value[g as usize];
+        // Over the fitting combinations: the pins 1 in all of them, the
+        // pins 1 in any, and the outputs seen (bit `o` for output `o`).
+        let (mut all, mut any, mut outs) = (usize::MAX, 0usize, 0u8);
+        for m in (0..1usize << table.arity).filter(|m| m & mask == vals) {
+            let o = (table.out >> m & 1) as u8;
+            if out == X || o == out {
+                all &= m;
+                any |= m;
+                outs |= 1 << o;
+            }
+        }
+        if outs == 0 {
+            return false;
+        }
+        for (p, &f) in frame.compiled.fanin(g).iter().enumerate() {
+            let (always, ever) = (all >> p & 1 == 1, any >> p & 1 == 1);
+            if mask >> p & 1 == 0 && always == ever && !self.set(f, always) {
+                return false;
+            }
+        }
+        out != X || outs == 3 || self.set(g, outs == 2)
+    }
+}
+
+/// Advance a stamp generation, clearing the stamps when it would wrap.
+fn next_gen(gen: &mut u32, stamps: &mut [u32]) -> u32 {
+    if *gen == u32::MAX {
+        stamps.fill(0);
+        *gen = 0;
+    }
+    *gen += 1;
+    *gen
+}
+
+/// Exact unobservability of one line under one implication: the line's
+/// fanout cone is stamped, then a walk from the line follows every reader
+/// whose output the known pins *outside* the cone do not fix.
+struct ConeWalk {
+    cone: Vec<u32>,
+    reach: Vec<u32>,
+    /// The cell whose cone `cone` holds at generation `cone_gen`.
+    cone_of: Option<u32>,
+    cone_gen: u32,
+    reach_gen: u32,
+    stack: Vec<u32>,
+}
+
+impl ConeWalk {
+    fn new(n: usize) -> Self {
+        ConeWalk {
+            cone: vec![0; n],
+            reach: vec![0; n],
+            cone_of: None,
+            cone_gen: 0,
+            reach_gen: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    fn stamp_cone(&mut self, frame: &Frame<'_>, line: u32) {
+        if self.cone_of == Some(line) {
+            return;
+        }
+        let gen = next_gen(&mut self.cone_gen, &mut self.cone);
+        self.cone_of = Some(line);
+        self.cone[line as usize] = gen;
+        self.stack.push(line);
+        while let Some(c) = self.stack.pop() {
+            for &g in frame.compiled.readers(c) {
+                if frame.roles[g as usize] != Role::Boundary && self.cone[g as usize] != gen {
+                    self.cone[g as usize] = gen;
+                    self.stack.push(g);
+                }
+            }
+        }
+    }
+
+    /// Is every path from `line` to an observation point blocked by a gate
+    /// whose output `value`'s known pins outside `line`'s fanout cone fix?
+    /// Only those pins keep their good value with `line` faulted.
+    fn unobservable(&mut self, frame: &Frame<'_>, line: u32, value: &[u8]) -> bool {
+        self.stamp_cone(frame, line);
+        let cone_gen = self.cone_gen;
+        let gen = next_gen(&mut self.reach_gen, &mut self.reach);
+        self.reach[line as usize] = gen;
+        self.stack.clear();
+        self.stack.push(line);
+        while let Some(c) = self.stack.pop() {
+            if frame.observed_driver[c as usize] {
+                self.stack.clear();
+                return false;
+            }
+            for &g in frame.compiled.readers(c) {
+                let gi = g as usize;
+                if frame.roles[gi] == Role::Boundary || self.reach[gi] == gen {
+                    continue;
+                }
+                self.reach[gi] = gen;
+                let blocked = match frame.roles[gi] {
+                    Role::Gate(t) => {
+                        let outside = |f: u32| self.cone[f as usize] != cone_gen;
+                        let (mask, vals) = frame.known_pins(g, value, outside);
+                        frame.tables[t as usize].fixes(mask, vals)
+                    }
+                    _ => false,
+                };
+                if !blocked {
+                    self.stack.push(g);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// A superset of the unobservable cells under one implication: like
+/// [`observability`], but any known side pin may block, wherever its driver
+/// lies. Ignoring the cone rule only blocks more, so a cell this calls
+/// observable is observable. Known pins only ever add blocking, so the
+/// plane under an implication is the lattice-only plane minus the cells an
+/// update clears, level by level down from the implied cells' readers.
+#[derive(Clone)]
+struct Observable {
+    obs: Vec<bool>,
+    /// Cells the last update cleared.
+    cleared: Vec<u32>,
+    /// Update queue, one bucket per level, deduplicated by stamp.
+    buckets: Vec<Vec<u32>>,
+    queued: Vec<u32>,
+    gen: u32,
+}
+
+impl Observable {
+    fn new(frame: &Frame<'_>, lattice: &[u8]) -> Self {
+        let compiled = frame.compiled;
+        let n = compiled.cell_count();
+        let mut plane = Observable {
+            obs: vec![false; n],
+            cleared: Vec::new(),
+            buckets: vec![Vec::new(); compiled.levels() + 1],
+            queued: vec![0; n],
+            gen: 0,
+        };
+        let sources = (0..n as u32).filter(|&c| compiled.level_of(c) == 0);
+        for c in compiled.order().iter().rev().copied().chain(sources) {
+            plane.obs[c as usize] = plane.observable(frame, lattice, c);
+        }
+        plane
+    }
+
+    /// Does `c` drive an observation point, or an observable reader whose
+    /// output the known pins other than `c`'s pin do not fix?
+    fn observable(&self, frame: &Frame<'_>, value: &[u8], c: u32) -> bool {
+        let compiled = frame.compiled;
+        frame.observed_driver[c as usize]
+            || compiled
+                .readers(c)
+                .iter()
+                .any(|&g| match frame.roles[g as usize] {
+                    Role::Boundary => false,
+                    Role::Opaque => self.obs[g as usize],
+                    Role::Gate(t) => {
+                        self.obs[g as usize] && {
+                            let (mask, vals) = frame.known_pins(g, value, |_| true);
+                            let table = &frame.tables[t as usize];
+                            compiled
+                                .fanin(g)
+                                .iter()
+                                .enumerate()
+                                .any(|(p, &f)| f == c && !table.fixes(mask & !(1 << p), vals))
+                        }
+                    }
+                })
+    }
+
+    fn queue(&mut self, frame: &Frame<'_>, c: u32) {
+        if self.obs[c as usize] && self.queued[c as usize] != self.gen {
+            self.queued[c as usize] = self.gen;
+            self.buckets[frame.compiled.level_of(c) as usize].push(c);
+        }
+    }
+
+    /// Move the plane to the implication `value`, whose cells off the
+    /// lattice are `trail`.
+    fn update(&mut self, frame: &Frame<'_>, value: &[u8], trail: &[u32]) {
+        for c in self.cleared.drain(..) {
+            self.obs[c as usize] = true;
+        }
+        next_gen(&mut self.gen, &mut self.queued);
+        let compiled = frame.compiled;
+        let mut top = 0;
+        for &t in trail {
+            for &g in compiled.readers(t) {
+                if let Role::Gate(_) = frame.roles[g as usize] {
+                    top = top.max(compiled.level_of(g) as usize);
+                    for &f in compiled.fanin(g) {
+                        self.queue(frame, f);
+                    }
+                }
+            }
+        }
+        for level in (0..top).rev() {
+            while let Some(c) = self.buckets[level].pop() {
+                if self.observable(frame, value, c) {
+                    continue;
+                }
+                self.obs[c as usize] = false;
+                self.cleared.push(c);
+                if frame.roles[c as usize] != Role::Boundary {
+                    for &f in compiled.fanin(c) {
+                        self.queue(frame, f);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Stem faults the FIRE pass proves undetectable: see
+/// [`redundant_stem_faults`].
+#[derive(Clone, Debug)]
+pub struct Redundancy {
+    /// Bit `a` of `flags[c]`: cell `c` stuck-at `a` is redundant.
+    flags: Vec<u8>,
+    stems: usize,
+}
+
+impl Redundancy {
+    /// Is cell `cell` stuck-at `value` detected by no input vector?
+    pub fn stuck_redundant(&self, cell: u32, value: bool) -> bool {
+        self.flags[cell as usize] >> u8::from(value) & 1 == 1
+    }
+
+    /// Stems the pass implied both ways.
+    pub fn stems(&self) -> usize {
+        self.stems
+    }
+}
+
+/// FIRE stem-conflict redundancy (Iyer & Abramovici, IEEE TVLSI 1996) on
+/// the combinational test view: primary inputs and flip-flop outputs are
+/// free sources, output markers and flip-flop D pins are observation
+/// points, hold elements are buffers.
+///
+/// For every stem `s` (a non-constant cell with two or more reading pins)
+/// and value `v`, `s = v` is implied forward and backward on top of
+/// `constants` ([`ternary_constants`]). `F_v(s)` is the set of stem faults
+/// no vector with good `s = v` detects: line `l` stuck-at `a` when the
+/// implication sets `l = a`, both faults on `l` when every path from `l` to
+/// an observation point passes a gate that known pins outside `l`'s fanout
+/// cone fix, and every fault when the implication conflicts. Every vector
+/// has `s = 0` or `s = 1`, so each fault in `F_0(s) ∩ F_1(s)` is
+/// redundant. Only the faults on lines `targets` marks are decided.
+///
+/// Per stem and value, the implication touches only the cells it assigns,
+/// and a superset of the unobservable cells is updated from their readers
+/// alone. A line is a candidate only if it is implied or newly cleared
+/// there, or known or unobservable on the lattice alone; only a candidate
+/// fault in both supersets gets the exact cone walk. Serial and
+/// deterministic; memory is O(cells).
+pub fn redundant_stem_faults(
+    compiled: &CompiledCircuit,
+    constants: &[Option<bool>],
+    targets: &[bool],
+) -> Redundancy {
+    let n = compiled.cell_count();
+    debug_assert_eq!(constants.len(), n);
+    debug_assert_eq!(targets.len(), n);
+    let frame = Frame::new(compiled);
+    let mut implied = [Implication::new(constants), Implication::new(constants)];
+    let lattice_obs = Observable::new(&frame, &implied[0].value);
+    // Lines known or unobservable on the lattice alone stay candidates at
+    // every stem; any other line must be implied or cleared by the stem.
+    let always: Vec<u32> = (0..n as u32)
+        .filter(|&l| {
+            targets[l as usize] && (constants[l as usize].is_some() || !lattice_obs.obs[l as usize])
+        })
+        .collect();
+    let mut obs = [lattice_obs.clone(), lattice_obs];
+    let mut walk = ConeWalk::new(n);
+    let mut flags = vec![0u8; n];
+    let mut seen = vec![u32::MAX; n];
+    let mut candidates = Vec::new();
+    let mut stems = 0;
+    for s in 0..n as u32 {
+        if constants[s as usize].is_some()
+            || compiled.readers(s).len() < 2
+            || compiled.kind(s) == CellKind::Output
+        {
+            continue;
+        }
+        stems += 1;
+        let mut consistent = [false; 2];
+        for v in 0..2 {
+            consistent[v] = implied[v].assume(&frame, s, v == 1);
+            if consistent[v] {
+                obs[v].update(&frame, &implied[v].value, &implied[v].trail);
+            }
+        }
+        // A fault needs its line in the candidates of every consistent
+        // value; the smaller list of one of them is enough.
+        candidates.clear();
+        match (0..2)
+            .filter(|&v| consistent[v])
+            .min_by_key(|&v| implied[v].trail.len() + obs[v].cleared.len())
+        {
+            None => candidates.extend(0..n as u32),
+            Some(v) => {
+                let lists = [&implied[v].trail, &obs[v].cleared, &always];
+                for &l in lists.into_iter().flatten() {
+                    if seen[l as usize] != s {
+                        seen[l as usize] = s;
+                        candidates.push(l);
+                    }
+                }
+            }
+        }
+        for &l in &candidates {
+            let l = l as usize;
+            if !targets[l] || flags[l] == 3 {
+                continue;
+            }
+            let mut exact: [Option<bool>; 2] = [None; 2];
+            for a in 0..2u8 {
+                if flags[l] >> a & 1 == 1 {
+                    continue;
+                }
+                // Unexcited, or no vector has s = v at all.
+                let cheap = |v: usize| !consistent[v] || implied[v].value[l] == a;
+                if !(0..2).all(|v| cheap(v) || !obs[v].obs[l]) {
+                    continue;
+                }
+                let redundant = (0..2).all(|v| {
+                    cheap(v)
+                        || *exact[v].get_or_insert_with(|| {
+                            walk.unobservable(&frame, l as u32, &implied[v].value)
+                        })
+                });
+                if redundant {
+                    flags[l] |= 1 << a;
+                }
+            }
+        }
+    }
+    Redundancy { flags, stems }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -952,6 +1484,114 @@ mod tests {
         assert!(!taint[id(hold)], "hold bit must clip taint");
         assert!(!taint[id(g)]);
         assert!(taint[id(leak)], "ungated path must stay tainted");
+    }
+
+    #[test]
+    fn fire_truth_tables_agree_with_pin_blocking() {
+        use CellKind::*;
+        let kinds = [
+            Buf, Inv, HoldLatch, HoldMux, And2, And3, And4, Nand2, Nand3, Nand4, Or2, Or3, Or4,
+            Nor2, Nor3, Nor4, Xor2, Xnor2, Aoi21, Aoi22, Oai21, Oai22, Mux2,
+        ];
+        for kind in kinds {
+            let table = Table::of(kind);
+            let k = kind.arity();
+            for pin in 0..k {
+                for code in 0..3usize.pow(k as u32) {
+                    let side: Vec<Option<bool>> = (0..k)
+                        .map(|p| match code / 3usize.pow(p as u32) % 3 {
+                            _ if p == pin => None,
+                            0 => None,
+                            v => Some(v == 2),
+                        })
+                        .collect();
+                    let (mut mask, mut vals) = (0, 0);
+                    for (p, v) in side.iter().enumerate() {
+                        if let Some(v) = v {
+                            mask |= 1 << p;
+                            vals |= usize::from(*v) << p;
+                        }
+                    }
+                    // Side pins that fix the output block every pin; with
+                    // every side pin known the two notions coincide.
+                    let fixes = table.fixes(mask, vals);
+                    let blocked = pin_blocked(kind, pin, &side);
+                    if mask.count_ones() as usize == k - 1 {
+                        assert_eq!(fixes, blocked, "{kind:?} pin {pin} side {side:?}");
+                    } else {
+                        assert!(!fixes || blocked, "{kind:?} pin {pin} side {side:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bare s1196, its lattice and every stem.
+    fn fire_fixture() -> (CompiledCircuit, Program, Vec<Option<bool>>, Vec<u32>) {
+        let profile = crate::profiles::iscas89_profile("s1196").unwrap();
+        let n = crate::generate::generate_circuit(&profile.generator_config()).unwrap();
+        let (c, p) = lower(&n);
+        let constants = ternary_constants(&p);
+        let stems = (0..c.cell_count() as u32)
+            .filter(|&s| c.readers(s).len() >= 2 && constants[s as usize].is_none())
+            .collect();
+        (c, p, constants, stems)
+    }
+
+    #[test]
+    fn every_implied_value_holds_on_every_vector_with_the_assumption() {
+        let (c, p, constants, stems) = fire_fixture();
+        let frame = Frame::new(&c);
+        let mut rng = flh_rng::Rng::seed_from_u64(0xF12E);
+        let mut values = vec![0u64; c.cell_count()];
+        let mut scratch = vec![0u64; p.scratch_words()];
+        for &src in c.inputs().iter().chain(c.flip_flops()) {
+            values[src as usize] = rng.gen();
+        }
+        p.execute(&mut values, &mut scratch);
+        let mut implied = Implication::new(&constants);
+        for s in stems {
+            for v in [false, true] {
+                let lanes = if v {
+                    values[s as usize]
+                } else {
+                    !values[s as usize]
+                };
+                if !implied.assume(&frame, s, v) {
+                    assert_eq!(lanes, 0, "stem {s} = {v} conflicts but holds on a vector");
+                    continue;
+                }
+                for &cell in &implied.trail {
+                    let want = if implied.value[cell as usize] == 1 {
+                        !0
+                    } else {
+                        0
+                    };
+                    let wrong = (values[cell as usize] ^ want) & lanes;
+                    assert_eq!(wrong, 0, "stem {s} = {v} implies a wrong value at {cell}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_observable_plane_matches_a_fresh_sweep() {
+        let (c, _, constants, stems) = fire_fixture();
+        let frame = Frame::new(&c);
+        let mut implied = Implication::new(&constants);
+        let mut plane = Observable::new(&frame, &implied.value);
+        let mut cleared = 0;
+        for s in stems {
+            for v in [false, true] {
+                if implied.assume(&frame, s, v) {
+                    plane.update(&frame, &implied.value, &implied.trail);
+                    let fresh = Observable::new(&frame, &implied.value);
+                    assert_eq!(plane.obs, fresh.obs, "stem {s} = {v}");
+                    cleared += plane.cleared.len();
+                }
+            }
+        }
+        assert!(cleared > 0, "no update cleared anything");
     }
 
     #[test]

@@ -55,9 +55,61 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. No
+/// protocol document or report nests more than a few levels; the cap keeps
+/// the recursive descent from overflowing the stack on hostile input.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why [`parse_json`] rejected a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonError {
+    /// Malformed input, with a byte-offset message.
+    Syntax(String),
+    /// The array or object opened at byte `at` nests deeper than
+    /// [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the opening bracket past the limit.
+        at: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(message) => f.write_str(message),
+            JsonError::TooDeep { at } => {
+                write!(f, "byte {at}: nesting deeper than {MAX_DEPTH} levels")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(message: String) -> Self {
+        JsonError::Syntax(message)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(message: &str) -> Self {
+        JsonError::Syntax(message.into())
+    }
+}
+
+/// Protocol and report code reports errors as text.
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -75,7 +127,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -85,20 +137,21 @@ impl<'a> Parser<'a> {
                 self.pos,
                 b as char,
                 self.peek().map(|c| c as char)
-            ))
+            )
+            .into())
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("byte {}: expected {word}", self.pos))
+            Err(format!("byte {}: expected {word}", self.pos).into())
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -123,7 +176,8 @@ impl<'a> Parser<'a> {
                             return Err(format!(
                                 "byte {}: unsupported escape \\{}",
                                 self.pos, other as char
-                            ))
+                            )
+                            .into())
                         }
                     }
                 }
@@ -145,7 +199,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -158,69 +212,26 @@ impl<'a> Parser<'a> {
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         text.parse::<f64>()
             .map(Json::Number)
-            .map_err(|e| format!("byte {start}: bad number {text:?}: {e}"))
+            .map_err(|e| format!("byte {start}: bad number {text:?}: {e}").into())
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
             None => Err("unexpected end of input".into()),
-            Some(b'{') => {
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::TooDeep { at: self.pos });
+                }
                 self.pos += 1;
-                let mut map = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    map.insert(key, val);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Object(map));
-                        }
-                        other => {
-                            return Err(format!(
-                                "byte {}: expected ',' or '}}', found {other:?}",
-                                self.pos
-                            ))
-                        }
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Array(items));
-                        }
-                        other => {
-                            return Err(format!(
-                                "byte {}: expected ',' or ']', found {other:?}",
-                                self.pos
-                            ))
-                        }
-                    }
-                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
             }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -229,22 +240,82 @@ impl<'a> Parser<'a> {
             Some(_) => self.number(),
         }
     }
+
+    /// An object's members, after its `{`.
+    fn object(&mut self) -> Result<Json, JsonError> {
+        let mut map = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Object(map));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            map.insert(key, val);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Object(map));
+                }
+                other => {
+                    return Err(
+                        format!("byte {}: expected ',' or '}}', found {other:?}", self.pos).into(),
+                    )
+                }
+            }
+        }
+    }
+
+    /// An array's items, after its `[`.
+    fn array(&mut self) -> Result<Json, JsonError> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Array(items));
+                }
+                other => {
+                    return Err(
+                        format!("byte {}: expected ',' or ']', found {other:?}", self.pos).into(),
+                    )
+                }
+            }
+        }
+    }
 }
 
 /// Parses a JSON document (object, array or scalar).
 ///
 /// # Errors
 ///
-/// Returns a byte-offset message on malformed input or trailing garbage.
-pub fn parse_json(text: &str) -> Result<Json, String> {
+/// [`JsonError::Syntax`] with a byte-offset message on malformed input or
+/// trailing garbage, [`JsonError::TooDeep`] past [`MAX_DEPTH`] levels of
+/// nesting.
+pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("byte {}: trailing garbage", p.pos));
+        return Err(format!("byte {}: trailing garbage", p.pos).into());
     }
     Ok(value)
 }
@@ -342,6 +413,27 @@ mod tests {
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("{\"a\": 1} trailing").is_err());
         assert!(parse_json("{\"a\": 01x}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&nested(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        // Deep enough to overflow the stack of an unbounded recursive parser.
+        let hostile = "[".repeat(200_000);
+        assert_eq!(
+            parse_json(&hostile),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(matches!(
+            parse_json(&objects),
+            Err(JsonError::TooDeep { .. })
+        ));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use job::{
     parse_application_styles, parse_dft_style, BatchPayload, JobEvent, JobId, JobKind, JobOutcome,
     JobSpec, ProgressTiming, ALL_APPLICATION_STYLES,
 };
-pub use json::{parse_json, render, Json};
+pub use json::{parse_json, render, Json, JsonError};
 pub use proto::{parse_request, render_request, Request};
 #[cfg(unix)]
 pub use server::serve_unix_socket;

@@ -128,6 +128,24 @@ fn malformed_requests_get_error_replies_not_panics() {
     );
 }
 
+#[test]
+fn one_deeply_nested_line_gets_one_error_and_the_session_goes_on() {
+    let script = "[".repeat(200_000)
+        + "\n{\"op\":\"submit\",\"circuit\":\"s298\",\"pairs\":32,\"seed\":7}\n"
+        + "{\"op\":\"wait\"}\n{\"op\":\"shutdown\"}\n";
+    let lines = transcript(&script, 1);
+    let errors: Vec<_> = lines
+        .iter()
+        .filter(|l| l.starts_with(r#"{"error""#))
+        .collect();
+    assert_eq!(errors.len(), 1, "{lines:#?}");
+    assert!(errors[0].contains("nesting deeper than"), "{}", errors[0]);
+    assert!(
+        lines.iter().any(|l| l.contains(r#""event":"done""#)),
+        "{lines:#?}"
+    );
+}
+
 /// The scripted session the cache and width tests share: two distinct
 /// circuits plus an exact duplicate of the first submission.
 const CACHE_SCRIPT: &str = concat!(

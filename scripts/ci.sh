@@ -68,13 +68,20 @@ fi
 
 echo "== static analysis gate (flh analyze, verifier + prune consistency) =="
 # `analyze` exits nonzero on any verifier violation; `--check-sim` cross-
-# checks the static untestability classifier against random stuck-at and
-# transition fault simulation on the largest mid-size profile. The report
-# must also be byte-identical at any pool width.
+# checks the static untestability classifier, and the transition faults
+# the FIRE redundancy pass flags in every style, against random stuck-at
+# and transition fault simulation on the largest mid-size profile. The
+# report, redundancy column included, must also be byte-identical at any
+# pool width.
 FLH_THREADS=1 cargo run -q --release --offline --bin flh -- \
     analyze s9234 --check-sim | tee "$bench_tmp/analyze_w1.txt"
 if ! grep -q '^prune-consistency: OK$' "$bench_tmp/analyze_w1.txt"; then
     echo "ANALYZE GATE FAILED: static filter pruned a simulated-detectable fault" >&2
+    exit 1
+fi
+if ! grep -qE ' [1-9][0-9]* redundant transition faults over all styles$' \
+    "$bench_tmp/analyze_w1.txt"; then
+    echo "ANALYZE GATE FAILED: no redundancy-pass faults were cross-checked" >&2
     exit 1
 fi
 FLH_THREADS=4 cargo run -q --release --offline --bin flh -- \
@@ -103,12 +110,12 @@ for w in 2 3 4; do
 done
 echo "identical deterministic metrics at pool widths 1, 2, 3 and 4"
 
-echo "== ATPG gate (flh atpg s1196: pinned pattern file, repeatable metrics) =="
+echo "== ATPG gate (flh atpg s1196 + s9234: pinned pattern files, repeatable metrics) =="
 # PODEM's decisions are pinned: every decision, backtrack and frontier
 # choice shows in the pattern file, whose FNV-1a hash (as
 # flh_serve::fnv1a computes it) must stay the recorded value. Two runs
 # must also agree on every deterministic counter (podem.backtracks,
-# podem.decisions, podem.aborts, replay work).
+# podem.decisions, podem.aborts, replay work, atpg.redundancy.*).
 fnv1a() {
     local h=$((0xcbf29ce484222325)) b
     for b in $(od -An -v -tu1 "$1"); do
@@ -130,7 +137,15 @@ if ! diff "$bench_tmp/atpg_metrics_1.json" "$bench_tmp/atpg_metrics_2.json"; the
     echo "ATPG GATE FAILED: deterministic metrics differ between two runs" >&2
     exit 1
 fi
-echo "pinned pattern file and identical deterministic metrics on both runs"
+# s9234 is where the redundancy pass prunes the most faults (2315): a pass
+# that pruned a testable fault would change this file.
+cargo run -q --release --offline --bin flh -- atpg s9234 --out "$bench_tmp/atpg_s9234.txt"
+hash="$(fnv1a "$bench_tmp/atpg_s9234.txt")"
+if [ "$hash" != 6343ac2adb30cb58 ]; then
+    echo "ATPG GATE FAILED: s9234 pattern file hash $hash, pinned 6343ac2adb30cb58" >&2
+    exit 1
+fi
+echo "pinned pattern files and identical deterministic metrics on both runs"
 
 echo "== flowbench helper tests =="
 # The end-to-end benchmark is a package of its own, outside the workspace;

@@ -41,7 +41,7 @@
 
 use std::process::ExitCode;
 
-use flh::atpg::transition::{enumerate_transition_faults, TransitionPattern};
+use flh::atpg::transition::{enumerate_transition_faults, TransitionFault, TransitionPattern};
 use flh::atpg::{
     enumerate_stuck_faults, parse_patterns, simulate_transition_patterns, stuck_coverage,
     transition_atpg, write_patterns, PodemConfig, StaticFilter, TestView,
@@ -53,6 +53,7 @@ use flh::netlist::mapper::map_netlist;
 use flh::netlist::{dot, generate_circuit, iscas89_profile, iscas89_profiles, verilog};
 use flh::netlist::{CircuitStats, CompiledCircuit, Netlist, Program};
 use flh::obs;
+use flh::rng::Rng;
 use flh::serve::{
     parse_application_styles, parse_dft_style, parse_json, serve_lines, serve_unix_socket,
     BatchPayload, CircuitSource, JobEngine, JobEvent, JobId, JobSpec, Json, ServeConfig,
@@ -244,18 +245,26 @@ fn cmd_disasm(circuit: &Netlist, dft: Option<DftStyle>) -> Result<(), String> {
 }
 
 /// Static-analysis report over the compiled bytecode: per DFT style, the
-/// verifier verdict, constant nets, dead instructions and the statically
-/// untestable share of the fault universe. With `--check-sim`, random
-/// stuck-at and transition fault simulation cross-checks the classifier:
-/// a statically untestable fault that simulation detects is a soundness
-/// bug, reported as `prune-consistency: FAIL`.
+/// verifier verdict, constant nets, dead instructions, the statically
+/// untestable share of the fault universe and the transition faults the
+/// FIRE redundancy pass proves redundant beyond it. With `--check-sim`,
+/// random stuck-at and transition fault simulation cross-checks the
+/// classifiers: a pruned or redundant fault that simulation detects is a
+/// soundness bug, reported as `prune-consistency: FAIL`.
 fn cmd_analyze(circuit: &Netlist, check_sim: bool) -> Result<(), String> {
     use flh::netlist::static_analysis::{analyze, verify_program};
     let _span = obs::span("flh.analyze");
     println!("{circuit}: bytecode static analysis");
     println!(
-        "{:>14} | {:>6} | {:>16} | {:>6} | {:>5} | {:>13} | {:>13}",
-        "style", "insts", "verifier", "const", "dead", "untest. stuck", "untest. trans"
+        "{:>14} | {:>6} | {:>16} | {:>6} | {:>5} | {:>13} | {:>13} | {:>13}",
+        "style",
+        "insts",
+        "verifier",
+        "const",
+        "dead",
+        "untest. stuck",
+        "untest. trans",
+        "redund. trans"
     );
     let styles = [
         None,
@@ -265,6 +274,7 @@ fn cmd_analyze(circuit: &Netlist, check_sim: bool) -> Result<(), String> {
         Some(DftStyle::Flh),
     ];
     let mut verifier_violations = 0usize;
+    let (mut redundant_checked, mut redundant_detected) = (0, 0);
     for style in styles {
         let styled;
         let netlist = match style {
@@ -299,13 +309,27 @@ fn cmd_analyze(circuit: &Netlist, check_sim: bool) -> Result<(), String> {
             .iter()
             .filter(|f| filter.transition_untestable(f))
             .count();
+        let flagged: Vec<TransitionFault> = trans
+            .iter()
+            .zip(filter.redundant_transitions(&trans).flags)
+            .filter_map(|(f, r)| r.then_some(*f))
+            .collect();
+        if check_sim {
+            let mut rng = Rng::seed_from_u64(0xF1A7);
+            let pairs = random_pairs(&mut rng, view.assignable().len());
+            redundant_checked += flagged.len();
+            redundant_detected += simulate_transition_patterns(&view, &flagged, &pairs)
+                .iter()
+                .filter(|&&d| d)
+                .count();
+        }
         let verdict = if verify.is_clean() {
             format!("clean ({} chk)", verify.checks)
         } else {
             format!("{} VIOLATIONS", verify.violations.len())
         };
         println!(
-            "{:>14} | {:>6} | {:>16} | {:>6} | {:>5} | {:>6}/{:<6} | {:>6}/{:<6}",
+            "{:>14} | {:>6} | {:>16} | {:>6} | {:>5} | {:>6}/{:<6} | {:>6}/{:<6} | {:>6}/{:<6}",
             style.map_or("bare", DftStyle::label),
             program.inst_count(),
             verdict,
@@ -314,6 +338,8 @@ fn cmd_analyze(circuit: &Netlist, check_sim: bool) -> Result<(), String> {
             stuck_untestable,
             stuck.len(),
             trans_untestable,
+            trans.len(),
+            flagged.len(),
             trans.len()
         );
     }
@@ -323,25 +349,42 @@ fn cmd_analyze(circuit: &Netlist, check_sim: bool) -> Result<(), String> {
         ));
     }
     if check_sim {
-        check_prune_consistency(circuit)?;
+        check_prune_consistency(circuit, redundant_checked, redundant_detected)?;
     }
     Ok(())
 }
 
+/// Random pattern pairs per `--check-sim` cross-check.
+const CHECK_SIM_PATTERNS: usize = 256;
+
+fn random_pairs(rng: &mut Rng, width: usize) -> Vec<TransitionPattern> {
+    let mut random_vec = || -> Vec<bool> { (0..width).map(|_| rng.gen::<bool>()).collect() };
+    (0..CHECK_SIM_PATTERNS)
+        .map(|_| TransitionPattern {
+            v1: random_vec(),
+            v2: random_vec(),
+        })
+        .collect()
+}
+
 /// The soundness cross-check behind `flh analyze --check-sim`: no fault the
-/// static filter prunes may ever be detected by fault simulation.
-fn check_prune_consistency(circuit: &Netlist) -> Result<(), String> {
-    use flh::rng::Rng;
-    const PATTERNS: usize = 256;
+/// static filter prunes may ever be detected by fault simulation, and none
+/// of the `redundant_checked` transition faults the redundancy pass flagged
+/// over all styles may be (`redundant_bad` of them were).
+fn check_prune_consistency(
+    circuit: &Netlist,
+    redundant_checked: usize,
+    redundant_bad: usize,
+) -> Result<(), String> {
     let view = TestView::new(circuit).map_err(|e| e.to_string())?;
     let filter = StaticFilter::from_view(&view);
     let width = view.assignable().len();
     let mut rng = Rng::seed_from_u64(0xF1A7);
-    let random_vec =
-        |rng: &mut Rng| -> Vec<bool> { (0..width).map(|_| rng.gen::<bool>()).collect() };
 
     let stuck = enumerate_stuck_faults(circuit);
-    let patterns: Vec<Vec<bool>> = (0..PATTERNS).map(|_| random_vec(&mut rng)).collect();
+    let patterns: Vec<Vec<bool>> = (0..CHECK_SIM_PATTERNS)
+        .map(|_| (0..width).map(|_| rng.gen::<bool>()).collect())
+        .collect();
     let detected = stuck_coverage(&view, &stuck, &patterns);
     let stuck_bad = stuck
         .iter()
@@ -350,12 +393,7 @@ fn check_prune_consistency(circuit: &Netlist) -> Result<(), String> {
         .count();
 
     let trans = enumerate_transition_faults(circuit);
-    let pairs: Vec<TransitionPattern> = (0..PATTERNS)
-        .map(|_| TransitionPattern {
-            v1: random_vec(&mut rng),
-            v2: random_vec(&mut rng),
-        })
-        .collect();
+    let pairs = random_pairs(&mut rng, width);
     let tdetected = simulate_transition_patterns(&view, &trans, &pairs);
     let trans_bad = trans
         .iter()
@@ -364,18 +402,23 @@ fn check_prune_consistency(circuit: &Netlist) -> Result<(), String> {
         .count();
 
     println!(
-        "check-sim: {PATTERNS} random patterns, {} stuck + {} transition faults",
+        "check-sim: {CHECK_SIM_PATTERNS} random patterns, {} stuck + {} transition faults, \
+         {} redundant transition faults over all styles",
         stuck.len(),
-        trans.len()
+        trans.len(),
+        redundant_checked
     );
-    if stuck_bad == 0 && trans_bad == 0 {
+    if stuck_bad == 0 && trans_bad == 0 && redundant_bad == 0 {
         println!("prune-consistency: OK");
         Ok(())
     } else {
-        println!("prune-consistency: FAIL ({stuck_bad} stuck, {trans_bad} transition)");
+        println!(
+            "prune-consistency: FAIL ({stuck_bad} stuck, {trans_bad} transition, \
+             {redundant_bad} redundant)"
+        );
         Err(format!(
             "static filter pruned {} detectable fault(s)",
-            stuck_bad + trans_bad
+            stuck_bad + trans_bad + redundant_bad
         ))
     }
 }
