@@ -537,7 +537,7 @@ impl TransitionSimulator<'_, '_> {
 /// stuck equivalent, full observation scan, activation computed from the
 /// good V1/V2 machines. Quadratically slower than [`TransitionSimulator`]
 /// but independent of the replay/undo machinery — the equivalence oracle
-/// for it (the legacy full-cone path answered exactly this word).
+/// for it.
 pub fn transition_detects_reference(
     view: &TestView<'_>,
     fault: &TransitionFault,

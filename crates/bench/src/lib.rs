@@ -19,14 +19,8 @@ use std::sync::Arc;
 
 use flh_atpg::{ApplicationStyle, CampaignResult};
 use flh_core::{evaluate_all, DftStyle, EvalConfig, StyleEvaluation};
-use flh_exec::ThreadPool;
 use flh_netlist::{CircuitProfile, Netlist};
 use flh_serve::{BatchPayload, CircuitSource, CompiledEntry, JobEngine, JobId, JobSpec};
-
-pub mod json;
-pub mod replay64;
-pub mod seed_baseline;
-pub mod transition_baseline;
 
 /// The four styles in the canonical [`evaluate_all`] order.
 pub const ALL_STYLES: [DftStyle; 4] = [
@@ -118,21 +112,6 @@ pub fn evaluate_profiles_engine(
         .collect()
 }
 
-/// [`evaluate_profiles_engine`] on a throwaway engine of the given pool's
-/// width — kept for callers that think in pools rather than engines.
-///
-/// # Panics
-///
-/// Panics if a generated circuit fails structural validation.
-pub fn evaluate_profiles_pooled(
-    profiles: &[CircuitProfile],
-    config: &EvalConfig,
-    pool: &ThreadPool,
-) -> Vec<Vec<StyleEvaluation>> {
-    let engine = JobEngine::new(ThreadPool::new(pool.size()), profiles.len().max(1));
-    evaluate_profiles_engine(profiles, config, &engine)
-}
-
 /// Runs the per-profile random transition campaign grid on the engine:
 /// one `Campaign` job per profile over `styles`, sharing compiled
 /// circuits with everything else the engine ran. Rows follow `profiles`
@@ -203,6 +182,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flh_exec::ThreadPool;
     use flh_netlist::iscas89_profile;
 
     #[test]
@@ -253,7 +233,8 @@ mod tests {
         };
         let expected: Vec<Vec<_>> = profiles.iter().map(|p| evaluate_profile(p, &cfg)).collect();
         for workers in [1, 4] {
-            let rows = evaluate_profiles_pooled(&profiles, &cfg, &ThreadPool::new(workers));
+            let engine = JobEngine::new(ThreadPool::new(workers), profiles.len());
+            let rows = evaluate_profiles_engine(&profiles, &cfg, &engine);
             assert_eq!(rows.len(), expected.len());
             for (row, exp) in rows.iter().zip(&expected) {
                 for (r, e) in row.iter().zip(exp) {

@@ -1,23 +1,24 @@
 //! Bit-for-bit equivalence of the 256-lane superword replay engines
-//! against four independent 64-lane replays of the same generic engine
-//! (`flh_bench::replay64`), across all eleven ISCAS89 profiles and the
-//! paper's three holding styles, for both fault models.
+//! against the from-scratch reference oracles
+//! ([`stuck_detects_reference`], [`transition_detects_reference`]), across
+//! all eleven ISCAS89 profiles and the paper's three holding styles, for
+//! both fault models.
 //!
-//! The superword rebuild changes only the lane-word type threaded through
-//! [`flh_atpg::DeviationReplay`] — activation, seeding, undo, detection
-//! and early exit are the same code. These tests pin that: a pattern set
-//! simulated in 256-lane blocks must detect exactly the faults the same
-//! set detects in 64-lane batches (including a masked partial final
-//! block), and the 256-lane early exit must neither invent nor lose
-//! miscompares nor leave the good machine dirty.
+//! A pattern set simulated in 256-lane blocks must detect exactly the
+//! faults the oracle finds in the same set's 64-lane words (including a
+//! masked partial final block), and the 256-lane early exit must neither
+//! invent nor lose miscompares nor leave the good machine dirty. The
+//! oracles re-evaluate the whole faulty machine per fault and word and
+//! share no code with [`DeviationReplay`], so a fault in activation,
+//! seeding, undo, detection or early exit shows here, not only a fault in
+//! the lane-word width.
 
 use flh_atpg::{
     enumerate_stuck_faults, enumerate_transition_faults, simulate_transition_patterns,
-    stuck_coverage, DeviationReplay, Fault, FaultSite, TestView, TransitionFault,
-    TransitionPattern, PATTERN_BLOCK,
+    stuck_coverage, stuck_detects_reference, transition_detects_reference, DeviationReplay, Fault,
+    FaultSite, TestView, TransitionFault, TransitionPattern, PATTERN_BLOCK,
 };
 use flh_bench::build_circuit;
-use flh_bench::replay64::{stuck_coverage64, transition_coverage64};
 use flh_core::{apply_style, DftStyle};
 use flh_netlist::{iscas89_profiles, LaneWord, Packed256, PatternWord};
 use flh_rng::Rng;
@@ -35,8 +36,69 @@ fn subsample<T: Clone>(items: &[T], max: usize) -> Vec<T> {
     items.iter().step_by(step).cloned().collect()
 }
 
+/// Packs up to 64 patterns into one word per input, with the mask of the
+/// lanes in use.
+fn pack64<'p>(chunk: impl ExactSizeIterator<Item = &'p [bool]>, n: usize) -> (Vec<u64>, u64) {
+    let lanes = chunk.len();
+    assert!(lanes <= 64);
+    let mut words = vec![0u64; n];
+    for (lane, bits) in chunk.enumerate() {
+        for (w, &bit) in words.iter_mut().zip(bits) {
+            if bit {
+                *w |= 1 << lane;
+            }
+        }
+    }
+    let mask = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
+    (words, mask)
+}
+
+/// Whole-set stuck-at detection by the oracle, one call per 64-lane word
+/// until the fault is detected.
+fn stuck_reference(view: &TestView<'_>, faults: &[Fault], patterns: &[Vec<bool>]) -> Vec<bool> {
+    let na = view.assignable().len();
+    let batches: Vec<_> = patterns
+        .chunks(64)
+        .map(|c| pack64(c.iter().map(Vec::as_slice), na))
+        .collect();
+    faults
+        .iter()
+        .map(|fault| {
+            batches
+                .iter()
+                .any(|(words, mask)| stuck_detects_reference(view, fault, words, *mask) != 0)
+        })
+        .collect()
+}
+
+/// Whole-set transition detection by the oracle, one call per 64-pair
+/// word until the fault is detected.
+fn transition_reference(
+    view: &TestView<'_>,
+    faults: &[TransitionFault],
+    pairs: &[TransitionPattern],
+) -> Vec<bool> {
+    let na = view.assignable().len();
+    let batches: Vec<_> = pairs
+        .chunks(64)
+        .map(|c| {
+            let (v1, mask) = pack64(c.iter().map(|p| p.v1.as_slice()), na);
+            let (v2, _) = pack64(c.iter().map(|p| p.v2.as_slice()), na);
+            (v1, v2, mask)
+        })
+        .collect();
+    faults
+        .iter()
+        .map(|fault| {
+            batches
+                .iter()
+                .any(|(v1, v2, mask)| transition_detects_reference(view, fault, v1, v2, *mask) != 0)
+        })
+        .collect()
+}
+
 #[test]
-fn superword_replay_matches_four_word_replays_across_profiles_and_styles() {
+fn superword_replay_matches_the_reference_oracles_across_profiles_and_styles() {
     for profile in iscas89_profiles() {
         let circuit = build_circuit(&profile);
         for (si, &style) in STYLES.iter().enumerate() {
@@ -47,17 +109,17 @@ fn superword_replay_matches_four_word_replays_across_profiles_and_styles() {
             let na = view.assignable().len();
             let mut rng = Rng::seed_from_u64(0x256 + si as u64);
 
-            // Stuck-at: whole-set coverage, 256-lane blocks vs 64-lane
-            // batches over the identical pattern list.
+            // Stuck-at: whole-set coverage, 256-lane blocks vs the
+            // oracle's 64-lane words over the identical pattern list.
             let stuck: Vec<Fault> = subsample(&enumerate_stuck_faults(n), MAX_FAULTS);
             let patterns: Vec<Vec<bool>> = (0..PATTERNS)
                 .map(|_| (0..na).map(|_| rng.gen()).collect())
                 .collect();
             let wide = stuck_coverage(&view, &stuck, &patterns);
-            let narrow = stuck_coverage64(&view, &stuck, &patterns);
             assert_eq!(
-                wide, narrow,
-                "{} / {style}: stuck detection diverged between lane widths",
+                wide,
+                stuck_reference(&view, &stuck, &patterns),
+                "{} / {style}: stuck detection diverged from the oracle",
                 profile.name
             );
             assert!(
@@ -75,13 +137,11 @@ fn superword_replay_matches_four_word_replays_across_profiles_and_styles() {
                     v2: (0..na).map(|_| rng.gen()).collect(),
                 })
                 .collect();
-            let tuples: Vec<(Vec<bool>, Vec<bool>)> =
-                pairs.iter().map(|p| (p.v1.clone(), p.v2.clone())).collect();
             let twide = simulate_transition_patterns(&view, &faults, &pairs);
-            let tnarrow = transition_coverage64(&view, &faults, &tuples);
             assert_eq!(
-                twide, tnarrow,
-                "{} / {style}: transition detection diverged between lane widths",
+                twide,
+                transition_reference(&view, &faults, &pairs),
+                "{} / {style}: transition detection diverged from the oracle",
                 profile.name
             );
             assert!(

@@ -1,5 +1,5 @@
 //! Chrome trace-event round trip: emit a trace with `flh_obs`, re-parse
-//! the file with the in-house JSON parser ([`flh_bench::json`]), and check
+//! the file with the in-house JSON parser ([`flh_serve::json`]), and check
 //! that the events are well-formed complete events (`ph: "X"`, numeric
 //! `ts`/`dur`) whose interval nesting reproduces the span nesting that
 //! produced them — truncating start and end to microseconds independently
@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use flh_bench::json::{parse_json, Json};
+use flh_serve::{parse_json, Json};
 
 /// Pulls one required member out of a parsed object.
 fn member<'j>(event: &'j Json, key: &str) -> &'j Json {

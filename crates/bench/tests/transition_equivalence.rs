@@ -1,13 +1,15 @@
 //! Bit-for-bit equivalence of the event-driven transition fault simulator
-//! against the frozen legacy full-cone replica
-//! ([`flh_bench::transition_baseline`]), across ISCAS89 profiles, the
+//! against the from-scratch reference oracle
+//! ([`transition_detects_reference`]), across ISCAS89 profiles, the
 //! paper's three holding styles, and pool widths 1/2/4 vs serial.
 //!
 //! The deviation-replay rebuild of [`TransitionSimulator`] changes *how*
 //! the faulty V2 machine is computed (event-driven from the fault site,
 //! changed-observation-driver detection, abort on the first activation-lane
-//! miscompare) but must never change *what* is detected. This suite holds
-//! that on all three result surfaces:
+//! miscompare) but must never change *what* is detected. The oracle
+//! re-evaluates the whole faulty V2 machine per fault and 64-pair word and
+//! shares no code with [`flh_atpg::DeviationReplay`]. This suite holds the
+//! simulator to it on all three result surfaces:
 //!
 //! * per-batch detected flags (`run_batch`);
 //! * N-detect hit counts (`run_batch_counting`, whose replay runs to
@@ -18,11 +20,10 @@
 
 use flh_atpg::{
     enumerate_transition_faults, random_transition_campaign, random_transition_campaign_pooled,
-    simulate_transition_patterns_partitioned, ApplicationStyle, TestView, TransitionFault,
-    TransitionPattern, TransitionSimulator,
+    simulate_transition_patterns_partitioned, transition_detects_reference, ApplicationStyle,
+    TestView, TransitionFault, TransitionPattern, TransitionSimulator,
 };
 use flh_bench::build_circuit;
-use flh_bench::transition_baseline::{baseline_transition_detects, BaselineTransitionSimulator};
 use flh_core::{apply_style, DftStyle};
 use flh_exec::ThreadPool;
 use flh_netlist::{iscas89_profile, Packed256, PatternWord};
@@ -51,8 +52,10 @@ fn random_pairs(rng: &mut Rng, n: usize, count: usize) -> Vec<TransitionPattern>
         .collect()
 }
 
-fn pack64(pairs: &[TransitionPattern], n: usize) -> (Vec<u64>, Vec<u64>, u64) {
-    let chunk = &pairs[..pairs.len().min(64)];
+/// Packs up to 64 pairs into one V1 and one V2 word per input, with the
+/// mask of the lanes in use.
+fn pack64(chunk: &[TransitionPattern], n: usize) -> (Vec<u64>, Vec<u64>, u64) {
+    assert!(chunk.len() <= 64);
     let mut v1_words = vec![0u64; n];
     let mut v2_words = vec![0u64; n];
     for (lane, p) in chunk.iter().enumerate() {
@@ -74,7 +77,7 @@ fn pack64(pairs: &[TransitionPattern], n: usize) -> (Vec<u64>, Vec<u64>, u64) {
 }
 
 #[test]
-fn event_driven_transition_sim_matches_legacy_full_cone() {
+fn event_driven_transition_sim_matches_the_reference_oracle() {
     for circuit_name in CIRCUITS {
         let profile = iscas89_profile(circuit_name).expect("profile present");
         let circuit = build_circuit(&profile);
@@ -89,52 +92,64 @@ fn event_driven_transition_sim_matches_legacy_full_cone() {
             let mut rng = Rng::seed_from_u64(0x7E0 + si as u64);
             let pairs = random_pairs(&mut rng, na, PAIRS);
 
-            // Whole-set detection: legacy serial full-cone vs the
-            // event-driven path at every pool width.
-            let legacy = baseline_transition_detects(&view, &faults, &pairs);
+            // The oracle's detection word for every fault and every
+            // 64-pair word of the set (the last word masked to its lanes).
+            let batches: Vec<_> = pairs.chunks(64).map(|c| pack64(c, na)).collect();
+            let oracle: Vec<Vec<u64>> = faults
+                .iter()
+                .map(|fault| {
+                    batches
+                        .iter()
+                        .map(|(v1, v2, mask)| {
+                            transition_detects_reference(&view, fault, v1, v2, *mask)
+                        })
+                        .collect()
+                })
+                .collect();
+
+            // Whole-set detection: a fault is detected if any word
+            // miscompares, at every pool width.
+            let expected: Vec<bool> = oracle
+                .iter()
+                .map(|words| words.iter().any(|&w| w != 0))
+                .collect();
             assert!(
-                legacy.iter().any(|&d| d),
+                expected.iter().any(|&d| d),
                 "{circuit_name} / {style}: campaign detected nothing"
             );
             for &workers in &POOLS {
                 let pool = ThreadPool::new(workers);
                 assert_eq!(
                     simulate_transition_patterns_partitioned(&view, &faults, &pairs, &pool),
-                    legacy,
-                    "{circuit_name} / {style}: coverage diverged from legacy at {workers} workers"
+                    expected,
+                    "{circuit_name} / {style}: coverage diverged from the oracle at {workers} workers"
                 );
             }
 
-            // Single-batch detected flags and N-detect hit counts. The
-            // legacy replica is 64-lane; the event-driven side takes the
-            // same lanes widened into the low limb of a superword.
-            let (v1_words, v2_words, mask) = pack64(&pairs, na);
+            // Single-batch detected flags and N-detect hit counts over the
+            // first 64 pairs, widened into the low limb of a superword.
+            let (v1_words, v2_words, _) = &batches[0];
             let w1: Vec<Packed256> = v1_words.iter().map(|&w| Packed256::from_word(w)).collect();
             let w2: Vec<Packed256> = v2_words.iter().map(|&w| Packed256::from_word(w)).collect();
             let wmask = Packed256::mask_lanes(pairs.len().min(64));
-            let mut legacy_sim = BaselineTransitionSimulator::new(&view);
             let mut event_sim = TransitionSimulator::new(&view);
 
-            let mut d_legacy = vec![false; faults.len()];
+            let d_oracle: Vec<bool> = oracle.iter().map(|words| words[0] != 0).collect();
+            let h_oracle = d_oracle.iter().filter(|&&d| d).count();
             let mut d_event = vec![false; faults.len()];
-            let h_legacy = legacy_sim.run_batch(&v1_words, &v2_words, mask, &faults, &mut d_legacy);
             let h_event = event_sim.run_batch(&w1, &w2, wmask, &faults, &mut d_event);
             assert_eq!(
-                (h_legacy, d_legacy),
                 (h_event, d_event),
-                "{circuit_name} / {style}: run_batch diverged from legacy"
+                (h_oracle, d_oracle),
+                "{circuit_name} / {style}: run_batch diverged from the oracle"
             );
 
-            let mut c_legacy = vec![0u32; faults.len()];
+            let c_oracle: Vec<u32> = oracle
+                .iter()
+                .map(|words| words[0].count_ones().min(NDETECT_TARGET))
+                .collect();
+            let s_oracle = c_oracle.iter().filter(|&&c| c >= NDETECT_TARGET).count();
             let mut c_event = vec![0u32; faults.len()];
-            let s_legacy = legacy_sim.run_batch_counting(
-                &v1_words,
-                &v2_words,
-                mask,
-                &faults,
-                &mut c_legacy,
-                NDETECT_TARGET,
-            );
             let s_event = event_sim.run_batch_counting(
                 &w1,
                 &w2,
@@ -144,9 +159,9 @@ fn event_driven_transition_sim_matches_legacy_full_cone() {
                 NDETECT_TARGET,
             );
             assert_eq!(
-                (s_legacy, c_legacy),
                 (s_event, c_event),
-                "{circuit_name} / {style}: run_batch_counting diverged from legacy"
+                (s_oracle, c_oracle),
+                "{circuit_name} / {style}: run_batch_counting diverged from the oracle"
             );
         }
     }

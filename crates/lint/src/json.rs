@@ -3,24 +3,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::report::LintReport;
+use flh_obs::escape;
 
-/// Escapes a string for inclusion in a JSON document.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::report::LintReport;
 
 fn string_array(items: impl IntoIterator<Item = String>) -> String {
     let quoted: Vec<String> = items
@@ -90,12 +75,6 @@ pub fn reports_to_json(reports: &[LintReport]) -> String {
 mod tests {
     use super::*;
     use crate::report::{Diagnostic, LintCode};
-
-    #[test]
-    fn escaping_handles_quotes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn summary_structure_is_stable() {

@@ -220,29 +220,6 @@ pub fn total_ff_fanouts(netlist: &Netlist, fanouts: &FanoutMap) -> usize {
         .sum()
 }
 
-/// Transitive fanout cone of a set of seed cells (excluding the seeds
-/// themselves unless reachable again), as a sorted id list.
-pub fn fanout_cone(netlist: &Netlist, fanouts: &FanoutMap, seeds: &[CellId]) -> Vec<CellId> {
-    let mut in_cone = vec![false; netlist.cell_count()];
-    let mut stack: Vec<CellId> = seeds.to_vec();
-    let mut cone = Vec::new();
-    while let Some(id) = stack.pop() {
-        for &r in fanouts.readers(id) {
-            if !in_cone[r.index()] {
-                in_cone[r.index()] = true;
-                cone.push(r);
-                // Stop at sequential boundaries: a FF's D pin is in the cone
-                // but its output belongs to the next cycle.
-                if !netlist.cell(r).kind().is_flip_flop() {
-                    stack.push(r);
-                }
-            }
-        }
-    }
-    cone.sort();
-    cone
-}
-
 /// Transitive fanin cone of a cell (stopping at sources and sequential
 /// boundaries), as a sorted id list including the seed.
 pub fn fanin_cone(netlist: &Netlist, seed: CellId) -> Vec<CellId> {
@@ -474,15 +451,6 @@ mod tests {
     #[test]
     fn cones() {
         let n = shared_flg_circuit();
-        let fo = FanoutMap::compute(&n);
-        let f1 = n.find("f1").unwrap();
-        let cone = fanout_cone(&n, &fo, &[f1]);
-        let names: Vec<&str> = cone.iter().map(|&id| n.cell(id).name()).collect();
-        assert!(names.contains(&"g1"));
-        assert!(names.contains(&"g2"));
-        assert!(names.contains(&"g3"));
-        assert!(names.contains(&"y"));
-
         let g3 = n.find("g3").unwrap();
         let fic = fanin_cone(&n, g3);
         let names: Vec<&str> = fic.iter().map(|&id| n.cell(id).name()).collect();

@@ -42,8 +42,7 @@
 //! Nothing is recorded until [`install`] flips the global `ENABLED` flag —
 //! the same recorder-style gate the `log` crate uses. Instrumented hot
 //! loops accumulate plain locals and do one `if enabled()` flush at the
-//! end, so the disabled cost is a branch on a static (verified empirically:
-//! `perf_report` numbers are unchanged within noise).
+//! end, so the disabled cost is a branch on a static.
 //!
 //! # Exporters
 //!
@@ -65,7 +64,9 @@ pub use registry::{
     Counter, Hist, HistogramSnapshot, SeriesSnapshot, Snapshot, SpanSnapshot, WorkerSnapshot,
     HIST_BUCKETS, SERIES_CAPACITY,
 };
-pub use report::{det_document, deterministic_json, full_json, nondeterministic_json, render_text};
+pub use report::{
+    det_document, deterministic_json, escape, full_json, nondeterministic_json, render_text,
+};
 pub use span::{span, write_trace, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -11,8 +11,10 @@ use std::fmt::Write;
 
 use crate::registry::Snapshot;
 
-/// Escapes a string for inclusion in a JSON document.
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON document: quote, backslash,
+/// `\n`, `\r` and `\t` get their short escapes, other control characters
+/// `\u00XX`. `flh-lint`'s summary emitter shares it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -231,4 +233,15 @@ pub fn render_text(snap: &Snapshot) -> String {
         let _ = writeln!(out, "  {name:<36} {v} (gauge)");
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::escape;
+
+    #[test]
+    fn escaping_handles_quotes_and_control_chars() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
 }

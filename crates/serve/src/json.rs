@@ -1,12 +1,10 @@
 //! Minimal JSON parsing and rendering for the serve protocol (the
 //! workspace has no serde).
 //!
-//! The parser moved here from `flh-bench` (which re-exports it for its
-//! `BENCH_*.json` validators) so the protocol and the report tooling agree
-//! on one [`Json`] value type. [`render`] is the protocol's inverse:
-//! object keys come out of the `BTreeMap` in sorted order and numbers with
-//! no fractional part print as integers, so a rendered line is a
-//! byte-stable function of the value — the property the `flh serve`
+//! It is the workspace's only JSON parser. [`render`] is the protocol's
+//! inverse: object keys come out of the `BTreeMap` in sorted order and
+//! numbers with no fractional part print as integers, so a rendered line
+//! is a byte-stable function of the value — the property the `flh serve`
 //! determinism gate diffs on.
 
 use std::collections::BTreeMap;

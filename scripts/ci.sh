@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: build, test (twice, at two pool widths), format check,
-# and a perf-report smoke run. No network access is required — the
-# workspace has no external crate dependencies (see flh-rng for the
-# in-tree PRNG).
+# golden deterministic counts and a short end-to-end benchmark run. No
+# network access is required — the workspace has no external crate
+# dependencies (see flh-rng for the in-tree PRNG).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,30 +92,33 @@ if ! diff "$bench_tmp/analyze_w1.txt" "$bench_tmp/analyze_w4.txt"; then
 fi
 echo "verifier clean, prune-consistent, pool-width invariant"
 
-echo "== metrics gate (deterministic counters, FLH_THREADS=1 vs 2, 3, 4) =="
-# The flh-obs deterministic section must be byte-identical at any pool
-# width: same campaign, several widths, diff the deterministic-metrics
-# JSON against width 1. The campaign deals its fault list out in chunks;
-# width 3 deals unevenly.
+echo "== metrics gate (deterministic counters vs golden, FLH_THREADS=1, 2, 3, 4) =="
+# The flh-obs deterministic section is a golden: the same campaign at
+# several widths must reproduce tests/golden/campaign_s9234.det.json byte
+# for byte (the tier-1 test in tests/cli.rs checks widths 1 and 2). Any
+# algorithmic change moves a count, so there is no tolerance: superword
+# replay off moves replay.lanes_per_call and replay.superword_calls, early
+# exit off moves replay.events and replay.early_exits. The campaign deals
+# its fault list out in chunks; width 3 deals unevenly.
 for w in 1 2 3 4; do
     FLH_THREADS=$w cargo run -q --release --offline --bin flh -- \
         campaign s9234 --pairs 192 --seed 7 \
         --metrics-det-json "$bench_tmp/metrics_w$w.json" >/dev/null
-done
-for w in 2 3 4; do
-    if ! diff "$bench_tmp/metrics_w1.json" "$bench_tmp/metrics_w$w.json"; then
-        echo "METRICS GATE FAILED: deterministic metrics differ at FLH_THREADS=$w" >&2
+    if ! diff tests/golden/campaign_s9234.det.json "$bench_tmp/metrics_w$w.json"; then
+        echo "METRICS GATE FAILED: deterministic metrics at FLH_THREADS=$w differ from the golden" >&2
         exit 1
     fi
 done
-echo "identical deterministic metrics at pool widths 1, 2, 3 and 4"
+echo "golden deterministic metrics at pool widths 1, 2, 3 and 4"
 
-echo "== ATPG gate (flh atpg s1196 + s9234: pinned pattern files, repeatable metrics) =="
+echo "== ATPG gate (flh atpg s1196 + s9234: pinned pattern files, golden metrics) =="
 # PODEM's decisions are pinned: every decision, backtrack and frontier
 # choice shows in the pattern file, whose FNV-1a hash (as
-# flh_serve::fnv1a computes it) must stay the recorded value. Two runs
-# must also agree on every deterministic counter (podem.backtracks,
-# podem.decisions, podem.aborts, replay work, atpg.redundancy.*).
+# flh_serve::fnv1a computes it) must stay the recorded value. Each run
+# must also reproduce every deterministic counter of
+# tests/golden/atpg_s1196.det.json (podem.backtracks, podem.decisions,
+# podem.aborts, replay work, atpg.redundancy.*): the redundancy pass off
+# moves podem.* and atpg.redundancy.*.
 fnv1a() {
     local h=$((0xcbf29ce484222325)) b
     for b in $(od -An -v -tu1 "$1"); do
@@ -132,11 +135,11 @@ for run in 1 2; do
         echo "ATPG GATE FAILED: s1196 pattern file hash $hash, pinned 5f98df5b980b665c" >&2
         exit 1
     fi
+    if ! diff tests/golden/atpg_s1196.det.json "$bench_tmp/atpg_metrics_$run.json"; then
+        echo "ATPG GATE FAILED: deterministic metrics of run $run differ from the golden" >&2
+        exit 1
+    fi
 done
-if ! diff "$bench_tmp/atpg_metrics_1.json" "$bench_tmp/atpg_metrics_2.json"; then
-    echo "ATPG GATE FAILED: deterministic metrics differ between two runs" >&2
-    exit 1
-fi
 # s9234 is where the redundancy pass prunes the most faults (2315): a pass
 # that pruned a testable fault would change this file.
 cargo run -q --release --offline --bin flh -- atpg s9234 --out "$bench_tmp/atpg_s9234.txt"
@@ -145,13 +148,64 @@ if [ "$hash" != 6343ac2adb30cb58 ]; then
     echo "ATPG GATE FAILED: s9234 pattern file hash $hash, pinned 6343ac2adb30cb58" >&2
     exit 1
 fi
-echo "pinned pattern files and identical deterministic metrics on both runs"
+echo "pinned pattern files and golden deterministic metrics on both runs"
 
 echo "== flowbench helper tests =="
 # The end-to-end benchmark is a package of its own, outside the workspace;
 # its helpers (metric tables vs BENCHMARK.json, statistics, argument
 # parsing, the serve mix) are tested here.
 cargo test -q --release --offline --manifest-path flowbench/Cargo.toml
+
+echo "== flowbench collapse gate (atpg, campaign: wall_s within 2x of the reference) =="
+# A short end-to-end run of the two flows the paper's Section IV rests on
+# (flowbench/README.md). The references are the slowest of five such runs
+# on a 2-vCPU x86-64 host whose speed drifts about 2x between phases, and
+# the bound is 2x of them: the gate catches a flow that collapses, not
+# noise. The golden metrics above gate the counts exactly.
+flowbench_reference_s=(atpg:0.395 campaign:0.821)
+
+# Checks one flowbench result line: correct, no failed operation, and
+# wall_s at most twice the reference. Says why and returns 1 otherwise.
+flowbench_check() {
+    local workload="$1" line="$2" reference="$3" wall
+    if [[ "$line" != *'"correct":true,'* || "$line" != *'"failed":0,'* ]]; then
+        echo "FLOWBENCH GATE FAILED: $workload result is not correct or has failed operations: $line" >&2
+        return 1
+    fi
+    wall="$(sed -nE 's/.*"wall_s":\{"value":([0-9.eE+-]+),.*/\1/p' <<<"$line")"
+    if [[ -z "$wall" ]]; then
+        echo "FLOWBENCH GATE FAILED: $workload result has no wall_s: $line" >&2
+        return 1
+    fi
+    if ! awk -v w="$wall" -v r="$reference" 'BEGIN { exit !(w <= 2 * r) }'; then
+        echo "FLOWBENCH GATE FAILED: $workload wall_s ${wall}s exceeds 2x the ${reference}s reference" >&2
+        return 1
+    fi
+    echo "$workload: wall_s ${wall}s, reference ${reference}s, bound 2x"
+}
+
+for entry in "${flowbench_reference_s[@]}"; do
+    workload="${entry%%:*}"
+    reference="${entry#*:}"
+    if ! cargo run -q --release --offline --manifest-path flowbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 5 --trace 0 \
+        > "$bench_tmp/flowbench_$workload.txt"; then
+        echo "FLOWBENCH GATE FAILED: the $workload run exited non-zero" >&2
+        tail -n 1 "$bench_tmp/flowbench_$workload.txt" >&2
+        exit 1
+    fi
+    line="$(tail -n 1 "$bench_tmp/flowbench_$workload.txt")"
+    flowbench_check "$workload" "$line" "$reference" || exit 1
+    # Negative check: the same line with wall_s at 10x the reference must
+    # trip the bound, or the gate is decorative.
+    slow="$(awk -v r="$reference" 'BEGIN { print 10 * r }')"
+    degraded="$(sed -E "s/(\"wall_s\":\\{\"value\":)[0-9.eE+-]+/\\1$slow/" <<<"$line")"
+    if flowbench_check "$workload" "$degraded" "$reference" >/dev/null 2>"$bench_tmp/negative.txt" \
+        || ! grep -q 'exceeds 2x' "$bench_tmp/negative.txt"; then
+        echo "FLOWBENCH GATE FAILED: a $workload result at 10x the reference did not trip the bound" >&2
+        exit 1
+    fi
+done
 
 echo "== serve smoke (scripted session, cache hit, FLH_THREADS=1 vs 4) =="
 # Three jobs — the third an exact duplicate of the first — through the
@@ -221,65 +275,11 @@ echo "== codegen equivalence gate (bytecode vs event-driven reference) =="
 # its own gate so a failure is attributed to codegen, not "tests".
 cargo test -q --offline -p flh-bench --test codegen_equivalence
 
-echo "== replay superword gate (256-lane vs four 64-lane replays) =="
-# The 256-lane production replay must detect exactly what four 64-lane
-# replays of the same generic engine detect, on every profile x style,
-# and its early exit must stay sound. Named so a failure is attributed
-# to the superword rebuild, not "tests".
+echo "== replay superword gate (256-lane replay vs the reference oracles) =="
+# The 256-lane production replay must detect exactly what the from-scratch
+# reference oracles detect, on every profile x style, and its early exit
+# must stay sound. Named so a failure is attributed to the superword
+# replay, not "tests".
 cargo test -q --offline -p flh-bench --test replay_superword_equivalence
-
-echo "== perf report smoke (--quick, temp outputs, recorder on) =="
-# Quick-mode reports go to a temp dir so the committed full-run
-# BENCH_*.json files are never clobbered by a smoke run. The recorder is
-# on here so check_bench below sees both schema shapes: the committed
-# reports carry {"recorded": false}, the quick ones a full section.
-cargo run -q --release --offline -p flh-bench --bin perf_report -- --quick \
-    --out "$bench_tmp/BENCH_compiled_ir.json" \
-    --out-parallel "$bench_tmp/BENCH_parallel_fsim.json" \
-    --out-transition "$bench_tmp/BENCH_transition_fsim.json" \
-    --metrics-json "$bench_tmp/perf_metrics.json" \
-    | tee "$bench_tmp/perf_report.log"
-if ! grep -q '^codegen_v2' "$bench_tmp/perf_report.log"; then
-    echo "PERF SMOKE FAILED: perf_report printed no codegen_v2 section" >&2
-    exit 1
-fi
-if ! grep -q '"codegen_v2"' "$bench_tmp/BENCH_compiled_ir.json"; then
-    echo "PERF SMOKE FAILED: BENCH_compiled_ir.json lacks the codegen_v2 section" >&2
-    exit 1
-fi
-if ! grep -q '"replay_superword"' "$bench_tmp/BENCH_parallel_fsim.json"; then
-    echo "PERF SMOKE FAILED: BENCH_parallel_fsim.json lacks the replay_superword section" >&2
-    exit 1
-fi
-if ! grep -q '"replay_superword"' "$bench_tmp/BENCH_transition_fsim.json"; then
-    echo "PERF SMOKE FAILED: BENCH_transition_fsim.json lacks the replay_superword section" >&2
-    exit 1
-fi
-
-echo "== bench report schema (committed + quick outputs) =="
-cargo run -q --release --offline -p flh-bench --bin check_bench -- \
-    BENCH_*.json "$bench_tmp"/BENCH_*.json
-
-echo "== bench trend gate (committed baselines vs quick run) =="
-# Quick mode runs a scaled-down workload on a possibly loaded CI host, so
-# the tolerances are generous: this gate catches collapses (superword path
-# off, parallel replay gone), not noise. The transition report's headline
-# speedup shrinks legitimately under quick's small workload — the naive
-# baseline amortizes better — hence its wider tolerance.
-cargo run -q --release --offline -p flh-bench --bin check_bench -- \
-    --trend BENCH_compiled_ir.json "$bench_tmp/BENCH_compiled_ir.json" --tol 0.5
-cargo run -q --release --offline -p flh-bench --bin check_bench -- \
-    --trend BENCH_parallel_fsim.json "$bench_tmp/BENCH_parallel_fsim.json" --tol 0.5
-cargo run -q --release --offline -p flh-bench --bin check_bench -- \
-    --trend BENCH_transition_fsim.json "$bench_tmp/BENCH_transition_fsim.json" --tol 0.8
-# Negative check: a synthetically degraded copy must trip the gate, or the
-# trend comparison is decorative.
-sed -E 's/"([a-z_0-9]*speedup[a-z_0-9]*)": *[0-9.]+/"\1": 0.001/' \
-    BENCH_compiled_ir.json > "$bench_tmp/BENCH_degraded.json"
-if cargo run -q --release --offline -p flh-bench --bin check_bench -- \
-    --trend BENCH_compiled_ir.json "$bench_tmp/BENCH_degraded.json" >/dev/null 2>&1; then
-    echo "TREND GATE FAILED: synthetically degraded report passed the trend check" >&2
-    exit 1
-fi
 
 echo "CI OK"

@@ -21,17 +21,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Whole determinism-critical crates, plus single result-bearing files of
-# crates that otherwise keep legacy HashMap cost-model caches (the frozen
-# benchmark baselines in flh-netlist's analysis module).
+# Whole determinism-critical crates, plus the result-bearing files of
+# flh-netlist, whose other modules keep HashMap name indexes.
 TARGETS=(
     crates/exec/src crates/atpg/src crates/obs/src crates/sim/src
     crates/lint/src crates/serve/src crates/bist/src
     crates/netlist/src/bytecode.rs
     crates/netlist/src/static_analysis.rs
-    crates/bench/src/replay64.rs
     src/bin
 )
+
+# A target that no longer exists would silently shrink the scan (grep's
+# "No such file" is swallowed below), so a stale entry fails the lint.
+for target in "${TARGETS[@]}"; do
+    if [[ ! -e "$target" ]]; then
+        echo "determinism lint: target $target does not exist" >&2
+        exit 1
+    fi
+done
 
 # The span layer is the *declared* wall-clock side of flh-obs — every
 # number it produces lands in the nondeterministic metrics section by

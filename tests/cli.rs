@@ -213,3 +213,58 @@ fn analyze_reports_clean_verifier_and_prune_consistency() {
     );
     assert!(stdout.contains("prune-consistency: OK"), "{stdout}");
 }
+
+/// Runs `flh ARGS --metrics-det-json` at one pool width and returns the
+/// deterministic metrics document it wrote.
+fn det_metrics(args: &[&str], threads: &str, out: &std::path::Path) -> Vec<u8> {
+    let run = Command::new(env!("CARGO_BIN_EXE_flh"))
+        .args(args)
+        .arg("--metrics-det-json")
+        .arg(out)
+        .env("FLH_THREADS", threads)
+        .output()
+        .expect("binary runs");
+    assert!(
+        run.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    std::fs::read(out).expect("metrics document written")
+}
+
+/// Golden counts: every deterministic counter of two fixed flows must
+/// match the committed document byte for byte. An algorithmic change
+/// moves a count (PODEM decisions and aborts, redundancy-pass prunes,
+/// replay events, early exits, superword calls and lanes per call), so
+/// the check needs no tolerance. The campaign document must also not
+/// depend on the pool width. A change that moves a count regenerates the
+/// golden with the same command.
+#[test]
+fn deterministic_metrics_match_the_goldens() {
+    let dir = std::env::temp_dir().join(format!("flh_cli_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let flows: [(&str, &[&str], &[&str]); 2] = [
+        ("atpg_s1196", &["atpg", "s1196"], &["1"]),
+        (
+            "campaign_s9234",
+            &["campaign", "s9234", "--pairs", "192", "--seed", "7"],
+            &["1", "2"],
+        ),
+    ];
+    for (name, args, widths) in flows {
+        let golden_path = format!(
+            "{}/tests/golden/{name}.det.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let golden = std::fs::read(&golden_path).expect("golden document present");
+        for &threads in widths {
+            let got = det_metrics(args, threads, &dir.join(format!("{name}_{threads}.json")));
+            assert!(
+                got == golden,
+                "{name} at FLH_THREADS={threads} differs from {golden_path}:\n{}",
+                String::from_utf8_lossy(&got)
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
