@@ -15,14 +15,13 @@
 //! [`random_transition_campaign`] quantifies this with seeded random
 //! pattern-pair campaigns under each constraint.
 
-use flh_exec::{gather, DropMask, ThreadPool};
+use flh_exec::{gather, ThreadPool};
 use flh_netlist::{LaneWord, Netlist, Packed256, PatternWord};
 use flh_rng::Rng;
 
-use crate::fsim::{MIN_FAULTS_PER_SHARD, PATTERN_BLOCK};
-use crate::transition::{
-    enumerate_transition_faults, order_transition_faults, TransitionSimulator,
-};
+use crate::fsim::PATTERN_BLOCK;
+use crate::region::deal_regions;
+use crate::transition::{enumerate_transition_faults, TransitionFault, TransitionSimulator};
 use crate::tview::{Observation, TestView};
 
 /// How the second pattern's state part is obtained.
@@ -85,11 +84,11 @@ pub fn random_transition_campaign(
     random_transition_campaign_pooled(netlist, style, pairs, seed, &ThreadPool::serial())
 }
 
-/// Pooled [`random_transition_campaign`]: the pair stream is generated up
-/// front (consuming the RNG in exactly the order the streaming serial path
-/// does — the stream never depends on detection), then the fault list is
-/// dealt out over the pool and every shard replays the full stream on its
-/// own simulator. Detection flags merge back by fault id, so the result is
+/// Pooled [`random_transition_campaign`]: the fault list is dealt out over
+/// the pool in whole fanout-free regions, and every shard streams the full
+/// pair sequence from its own copy of the seeded RNG — the stream never
+/// depends on detection, so every shard sees the same pairs. Detection
+/// counts add up across the disjoint shards, so the result is
 /// bit-identical at any pool size.
 ///
 /// # Errors
@@ -110,13 +109,15 @@ pub fn random_transition_campaign_pooled(
 }
 
 /// Campaign core over a prebuilt [`TestView`] and fault list — the entry
-/// point for callers that cache compiled circuits (the `flh-serve`
-/// `JobEngine`): a repeat campaign pays neither parse, compile nor fault
-/// enumeration. Semantics and results are exactly those of
-/// [`random_transition_campaign_pooled`] on the same netlist.
+/// point for callers that cache compiled circuits: a repeat campaign pays
+/// neither parse, compile nor fault enumeration. Semantics and results are
+/// exactly those of [`random_transition_campaign_pooled`] on the same
+/// netlist. It builds the prune filter on every call; a caller running
+/// several styles on one view (the `flh-serve` `JobEngine`) builds it once
+/// and calls [`transition_campaign_filtered`].
 pub fn transition_campaign_with_view(
     view: &TestView<'_>,
-    faults: &[crate::transition::TransitionFault],
+    faults: &[TransitionFault],
     style: ApplicationStyle,
     pairs: usize,
     seed: u64,
@@ -128,75 +129,78 @@ pub fn transition_campaign_with_view(
 
 /// [`transition_campaign_with_view`] with an explicit prune filter (`None`
 /// disables pruning). Statically untestable faults are dropped before
-/// sharding — the replay engine never touches them — while `total_faults`
+/// sharding — the simulator never touches them — while `total_faults`
 /// still counts the full universe. On a sound filter the pruned faults are
 /// exactly faults no pattern pair ever detects, so the aggregate counts
 /// are identical in both modes; the bench suite asserts that equality.
+///
+/// The kept faults are sorted region-major (`RegionMap::sort`) and dealt
+/// in chunks of whole fanout-free regions, so each stem replay a region
+/// asks for happens on one shard and the deterministic counters do not
+/// depend on the pool width. Each shard then streams the pair blocks
+/// itself from its own copy of the seeded RNG: memory per shard is a few
+/// words per assignable, not per pair, whatever `pairs` is.
 #[allow(clippy::too_many_arguments)]
 pub fn transition_campaign_filtered(
     view: &TestView<'_>,
-    faults: &[crate::transition::TransitionFault],
+    faults: &[TransitionFault],
     style: ApplicationStyle,
     pairs: usize,
     seed: u64,
     pool: &ThreadPool,
     filter: Option<&crate::prune::StaticFilter>,
 ) -> CampaignResult {
-    let mut rng = Rng::seed_from_u64(seed);
-    let n = view.assignable().len();
-
-    // The whole pair stream, in 256-lane blocks (see `fill_pair_block`
-    // for why the RNG order matches the streaming path's). A final
-    // partial block keeps only the lanes that hold real pairs in its mask.
-    let mut batches: Vec<(Vec<Packed256>, Vec<Packed256>, Packed256)> =
-        Vec::with_capacity(pairs.div_ceil(PATTERN_BLOCK));
-    let mut launch = Vec::new();
-    let mut remaining = pairs;
-    while remaining > 0 {
-        let lanes = remaining.min(PATTERN_BLOCK);
-        let mut v1 = vec![Packed256::bot(); n];
-        let mut v2 = vec![Packed256::bot(); n];
-        let mask = fill_pair_block(view, style, &mut rng, lanes, &mut v1, &mut v2, &mut launch);
-        batches.push((v1, v2, mask));
-        remaining -= lanes;
-    }
-
-    // Static prune, then static fault ordering: replay seeds sorted
-    // level-major walk the compiled program front-to-back. The campaign
-    // result is aggregate counts, so neither the permutation nor the
-    // removal of provably undetectable faults is visible to callers.
-    let ordered = match filter {
-        Some(f) => crate::prune::order_transition_faults_pruned(f, view.compiled(), faults).0,
-        None => order_transition_faults(view.compiled(), faults),
+    // Static prune, then region-major order. The campaign result is
+    // aggregate counts, so neither the permutation nor the removal of
+    // provably undetectable faults is visible to callers.
+    let mut ordered = match filter {
+        Some(f) => f.prune_transition(faults).kept,
+        None => faults.to_vec(),
     };
-
-    // The ordered list is dealt out in fixed-size chunks, so every shard
-    // takes a slice of every level band and the shards carry near-equal
-    // replay work; a list too short for two chunks runs as one shard (the
-    // per-shard setup — simulator, good-machine evaluations per batch —
-    // must amortize). Each shard drops detected faults across its whole
-    // batch stream: a fault is replayed at most until its first detecting
-    // batch.
-    let mut drops = DropMask::new(ordered.len());
-    let parts = pool.run_partitioned_min(ordered.len(), MIN_FAULTS_PER_SHARD, |shard| {
-        let faults = gather(&ordered, shard);
-        let mut sim = TransitionSimulator::new(view);
-        let mut detected = drops.shard(shard);
-        for (v1, v2, mask) in &batches {
-            sim.run_batch(v1, v2, *mask, &faults, &mut detected);
-        }
-        detected
+    let regions = view.regions();
+    regions.sort(view.compiled(), &mut ordered);
+    let parts = deal_regions(pool, regions, &ordered, |shard| {
+        stream_shard(view, style, pairs, seed, gather(&ordered, shard))
     });
-    for (shard, flags) in parts {
-        drops.merge_shard(&shard, &flags);
+    let detected: usize = parts.iter().map(|(_, found)| found).sum();
+    if flh_obs::enabled() {
+        flh_obs::add(flh_obs::Counter::FaultsDropped, detected as u64);
     }
 
     CampaignResult {
         style,
         total_faults: faults.len(),
-        detected: drops.dropped(),
+        detected,
         pairs,
     }
+}
+
+/// One shard of a pooled campaign: streams `pairs` pairs in 256-lane
+/// blocks from its own `Rng::seed_from_u64(seed)` and simulates its `live`
+/// faults on its own simulator, dropping each fault at its first detecting
+/// block and stopping once none is left. Returns the detections.
+fn stream_shard(
+    view: &TestView<'_>,
+    style: ApplicationStyle,
+    pairs: usize,
+    seed: u64,
+    mut live: Vec<TransitionFault>,
+) -> usize {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut sim = TransitionSimulator::new(view);
+    let n = view.assignable().len();
+    let (mut v1, mut v2) = (vec![Packed256::bot(); n], vec![Packed256::bot(); n]);
+    let mut found = 0;
+    let mut remaining = pairs;
+    while remaining > 0 && !live.is_empty() {
+        let lanes = remaining.min(PATTERN_BLOCK);
+        let mask = fill_pair_block(view, style, &mut rng, lanes, &mut v1, &mut v2);
+        let launch =
+            |good1: &[Packed256], v2: &mut [Packed256]| launch_state(view, style, good1, v2);
+        found += sim.run_block_live(&v1, &mut v2, launch, mask, &mut live);
+        remaining -= lanes;
+    }
+    found
 }
 
 /// Runs the full circuit × style campaign grid over a pool, one cell per
@@ -257,14 +261,12 @@ pub fn pairs_to_reach_coverage(
 /// mask. Limb `j` holds 64-lane sub-batch `j`, and each limb draws its
 /// words in a fixed order — all V1 words, the V2 primary-input words, then
 /// the style's state fill. That order is the determinism anchor shared by
-/// the streaming ([`campaign_impl`], one-limb blocks) and precomputed
-/// ([`transition_campaign_filtered`], 256-lane blocks) pair generators:
-/// the pair stream does not depend on the block width.
+/// the one-limb blocks of [`campaign_impl`] and the 256-lane blocks of
+/// [`stream_shard`]: the pair stream does not depend on the block width.
 ///
-/// The broadside launch — V2's state is the flip-flop capture of V1's
-/// response — consumes no randomness, so it runs once after every limb
-/// has drawn: one good-machine evaluation of the whole V1 block into the
-/// reusable `launch` buffer.
+/// The broadside state part of V2 draws nothing and is left for
+/// [`launch_state`], which fills it from the V1 good machine the simulator
+/// evaluates anyway.
 fn fill_pair_block(
     view: &TestView<'_>,
     style: ApplicationStyle,
@@ -272,7 +274,6 @@ fn fill_pair_block(
     lanes: usize,
     v1: &mut [Packed256],
     v2: &mut [Packed256],
-    launch: &mut Vec<Packed256>,
 ) -> Packed256 {
     let n_pi = view.primary_input_count();
     let n_ff = v1.len() - n_pi;
@@ -292,7 +293,7 @@ fn fill_pair_block(
                     w.0[limb] = rng.gen();
                 }
             }
-            ApplicationStyle::Broadside => {} // launched below, block-wide
+            ApplicationStyle::Broadside => {} // launch_state, block-wide
             ApplicationStyle::SkewedLoad => {
                 // State part of V2 = V1's state shifted one position down
                 // the chain (position i takes position i-1; position 0
@@ -306,20 +307,31 @@ fn fill_pair_block(
             }
         }
     }
-    if style == ApplicationStyle::Broadside {
-        // State part of V2 = the flip-flop D values under V1.
-        view.eval_lanes_into(v1, launch);
-        let mut ff_idx = 0;
-        for obs in view.observations() {
-            if let Observation::FfD(ff) = obs {
-                let d = view.netlist().cell(*ff).fanin()[0];
-                v2[n_pi + ff_idx] = launch[d.index()];
-                ff_idx += 1;
-            }
-        }
-        debug_assert_eq!(ff_idx, n_ff);
-    }
     Packed256::mask_lanes(lanes)
+}
+
+/// The V2 state part that depends on V1's response: under broadside, V2's
+/// state is the flip-flop capture of `good1`, the good V1 machine of the
+/// whole block. Other styles have filled V2 already.
+fn launch_state(
+    view: &TestView<'_>,
+    style: ApplicationStyle,
+    good1: &[Packed256],
+    v2: &mut [Packed256],
+) {
+    if style != ApplicationStyle::Broadside {
+        return;
+    }
+    let n_pi = view.primary_input_count();
+    let mut ff_idx = 0;
+    for obs in view.observations() {
+        if let Observation::FfD(ff) = obs {
+            let d = view.netlist().cell(*ff).fanin()[0];
+            v2[n_pi + ff_idx] = good1[d.index()];
+            ff_idx += 1;
+        }
+    }
+    debug_assert_eq!(ff_idx, v2.len() - n_pi);
 }
 
 /// Streaming campaign core: generates and simulates one batch at a time so
@@ -336,7 +348,7 @@ fn campaign_impl(
     let view = TestView::new(netlist)?;
     let faults = enumerate_transition_faults(netlist);
     let mut sim = TransitionSimulator::new(&view);
-    let mut detected = vec![false; faults.len()];
+    let mut live = faults.clone();
     let mut rng = Rng::seed_from_u64(seed);
 
     let n = view.assignable().len();
@@ -346,14 +358,15 @@ fn campaign_impl(
     let mut remaining = pairs;
     let mut v1 = vec![Packed256::bot(); n];
     let mut v2 = vec![Packed256::bot(); n];
-    let mut launch = Vec::new();
     while remaining > 0 {
         // One-limb blocks: the stop predicate still sees coverage every 64
         // pairs, so early-stop points (and the RNG stream) are identical
         // to the historical 64-lane streaming path.
         let lanes = remaining.min(64);
-        let mask = fill_pair_block(&view, style, &mut rng, lanes, &mut v1, &mut v2, &mut launch);
-        detected_count += sim.run_batch(&v1, &v2, mask, &faults, &mut detected);
+        let mask = fill_pair_block(&view, style, &mut rng, lanes, &mut v1, &mut v2);
+        let launch =
+            |good1: &[Packed256], v2: &mut [Packed256]| launch_state(&view, style, good1, v2);
+        detected_count += sim.run_block_live(&v1, &mut v2, launch, mask, &mut live);
         remaining -= lanes;
         applied += lanes;
         if stop(applied, detected_count, faults.len()) {

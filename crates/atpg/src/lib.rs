@@ -21,7 +21,8 @@
 //!   stuck-at and transition simulators run on;
 //! * [`transition`] — two-pattern transition-fault ATPG built on PODEM
 //!   (launch value justified by V1, detection by a stuck-at test as V2) and
-//!   transition-fault simulation of pattern pairs;
+//!   transition-fault simulation of pattern pairs, which replays one stem
+//!   per fanout-free region per block (`region`);
 //! * [`application`] — the three scan application styles: arbitrary
 //!   two-pattern (enhanced scan / FLH), broadside (V2's state = circuit
 //!   response to V1) and skewed-load (V2's state = 1-bit shift of V1's),
@@ -39,6 +40,7 @@ pub mod path;
 pub mod patterns_io;
 pub mod podem;
 pub mod prune;
+pub(crate) mod region;
 pub mod replay;
 pub mod transition;
 pub mod tview;
@@ -65,13 +67,13 @@ pub use path::{
 pub use patterns_io::{parse_patterns, read_patterns_file, write_patterns};
 pub use podem::{Podem, PodemConfig, TestCube};
 pub use prune::{
-    order_stuck_faults_pruned, order_transition_faults_pruned, stuck_coverage_pruned, PruneOutcome,
-    RedundantTransitions, StaticFilter,
+    order_stuck_faults_pruned, stuck_coverage_pruned, PruneOutcome, RedundantTransitions,
+    StaticFilter,
 };
 pub use replay::DeviationReplay;
 pub use transition::{
     collapse_transition_faults, compact_transition_patterns, enumerate_transition_faults,
-    order_transition_faults, simulate_transition_patterns, simulate_transition_patterns_dropping,
+    simulate_transition_patterns, simulate_transition_patterns_dropping,
     simulate_transition_patterns_partitioned, transition_atpg, transition_atpg_ndetect,
     transition_atpg_with_filter, transition_collapse_justifier, transition_detects_reference,
     NDetectResult, TransitionAtpgResult, TransitionFault, TransitionKind, TransitionPattern,

@@ -48,7 +48,7 @@ use flh_netlist::{CellKind, CompiledCircuit};
 
 use crate::fault::{Fault, FaultSite};
 use crate::fsim::{order_stuck_faults, stuck_coverage_partitioned};
-use crate::transition::{order_transition_faults, TransitionFault};
+use crate::transition::TransitionFault;
 use crate::tview::TestView;
 use flh_exec::ThreadPool;
 
@@ -202,19 +202,6 @@ pub fn order_stuck_faults_pruned(
 ) -> (Vec<Fault>, usize) {
     let outcome = filter.prune_stuck(faults);
     (order_stuck_faults(compiled, &outcome.kept), outcome.pruned)
-}
-
-/// [`order_transition_faults`] with a static prune step in front.
-pub fn order_transition_faults_pruned(
-    filter: &StaticFilter,
-    compiled: &CompiledCircuit,
-    faults: &[TransitionFault],
-) -> (Vec<TransitionFault>, usize) {
-    let outcome = filter.prune_transition(faults);
-    (
-        order_transition_faults(compiled, &outcome.kept),
-        outcome.pruned,
-    )
 }
 
 /// Pruned stuck-at coverage: simulate only the kept faults and scatter the

@@ -26,10 +26,11 @@
 //! heavily, a superword replay costs far less than four word replays).
 //!
 //! [`crate::fsim::StuckSimulator`] replays the single-frame faulty machine
-//! on it; [`crate::transition::TransitionSimulator`] replays the V2 frame
-//! of a two-pattern test under the fault's stuck equivalent. Both engines
-//! are bit-identical to their brute-force references
-//! ([`crate::fsim::stuck_detects_reference`],
+//! on it, once per fault; [`crate::transition::TransitionSimulator`]
+//! replays the V2 frame of a two-pattern test once per fanout-free region
+//! stem (the `region` module), forced in the union of the lanes its region's
+//! faults need. Both engines are bit-identical to their brute-force
+//! references ([`crate::fsim::stuck_detects_reference`],
 //! [`crate::transition::transition_detects_reference`]).
 
 use std::sync::Arc;
@@ -100,10 +101,11 @@ impl<W: PatternWord> DeviationReplay<W> {
     /// accumulated over changed cells flagged in `observed`. `values` is
     /// restored to its entry state before returning.
     ///
-    /// Replay aborts early once `miscompare` intersects `stop_lanes` — the
-    /// caller passes its activation-lane word so a detected fault never
-    /// pays for the rest of its deviation. Pass `stop_lanes = W::bot()` to
-    /// propagate to quiescence and get the exact per-lane miscompare word.
+    /// Replay aborts early once `miscompare` intersects `stop_lanes` — a
+    /// caller that only asks *whether* its lanes miscompare passes them, so
+    /// a detected fault never pays for the rest of its deviation. Pass
+    /// `stop_lanes = W::bot()` to propagate to quiescence and get the exact
+    /// per-lane miscompare word.
     pub fn replay(
         &mut self,
         compiled: &CompiledCircuit,
@@ -228,11 +230,13 @@ impl<W: PatternWord> DeviationReplay<W> {
 }
 
 /// Flushes one replay call's deterministic metrics. Replay work is a
-/// per-fault quantity: every counter flushed here is invariant under
-/// fault-list sharding (a shard replays the full batch stream, and a
-/// fault's deviation depends only on the fault and the batch), so these
-/// stay deterministic at any pool width. `lane_evals` is normalized by the
-/// engine's lane width so 64- and 256-lane campaigns stay comparable.
+/// per-fault quantity for stuck-at faults and a per-region one for
+/// transition stems: a shard replays the full batch stream, a deviation
+/// depends only on the fault (or on the stem's region) and the batch, and
+/// regions are dealt whole, so every counter flushed here is invariant
+/// under fault-list sharding and stays deterministic at any pool width.
+/// `lane_evals` is normalized by the engine's lane width so 64- and
+/// 256-lane campaigns stay comparable.
 #[inline]
 fn flush_replay_metrics<W: PatternWord>(
     ev_events: u64,

@@ -8,16 +8,20 @@
 //! arbitrary, so ATPG decomposes into a PODEM stuck-at test for V2 plus a
 //! justification for V1 — precisely why the paper's technique, which
 //! enables arbitrary pairs cheaply, preserves full ATPG power.
+//!
+//! [`TransitionSimulator`] is the one transition fault simulator: a
+//! stem-region simulator that traces each fault to its fanout-free
+//! region's stem inside the good machine and replays each stem once per
+//! block (see the `region` module), instead of replaying every fault.
 
 use flh_exec::{gather, DropMask, ThreadPool};
-use flh_netlist::{
-    analysis, CellId, CellKind, CompiledCircuit, LaneWord, Netlist, Packed256, PatternWord,
-};
+use flh_netlist::{analysis, CellId, CellKind, LaneWord, Netlist, Packed256, PatternWord};
 use flh_rng::Rng;
 
 use crate::fault::{Fault, StuckValue};
-use crate::fsim::{FaultStats, MIN_FAULTS_PER_SHARD, PATTERN_BLOCK};
+use crate::fsim::{FaultStats, PATTERN_BLOCK};
 use crate::podem::{Podem, PodemConfig};
+use crate::region::{deal_regions, RegionMap};
 use crate::replay::DeviationReplay;
 use crate::tview::TestView;
 
@@ -234,22 +238,66 @@ pub struct TransitionPattern {
     pub v2: Vec<bool>,
 }
 
-/// Event-driven transition fault simulator over a test view, built on the
+/// Stem-region transition fault simulator over a test view, built on the
 /// shared [`DeviationReplay`] engine.
 ///
-/// Like [`crate::fsim::StuckSimulator`], it walks the view's compiled
-/// circuit: the faulty V2 machine is replayed in place from the fault site
-/// through the readers of changed cells only — never the site's full
-/// static fanout cone — detection scans only changed observation drivers,
-/// and replay aborts as soon as an activation lane miscompares.
+/// A fault on a region-internal line reaches the rest of the circuit only
+/// through its fanout-free region's stem (`RegionMap`). So per block of
+/// up to 256 pattern pairs the simulator works in three passes:
+///
+/// 1. For each live fault, `act` = the lanes where V1 sets the initial
+///    value and V2 the final value, and `lanes = act ∧ D(site)`, where
+///    `D(x)` is the word of lanes in which flipping `x` in the good V2
+///    machine flips the region's stem: `D(stem) = ⊤`, and `D(x) =
+///    (eval_cell(reader) with x flipped ⊕ good(reader)) ∧ D(reader)`,
+///    memoized per block along the chain. `lanes` is ORed into the stem's
+///    request word `U`.
+/// 2. Each stem with a non-empty `U` is replayed once, with `forced = good
+///    ⊕ U`, and its miscompare word `O` is kept.
+/// 3. A fault is detected iff `lanes ∧ O ≠ 0`; counting takes
+///    `popcount(lanes ∧ O)`.
+///
+/// This is exact. The chain from a site to its stem is a single path, so
+/// the site stuck at its initial value flips the stem in exactly the lanes
+/// `lanes`, and nothing else in the circuit. In a requested lane, `good ⊕
+/// U` is therefore the stem value the fault's own replay would reach, and
+/// every opcode is lane-wise, so `O` agrees with that replay in every lane
+/// the fault reads. The replay is event-driven (readers of changed cells
+/// only), scans only changed observation drivers, and stops on the first
+/// miscompare in `U` when exactly one fault asked for the stem.
+///
+/// Per-block state is one `u32` slot per cell, a sensitization word per
+/// region-internal cell the block touched, and a request word per stem it
+/// replays — no per-fault lane vector.
 pub struct TransitionSimulator<'v, 'a> {
     view: &'v TestView<'a>,
-    /// Good V2 values, reused across batches; faulty resimulation mutates
-    /// it in place under the replay engine's undo log.
+    regions: &'v RegionMap,
+    /// Good V2 values, reused across batches; stem replays mutate it in
+    /// place under the replay engine's undo log.
     values2: Vec<Packed256>,
     /// Good V1 values (never mutated per fault).
     values1: Vec<Packed256>,
     replay: DeviationReplay<Packed256>,
+    /// Per cell: the index of a region-internal cell's entry in `sens`, or
+    /// of a stem's entry in `requests`. An index left from an earlier block
+    /// is stale unless the entry there names the cell back (a sparse set,
+    /// so a new block needs no reset).
+    slot: Vec<u32>,
+    /// The region-internal cells this block has needed `D` of, aligned
+    /// with `sens`.
+    sens_cells: Vec<u32>,
+    /// Their words `D(x)`.
+    sens: Vec<Packed256>,
+    /// Stems requested this block, in first-request order: `(stem, faults
+    /// asking)`, aligned with `words`.
+    requests: Vec<(u32, u32)>,
+    /// Per request: the request word `U` until the stem is replayed, then
+    /// its miscompare word `O`.
+    words: Vec<Packed256>,
+    /// The unresolved `(cell, reader)` links of a chain during a `D` walk.
+    chain: Vec<(u32, u32)>,
+    /// Register scratch for [`flh_netlist::Program::eval_cell`].
+    scratch: Vec<Packed256>,
 }
 
 impl<'v, 'a> TransitionSimulator<'v, 'a> {
@@ -257,44 +305,18 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
     pub fn new(view: &'v TestView<'a>) -> Self {
         TransitionSimulator {
             view,
+            regions: view.regions(),
             values2: Vec::new(),
             values1: Vec::new(),
             replay: DeviationReplay::new(view.compiled(), view.program_arc()),
+            slot: vec![0; view.compiled().cell_count()],
+            sens_cells: Vec::new(),
+            sens: Vec::new(),
+            requests: Vec::new(),
+            words: Vec::new(),
+            chain: Vec::new(),
+            scratch: vec![Packed256::bot(); view.program().scratch_words()],
         }
-    }
-
-    /// Event-driven replay of the V2 machine under `fault`'s stuck
-    /// equivalent, forced only in the activated `lanes`; returns the
-    /// observation miscompare word and leaves `values2` restored to the
-    /// good machine. The other lanes keep the site's good value: every
-    /// opcode is lane-wise, so a lane's faulty value depends on that lane
-    /// alone, and a deviation in a lane that is not activated could only
-    /// feed miscompare bits the caller masks off — forcing there would
-    /// just propagate events no detection reads. `stop_lanes` is forwarded
-    /// to [`DeviationReplay::replay`]: detection passes the activation
-    /// lanes (abort on first miscompare there), counting passes
-    /// [`Packed256::bot`] (full propagation for an exact per-lane word).
-    fn faulty_miscompare(
-        &mut self,
-        fault: &TransitionFault,
-        lanes: Packed256,
-        stop_lanes: Packed256,
-    ) -> Packed256 {
-        let seed = fault.site.index() as u32;
-        let good = self.values2[seed as usize];
-        let forced = if fault.stuck_equivalent().stuck.as_bool() {
-            good.or(lanes)
-        } else {
-            good.and(lanes.not())
-        };
-        self.replay.replay(
-            self.view.compiled(),
-            self.view.observed_drivers(),
-            &mut self.values2,
-            seed,
-            forced,
-            stop_lanes,
-        )
     }
 
     /// Simulates up to 256 pattern pairs against a fault set, marking
@@ -312,37 +334,217 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         faults: &[TransitionFault],
         detected: &mut [bool],
     ) -> usize {
-        let (view, values1, values2) = (self.view, &mut self.values1, &mut self.values2);
-        view.eval_lanes_into(v1_words, values1);
-        view.eval_lanes_into(v2_words, values2);
+        self.view.eval_lanes_into(v1_words, &mut self.values1);
+        self.view.eval_lanes_into(v2_words, &mut self.values2);
+        let live = faults.iter().zip(detected.iter()).filter(|(_, &d)| !d);
+        self.replay_regions(active_mask, live.map(|(f, _)| f), false);
         let mut new_hits = 0;
-        let mut activation_skips = 0u64;
-
-        for (fi, fault) in faults.iter().enumerate() {
-            if detected[fi] {
-                continue;
-            }
-            let lanes = self.activation_lanes(fault).and(active_mask);
-            if !lanes.any() {
-                activation_skips += 1;
-                continue;
-            }
-            if self.faulty_miscompare(fault, lanes, lanes).and(lanes).any() {
-                detected[fi] = true;
+        for (fault, d) in faults.iter().zip(detected.iter_mut()) {
+            if !*d && self.detection_lanes(fault, active_mask).any() {
+                *d = true;
                 new_hits += 1;
             }
         }
         if flh_obs::enabled() {
-            // Per-fault quantities only: invariant under fault-list
-            // sharding (the good-machine evaluations above are per-shard
-            // work and deliberately uncounted).
-            flh_obs::add(
-                flh_obs::Counter::TransitionActivationSkips,
-                activation_skips,
-            );
             flh_obs::add(flh_obs::Counter::TransitionDetections, new_hits as u64);
         }
         new_hits
+    }
+
+    /// The campaign's block: evaluates the good V1 machine, lets `launch`
+    /// complete V2 from it (the broadside launch fills V2's state part from
+    /// V1's flip-flop D values), evaluates V2, simulates every fault in
+    /// `live` and removes the detected ones. Returns how many it removed.
+    pub(crate) fn run_block_live(
+        &mut self,
+        v1_words: &[Packed256],
+        v2_words: &mut [Packed256],
+        launch: impl FnOnce(&[Packed256], &mut [Packed256]),
+        active_mask: Packed256,
+        live: &mut Vec<TransitionFault>,
+    ) -> usize {
+        self.view.eval_lanes_into(v1_words, &mut self.values1);
+        launch(&self.values1, v2_words);
+        self.view.eval_lanes_into(v2_words, &mut self.values2);
+        self.replay_regions(active_mask, live.iter(), false);
+        let before = live.len();
+        live.retain(|fault| !self.detection_lanes(fault, active_mask).any());
+        let new_hits = before - live.len();
+        if flh_obs::enabled() {
+            flh_obs::add(flh_obs::Counter::TransitionDetections, new_hits as u64);
+        }
+        new_hits
+    }
+
+    /// Like [`TransitionSimulator::run_batch`], but counts *how many*
+    /// distinct pattern lanes detect each fault (saturating at `target`),
+    /// for N-detect test generation. Returns the number of faults that
+    /// reached `target` in this batch.
+    pub fn run_batch_counting(
+        &mut self,
+        v1_words: &[Packed256],
+        v2_words: &[Packed256],
+        active_mask: Packed256,
+        faults: &[TransitionFault],
+        counts: &mut [u32],
+        target: u32,
+    ) -> usize {
+        self.view.eval_lanes_into(v1_words, &mut self.values1);
+        self.view.eval_lanes_into(v2_words, &mut self.values2);
+        let live = faults
+            .iter()
+            .zip(counts.iter())
+            .filter(|(_, &c)| c < target);
+        self.replay_regions(active_mask, live.map(|(f, _)| f), true);
+        let mut newly_saturated = 0;
+        for (fault, count) in faults.iter().zip(counts.iter_mut()) {
+            if *count >= target {
+                continue;
+            }
+            let hits = self.detection_lanes(fault, active_mask).count_ones();
+            *count = (*count + hits).min(target);
+            if *count >= target {
+                newly_saturated += 1;
+            }
+        }
+        newly_saturated
+    }
+
+    /// Passes 1 and 2 of a block (see the type docs) over the good
+    /// machines already in `values1`/`values2`: collects the stem requests
+    /// of the `live` faults and replays each requested stem once. Counting
+    /// replays run to quiescence (`stop_lanes = ⊥`) for an exact per-lane
+    /// word, as does any stem more than one fault asked for; a stem one
+    /// fault asked for stops on its first miscompare.
+    fn replay_regions<'f>(
+        &mut self,
+        mask: Packed256,
+        live: impl Iterator<Item = &'f TransitionFault>,
+        counting: bool,
+    ) {
+        self.sens_cells.clear();
+        self.sens.clear();
+        self.requests.clear();
+        self.words.clear();
+        let (mut activation_skips, mut masked, mut evals) = (0u64, 0u64, 0u64);
+        for fault in live {
+            let act = self.activation_lanes(fault).and(mask);
+            if !act.any() {
+                activation_skips += 1;
+                continue;
+            }
+            let site = fault.site.index() as u32;
+            let lanes = act.and(self.sensitization(site, &mut evals));
+            if !lanes.any() {
+                masked += 1;
+                continue;
+            }
+            let stem = self.regions.stem(site);
+            if let Some(r) = self.request_slot(stem) {
+                self.requests[r].1 += 1;
+                self.words[r] = self.words[r].or(lanes);
+            } else {
+                self.slot[stem as usize] = self.requests.len() as u32;
+                self.requests.push((stem, 1));
+                self.words.push(lanes);
+            }
+        }
+        for (&(stem, faults), word) in self.requests.iter().zip(self.words.iter_mut()) {
+            let stop = if counting || faults > 1 {
+                Packed256::bot()
+            } else {
+                *word
+            };
+            let forced = self.values2[stem as usize].xor(*word);
+            *word = self.replay.replay(
+                self.view.compiled(),
+                self.view.observed_drivers(),
+                &mut self.values2,
+                stem,
+                forced,
+                stop,
+            );
+        }
+        if flh_obs::enabled() {
+            // Per-fault and per-region quantities only: regions are dealt
+            // whole, so these are invariant under fault-list sharding (the
+            // good-machine evaluations are per-shard work and deliberately
+            // uncounted).
+            use flh_obs::Counter;
+            flh_obs::add(Counter::TransitionActivationSkips, activation_skips);
+            flh_obs::add(Counter::TransitionRegionMasked, masked);
+            flh_obs::add(Counter::TransitionRegionEvals, evals);
+        }
+    }
+
+    /// `D(cell)`: the lanes in which flipping `cell` in the good V2 machine
+    /// flips its region's stem. Walks up the reader chain to the stem or to
+    /// the first cell already known this block, then folds back down,
+    /// evaluating each reader once with its driver flipped (counted in
+    /// `evals`) and memoizing every word on the way. Once a word is empty,
+    /// every word below it is too, and no reader is evaluated for them.
+    fn sensitization(&mut self, cell: u32, evals: &mut u64) -> Packed256 {
+        let mut x = cell;
+        let mut d = loop {
+            let Some(reader) = self.regions.reader(x) else {
+                break Packed256::top();
+            };
+            if let Some(k) = self.sens_slot(x) {
+                break self.sens[k];
+            }
+            self.chain.push((x, reader));
+            x = reader;
+        };
+        while let Some((x, reader)) = self.chain.pop() {
+            if d.any() {
+                let good = self.values2[x as usize];
+                self.values2[x as usize] = good.not();
+                let flipped =
+                    self.view
+                        .program()
+                        .eval_cell(reader, &self.values2, &mut self.scratch);
+                self.values2[x as usize] = good;
+                d = d.and(flipped.xor(self.values2[reader as usize]));
+                *evals += 1;
+            }
+            self.slot[x as usize] = self.sens.len() as u32;
+            self.sens_cells.push(x);
+            self.sens.push(d);
+        }
+        d
+    }
+
+    /// Pass 3 for one fault: the lanes of this block that detect it — its
+    /// activated, stem-sensitized lanes where its stem's replay
+    /// miscompared. Valid after [`Self::replay_regions`] saw the fault.
+    fn detection_lanes(&self, fault: &TransitionFault, mask: Packed256) -> Packed256 {
+        let act = self.activation_lanes(fault).and(mask);
+        if !act.any() {
+            return Packed256::bot();
+        }
+        let site = fault.site.index() as u32;
+        let sens = match self.sens_slot(site) {
+            Some(k) => self.sens[k],
+            None => Packed256::top(), // a stem
+        };
+        let lanes = act.and(sens);
+        match self.request_slot(self.regions.stem(site)) {
+            Some(r) if lanes.any() => lanes.and(self.words[r]),
+            _ => Packed256::bot(),
+        }
+    }
+
+    /// This block's `sens` index of a region-internal `cell`, once its `D`
+    /// is known.
+    fn sens_slot(&self, cell: u32) -> Option<usize> {
+        let k = self.slot[cell as usize] as usize;
+        (k < self.sens_cells.len() && self.sens_cells[k] == cell).then_some(k)
+    }
+
+    /// This block's `requests` index of `stem`, once a fault asked for it.
+    fn request_slot(&self, stem: u32) -> Option<usize> {
+        let k = self.slot[stem as usize] as usize;
+        (k < self.requests.len() && self.requests[k].0 == stem).then_some(k)
     }
 
     /// Lanes where V1 sets the initial value and V2 the final value at the
@@ -360,57 +562,6 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
             self.values2[site].not()
         };
         init_mask.and(launch_mask)
-    }
-
-    /// Like [`TransitionSimulator::run_batch`], but counts *how many*
-    /// distinct pattern lanes detect each fault (saturating at `target`),
-    /// for N-detect test generation. Returns the number of faults that
-    /// reached `target` in this batch.
-    pub fn run_batch_counting(
-        &mut self,
-        v1_words: &[Packed256],
-        v2_words: &[Packed256],
-        active_mask: Packed256,
-        faults: &[TransitionFault],
-        counts: &mut [u32],
-        target: u32,
-    ) -> usize {
-        let (view, values1, values2) = (self.view, &mut self.values1, &mut self.values2);
-        view.eval_lanes_into(v1_words, values1);
-        view.eval_lanes_into(v2_words, values2);
-        let mut newly_saturated = 0;
-        let mut activation_skips = 0u64;
-
-        for (fi, fault) in faults.iter().enumerate() {
-            if counts[fi] >= target {
-                continue;
-            }
-            let lanes = self.activation_lanes(fault).and(active_mask);
-            if !lanes.any() {
-                activation_skips += 1;
-                continue;
-            }
-            // stop_lanes = bot: counting needs the exact per-lane word, so
-            // the replay must run to quiescence — no early exit.
-            let hits = self
-                .faulty_miscompare(fault, lanes, Packed256::bot())
-                .and(lanes)
-                .count_ones();
-            if hits > 0 {
-                let before = counts[fi];
-                counts[fi] = (counts[fi] + hits).min(target);
-                if before < target && counts[fi] >= target {
-                    newly_saturated += 1;
-                }
-            }
-        }
-        if flh_obs::enabled() {
-            flh_obs::add(
-                flh_obs::Counter::TransitionActivationSkips,
-                activation_skips,
-            );
-        }
-        newly_saturated
     }
 }
 
@@ -438,29 +589,11 @@ fn pack_pair_batch(
     Packed256::mask_lanes(chunk.len())
 }
 
-/// Reorders a transition fault list **level-major by site** (ties broken
-/// by dense cell id, then original position): the replay seeded at each
-/// site then sweeps the compiled program front-to-back, so consecutive
-/// faults touch adjacent bytecode/CSR regions. Locality only — per-fault
-/// detection results never depend on processing order; callers returning
-/// per-fault vectors must scatter results back through the permutation.
-pub fn order_transition_faults(
-    compiled: &CompiledCircuit,
-    faults: &[TransitionFault],
-) -> Vec<TransitionFault> {
-    let mut ordered: Vec<TransitionFault> = faults.to_vec();
-    ordered.sort_by_key(|f| {
-        let seed = f.site.index() as u32;
-        (compiled.level_of(seed), seed)
-    });
-    ordered
-}
-
 /// One worker's share of a partitioned pair campaign: a fresh simulator,
-/// the full pattern-pair set, the faults of one dealt shard. Faults
-/// flagged in `dropped` were detected by an earlier call and are never
-/// replayed again; the shard's updated flags are merged back by the
-/// caller.
+/// the full pattern-pair set, the faults of one dealt shard (whole
+/// regions). Faults flagged in `dropped` were detected by an earlier call
+/// and are never simulated again; the shard's updated flags are merged
+/// back by the caller.
 fn pair_stats_shard(
     view: &TestView<'_>,
     faults: &[TransitionFault],
@@ -489,11 +622,12 @@ fn pair_stats_shard(
 }
 
 impl TransitionSimulator<'_, '_> {
-    /// Partitioned pattern-pair campaign: faults dealt out to the pool
-    /// workers in chunks ([`ThreadPool::partition_min`]), each shard on its
-    /// own simulator, per-fault stats scattered back **by fault id**
-    /// through each shard's ranges — never in completion order.
-    /// Bit-identical at any pool size.
+    /// Partitioned pattern-pair campaign: faults sorted region-major and
+    /// dealt out to the pool workers in chunks of whole fanout-free regions
+    /// (see the `region` module), each shard on its own simulator,
+    /// per-fault stats scattered back **by fault id** — never in completion
+    /// order. Bit-identical at any pool size, deterministic counters
+    /// included.
     pub fn simulate_partitioned(
         view: &TestView<'_>,
         faults: &[TransitionFault],
@@ -518,15 +652,36 @@ impl TransitionSimulator<'_, '_> {
         drops: &mut DropMask,
     ) -> Vec<FaultStats> {
         assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
-        let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |shard| {
-            pair_stats_shard(view, &gather(faults, shard), patterns, drops.shard(shard))
+        // Position `p` of the region-major list holds input fault
+        // `order[p]`; the shards work on positions and everything is
+        // scattered back through `order`.
+        let order = view.regions().order(view.compiled(), faults);
+        let ordered: Vec<TransitionFault> = order.iter().map(|&i| faults[i]).collect();
+        let mut ordered_drops = DropMask::new(faults.len());
+        for (p, &i) in order.iter().enumerate() {
+            if drops.is_dropped(i) {
+                ordered_drops.drop_fault(p);
+            }
+        }
+        let parts = deal_regions(pool, view.regions(), &ordered, |shard| {
+            pair_stats_shard(
+                view,
+                &gather(&ordered, shard),
+                patterns,
+                ordered_drops.shard(shard),
+            )
         });
         let mut stats = vec![FaultStats::default(); faults.len()];
         for (shard, (shard_stats, flags)) in parts {
-            for (fi, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
-                stats[fi] = s;
+            for (p, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
+                stats[order[p]] = s;
             }
-            drops.merge_shard(&shard, &flags);
+            ordered_drops.merge_shard(&shard, &flags);
+        }
+        for (p, &i) in order.iter().enumerate() {
+            if ordered_drops.is_dropped(p) {
+                drops.drop_fault(i);
+            }
         }
         stats
     }
@@ -1160,17 +1315,190 @@ mod tests {
         }
     }
 
+    /// Checks stem-region simulation lane by lane against
+    /// [`transition_detects_reference`] on `n`: `run_batch` and
+    /// `run_batch_counting` over the whole fault list at once (several
+    /// faults per stem: full propagation) and `run_batch` per fault (one
+    /// fault per stem: early exit), under full, single-lane, single-limb
+    /// and sparse masks.
+    fn assert_regions_match_reference(n: &Netlist) {
+        let view = TestView::new(n).unwrap();
+        let faults = enumerate_transition_faults(n);
+        assert!(!faults.is_empty());
+        let na = view.assignable().len();
+        let mut rng = Rng::seed_from_u64(n.cell_count() as u64);
+        let mut sim = TransitionSimulator::new(&view);
+        for _ in 0..8 {
+            let mut limbs = || -> Vec<Vec<u64>> {
+                (0..4)
+                    .map(|_| (0..na).map(|_| rng.gen()).collect())
+                    .collect()
+            };
+            let (v1, v2) = (limbs(), limbs());
+            let pack = |v: &[Vec<u64>]| -> Vec<Packed256> {
+                (0..na)
+                    .map(|i| Packed256::from_limbs([v[0][i], v[1][i], v[2][i], v[3][i]]))
+                    .collect()
+            };
+            let (w1, w2) = (pack(&v1), pack(&v2));
+            let mut masks = vec![
+                Packed256::top(),
+                Packed256::lane_bit(0),
+                Packed256::lane_bit(255),
+                Packed256::from_limbs([0, 0, !0, 0]),
+            ];
+            for density in [2, 4] {
+                let sparse =
+                    [(); 4].map(|_| (0..density).fold(!0u64, |acc, _| acc & rng.gen::<u64>()));
+                masks.push(Packed256::from_limbs(sparse));
+            }
+            for mask in masks {
+                let reference: Vec<Vec<u64>> = faults
+                    .iter()
+                    .map(|f| {
+                        (0..4)
+                            .map(|l| {
+                                transition_detects_reference(&view, f, &v1[l], &v2[l], mask.limb(l))
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let expected: Vec<bool> = reference
+                    .iter()
+                    .map(|r| r.iter().any(|&w| w != 0))
+                    .collect();
+                let mut detected = vec![false; faults.len()];
+                let hits = sim.run_batch(&w1, &w2, mask, &faults, &mut detected);
+                assert_eq!(detected, expected, "{}: all faults, {mask:?}", n.name());
+                assert_eq!(hits, expected.iter().filter(|&&d| d).count());
+                let mut counts = vec![0u32; faults.len()];
+                sim.run_batch_counting(&w1, &w2, mask, &faults, &mut counts, 256);
+                let lanes: Vec<u32> = reference
+                    .iter()
+                    .map(|r| r.iter().map(|w| w.count_ones()).sum())
+                    .collect();
+                assert_eq!(counts, lanes, "{}: counts, {mask:?}", n.name());
+                for (fault, &want) in faults.iter().zip(&expected) {
+                    let mut one = vec![false];
+                    sim.run_batch(&w1, &w2, mask, std::slice::from_ref(fault), &mut one);
+                    assert_eq!(one[0], want, "{}: {fault:?} alone, {mask:?}", n.name());
+                }
+            }
+        }
+    }
+
     #[test]
-    fn fault_ordering_is_level_major_and_coverage_invariant() {
+    fn regions_match_reference_on_an_inverter_buffer_chain() {
+        let mut n = Netlist::new("invbuf");
+        let a = n.add_input("a");
+        let i1 = n.add_cell("i1", CellKind::Inv, vec![a]);
+        let b1 = n.add_cell("b1", CellKind::Buf, vec![i1]);
+        let i2 = n.add_cell("i2", CellKind::Inv, vec![b1]);
+        n.add_output("y", i2);
+        assert_regions_match_reference(&n);
+    }
+
+    #[test]
+    fn regions_match_reference_on_a_single_reader_xor_chain() {
+        let mut n = Netlist::new("xorchain");
+        let ins: Vec<CellId> = (0..5).map(|i| n.add_input(format!("x{i}"))).collect();
+        let mut acc = ins[0];
+        for (k, &x) in ins.iter().enumerate().skip(1) {
+            acc = n.add_cell(format!("p{k}"), CellKind::Xor2, vec![acc, x]);
+        }
+        let gate = n.add_input("en");
+        let out = n.add_cell("o", CellKind::And2, vec![acc, gate]);
+        n.add_output("y", out);
+        assert_regions_match_reference(&n);
+    }
+
+    #[test]
+    fn regions_match_reference_through_duplicate_pins() {
+        // q reads p on both pins (one reader); z = Xor2(m, m) is constant,
+        // so no flip of m ever reaches the stem.
+        let mut n = Netlist::new("duppins");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let p = n.add_cell("p", CellKind::Nand2, vec![a, b]);
+        let q = n.add_cell("q", CellKind::And2, vec![p, p]);
+        let m = n.add_cell("m", CellKind::Or2, vec![c, a]);
+        let z = n.add_cell("z", CellKind::Xor2, vec![m, m]);
+        let r = n.add_cell("r", CellKind::Or2, vec![q, z]);
+        n.add_output("y", r);
+        assert_regions_match_reference(&n);
+    }
+
+    #[test]
+    fn regions_match_reference_at_a_flip_flop_d_pin() {
+        // g's only reader is the flip-flop: its region ends at g.
+        let mut n = Netlist::new("ffd");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let i = n.add_cell("i", CellKind::Inv, vec![a]);
+        let g = n.add_cell("g", CellKind::Nand2, vec![i, b]);
+        let ff = n.add_cell("ff", CellKind::Dff, vec![g]);
+        let h = n.add_cell("h", CellKind::Or2, vec![ff, c]);
+        n.add_output("y", h);
+        assert_regions_match_reference(&n);
+    }
+
+    #[test]
+    fn regions_match_reference_on_an_observed_line_feeding_logic() {
+        // g is observed at y1 and also read by h: a stem with its own
+        // region-internal chain a -> i.
+        let mut n = Netlist::new("obsfeed");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let i = n.add_cell("i", CellKind::Inv, vec![a]);
+        let g = n.add_cell("g", CellKind::And2, vec![i, b]);
+        let h = n.add_cell("h", CellKind::Nor2, vec![g, c]);
+        n.add_output("y1", g);
+        n.add_output("y2", h);
+        assert_regions_match_reference(&n);
+    }
+
+    #[test]
+    fn regions_match_reference_on_a_reconvergent_region() {
+        // s fans out to p and q, which reconverge at r; p is also seen
+        // early at y1 and q late at y2, so one stem replay serves faults
+        // whose lanes are observed at different depths.
+        let mut n = Netlist::new("reconv");
+        let ins: Vec<CellId> = (0..6).map(|i| n.add_input(format!("i{i}"))).collect();
+        let s = n.add_cell("s", CellKind::Nand2, vec![ins[0], ins[1]]);
+        let p = n.add_cell("p", CellKind::And2, vec![s, ins[2]]);
+        let q = n.add_cell("q", CellKind::Or2, vec![s, ins[3]]);
+        let q2 = n.add_cell("q2", CellKind::And2, vec![q, ins[4]]);
+        let r = n.add_cell("r", CellKind::Xor2, vec![p, q2]);
+        let t = n.add_cell("t", CellKind::Or2, vec![r, ins[5]]);
+        n.add_output("y1", p);
+        n.add_output("y2", t);
+        assert_regions_match_reference(&n);
+    }
+
+    #[test]
+    fn fault_ordering_is_region_major_and_coverage_invariant() {
         let n = small();
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_transition_faults(&n);
-        let ordered = order_transition_faults(view.compiled(), &faults);
-        assert_eq!(ordered.len(), faults.len());
-        assert!(ordered
-            .windows(2)
-            .all(|w| view.compiled().level_of(w[0].site.index() as u32)
-                <= view.compiled().level_of(w[1].site.index() as u32)));
+        let regions = view.regions();
+        let order = regions.order(view.compiled(), &faults);
+        let ordered: Vec<TransitionFault> = order.iter().map(|&i| faults[i]).collect();
+        let mut sorted = faults.clone();
+        regions.sort(view.compiled(), &mut sorted);
+        assert_eq!(sorted, ordered);
+        // Stems by level, and each region's faults in one contiguous run.
+        let stem = |f: &TransitionFault| regions.stem(f.site.index() as u32);
+        let level = |f: &TransitionFault| view.compiled().level_of(stem(f));
+        assert!(ordered.windows(2).all(|w| level(&w[0]) <= level(&w[1])));
+        let mut runs: Vec<u32> = ordered.iter().map(stem).collect();
+        runs.dedup();
+        let mut stems = runs.clone();
+        stems.sort_unstable();
+        stems.dedup();
+        assert_eq!(runs.len(), stems.len(), "a region is split");
         let mut rng = Rng::seed_from_u64(61);
         let na = view.assignable().len();
         let patterns: Vec<TransitionPattern> = (0..90)
@@ -1181,11 +1509,9 @@ mod tests {
             .collect();
         let base = simulate_transition_patterns(&view, &faults, &patterns);
         let perm = simulate_transition_patterns(&view, &ordered, &patterns);
-        assert_eq!(
-            base.iter().filter(|&&d| d).count(),
-            perm.iter().filter(|&&d| d).count(),
-            "ordering changed total coverage"
-        );
+        for (p, &i) in order.iter().enumerate() {
+            assert_eq!(perm[p], base[i], "ordering changed {:?}", faults[i]);
+        }
     }
 
     #[test]

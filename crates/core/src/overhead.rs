@@ -97,6 +97,32 @@ pub fn overhead_improvement_pct(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Area, critical-path delay and normal-mode power of one DFT netlist. The
+/// plain full-scan one is the baseline: measured once per circuit
+/// ([`measure_baseline`]) and shared by every style evaluated against it
+/// ([`evaluate_against`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Measurement {
+    /// Active area (µm²).
+    pub area_um2: f64,
+    /// Critical-path delay (ps).
+    pub delay_ps: f64,
+    /// Normal-mode power (µW).
+    pub power_uw: f64,
+}
+
+/// Measures the plain-scan baseline of `netlist`.
+///
+/// # Errors
+///
+/// Propagates structural/levelization failures.
+pub fn measure_baseline(
+    netlist: &Netlist,
+    config: &EvalConfig,
+) -> flh_netlist::Result<Measurement> {
+    measure(&apply_style(netlist, DftStyle::PlainScan)?, config)
+}
+
 /// Evaluates one style against the plain-scan baseline of the same circuit.
 ///
 /// # Errors
@@ -107,9 +133,8 @@ pub fn evaluate_style(
     style: DftStyle,
     config: &EvalConfig,
 ) -> flh_netlist::Result<StyleEvaluation> {
-    let base = apply_style(netlist, DftStyle::PlainScan)?;
-    let styled = apply_style(netlist, style)?;
-    evaluate_against(&base, &styled, config)
+    let baseline = measure_baseline(netlist, config)?;
+    evaluate_against(&baseline, &apply_style(netlist, style)?, config)
 }
 
 /// Evaluates all four styles, computing the baseline once.
@@ -124,11 +149,11 @@ pub fn evaluate_all(
     evaluate_all_pooled(netlist, config, &ThreadPool::serial())
 }
 
-/// Pooled [`evaluate_all`]: the shared plain-scan baseline is built once,
-/// then each style is transformed and evaluated as an independent cell on
-/// the pool. Per-style metrics are deterministic functions of
-/// `(netlist, style, config)`, and the pool returns cells in style order,
-/// so the result is identical at any pool size.
+/// Pooled [`evaluate_all`]: the plain-scan baseline is measured once, then
+/// each style is transformed and evaluated as an independent cell on the
+/// pool. Per-style metrics are deterministic functions of `(netlist,
+/// style, config)`, and the pool returns cells in style order, so the
+/// result is identical at any pool size.
 ///
 /// # Errors
 ///
@@ -138,7 +163,7 @@ pub fn evaluate_all_pooled(
     config: &EvalConfig,
     pool: &ThreadPool,
 ) -> flh_netlist::Result<Vec<StyleEvaluation>> {
-    let base = apply_style(netlist, DftStyle::PlainScan)?;
+    let baseline = measure_baseline(netlist, config)?;
     let styles = [
         DftStyle::PlainScan,
         DftStyle::EnhancedScan,
@@ -146,14 +171,13 @@ pub fn evaluate_all_pooled(
         DftStyle::Flh,
     ];
     pool.run(styles.len(), |i| {
-        let styled = apply_style(netlist, styles[i])?;
-        evaluate_against(&base, &styled, config)
+        evaluate_against(&baseline, &apply_style(netlist, styles[i])?, config)
     })
     .into_iter()
     .collect()
 }
 
-/// Evaluates a pre-built DFT netlist against a pre-built baseline. This is
+/// Evaluates a pre-built DFT netlist against a measured baseline. This is
 /// the entry point the Section V fanout optimizer uses after modifying the
 /// FLH netlist.
 ///
@@ -161,49 +185,50 @@ pub fn evaluate_all_pooled(
 ///
 /// Propagates structural/levelization failures.
 pub fn evaluate_against(
-    base: &DftNetlist,
+    baseline: &Measurement,
     styled: &DftNetlist,
     config: &EvalConfig,
 ) -> flh_netlist::Result<StyleEvaluation> {
+    let measured = measure(styled, config)?;
+    Ok(StyleEvaluation {
+        style: styled.style,
+        base_area_um2: baseline.area_um2,
+        area_um2: measured.area_um2,
+        base_delay_ps: baseline.delay_ps,
+        delay_ps: measured.delay_ps,
+        base_power_uw: baseline.power_uw,
+        power_uw: measured.power_uw,
+        first_level_gates: styled.gated.len(),
+        hold_cells: styled.hold_cells.len(),
+    })
+}
+
+/// Area, delay and power of one DFT netlist, FLH gating and keeper
+/// hardware included.
+fn measure(dft: &DftNetlist, config: &EvalConfig) -> flh_netlist::Result<Measurement> {
     let library = CellLibrary::new(config.technology.clone());
     let flh_phys = FlhPhysical::derive(&config.technology, &config.flh);
-
-    // Baseline metrics.
-    let base_area_um2 = library.netlist_area_um2(&base.netlist);
-    let base_delay_ps = analyze(&base.netlist, &library, &config.timing, None)?.critical_delay_ps();
-    let base_power_uw = random_vector_power(
-        &base.netlist,
-        &library,
-        &config.power,
-        None,
-        config.vectors,
-        config.seed,
-    )?
-    .total_uw();
-
-    // Style metrics.
-    let is_flh = styled.style == DftStyle::Flh;
-    let mut area_um2 = library.netlist_area_um2(&styled.netlist);
+    let is_flh = dft.style == DftStyle::Flh;
+    let mut area_um2 = library.netlist_area_um2(&dft.netlist);
     if is_flh {
-        area_um2 += styled.gated.len() as f64 * flh_phys.extra_area_um2;
+        area_um2 += dft.gated.len() as f64 * flh_phys.extra_area_um2;
     }
     let timing_ann = if is_flh {
-        Some(FlhAnnotation::new(&styled.gated, &flh_phys))
+        Some(FlhAnnotation::new(&dft.gated, &flh_phys))
     } else {
         None
     };
-    let delay_ps =
-        analyze(&styled.netlist, &library, &config.timing, timing_ann)?.critical_delay_ps();
+    let delay_ps = analyze(&dft.netlist, &library, &config.timing, timing_ann)?.critical_delay_ps();
     let power_ann = if is_flh {
         Some(FlhPowerAnnotation {
-            gated: &styled.gated,
+            gated: &dft.gated,
             physical: &flh_phys,
         })
     } else {
         None
     };
     let power_uw = random_vector_power(
-        &styled.netlist,
+        &dft.netlist,
         &library,
         &config.power,
         power_ann.as_ref(),
@@ -211,17 +236,10 @@ pub fn evaluate_against(
         config.seed,
     )?
     .total_uw();
-
-    Ok(StyleEvaluation {
-        style: styled.style,
-        base_area_um2,
+    Ok(Measurement {
         area_um2,
-        base_delay_ps,
         delay_ps,
-        base_power_uw,
         power_uw,
-        first_level_gates: styled.gated.len(),
-        hold_cells: styled.hold_cells.len(),
     })
 }
 

@@ -411,6 +411,17 @@ pub fn generate_circuit(config: &GeneratorConfig) -> Result<Netlist> {
         b.add_gate(format!("g{i}"), level, &[]);
     }
 
+    // Level of every cell, for the sorts and host searches below.
+    let level_of: Vec<u32> = {
+        let mut lv = vec![0u32; b.netlist.cell_count()];
+        for (level, cells) in b.by_level.iter().enumerate() {
+            for &c in cells {
+                lv[c.index()] = level as u32;
+            }
+        }
+        lv
+    };
+
     // 5. Primary outputs and flip-flop D pins, consuming unread outputs
     // first so the circuit has as few dangling gates as possible.
     let mut unread: Vec<CellId> = b
@@ -424,12 +435,8 @@ pub fn generate_circuit(config: &GeneratorConfig) -> Result<Netlist> {
     // Deepest unread first: top-of-cone gates have no chance of being
     // rewired into other gates later, so they get the boundary sinks.
     b.rng.shuffle(&mut unread);
-    unread.sort_by_key(|id| {
-        b.by_level
-            .iter()
-            .position(|lvl| lvl.contains(id))
-            .unwrap_or(0)
-    });
+    unread.sort_by_key(|c| level_of[c.index()]);
+    // Level-sorted, so the gates above any level form a suffix.
     let gate_pool: Vec<CellId> = b.by_level.iter().skip(1).flatten().copied().collect();
 
     for i in 0..config.primary_outputs {
@@ -451,17 +458,8 @@ pub fn generate_circuit(config: &GeneratorConfig) -> Result<Netlist> {
     // non-anchor input pin of some higher-level gate whose current driver
     // can spare a reader. Keeps gate count, arity and the depth spine
     // intact while eliminating unobservable logic cones (real mapped
-    // circuits have none).
-    let level_of: Vec<u32> = {
-        let mut lv = vec![0u32; b.netlist.cell_count()];
-        for (level, cells) in b.by_level.iter().enumerate() {
-            for &c in cells {
-                lv[c.index()] = level as u32;
-            }
-        }
-        lv
-    };
-    // Deepest-first, so shallow leftovers still find higher-level hosts.
+    // circuits have none). Deepest-first, so shallow leftovers still find
+    // higher-level hosts.
     unread.sort_by_key(|c| level_of[c.index()]);
     let boundary_sinks: Vec<CellId> = b
         .netlist
@@ -476,11 +474,7 @@ pub fn generate_circuit(config: &GeneratorConfig) -> Result<Netlist> {
         // whose current driver can afford to lose one reader. Hosts sit at
         // level >= 2 and never read flip-flops, so the exact FF fanout
         // statistics are untouched.
-        let hosts: Vec<CellId> = gate_pool
-            .iter()
-            .copied()
-            .filter(|&h| level_of[h.index()] > g_level)
-            .collect();
+        let hosts = &gate_pool[gate_pool.partition_point(|h| level_of[h.index()] <= g_level)..];
         let mut placed = false;
         if !hosts.is_empty() {
             let start = b.rng.gen_range(0..hosts.len());

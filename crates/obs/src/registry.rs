@@ -17,7 +17,8 @@ use crate::enabled;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Deviation replays performed (one per fault × batch actually replayed).
+    /// Deviation replays performed: one per stuck-at fault × batch, and one
+    /// per requested transition stem × batch (stem-region simulation).
     ReplayCalls,
     /// Cells evaluated from the replay's level buckets.
     ReplayEvents,
@@ -44,7 +45,15 @@ pub enum Counter {
     TransitionActivationSkips,
     /// Transition faults newly detected.
     TransitionDetections,
-    /// Fault flags newly flipped `false → true` by `DropMask::merge_shard`.
+    /// Reader evaluations spent on stem-region sensitization words (a
+    /// region-internal line's flip traced one reader up its chain).
+    TransitionRegionEvals,
+    /// Activated transition faults whose flip never reaches their
+    /// region's stem in the block, so they ask for no replay.
+    TransitionRegionMasked,
+    /// Fault flags newly flipped `false → true` by `DropMask::merge_shard`,
+    /// plus the faults a transition campaign's shards drop from their live
+    /// lists.
     FaultsDropped,
     /// PODEM decision backtracks.
     PodemBacktracks,
@@ -72,7 +81,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in the fixed report order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 23] = [
         Counter::ReplayCalls,
         Counter::ReplayEvents,
         Counter::ReplayDedupHits,
@@ -84,6 +93,8 @@ impl Counter {
         Counter::StuckDetections,
         Counter::TransitionActivationSkips,
         Counter::TransitionDetections,
+        Counter::TransitionRegionEvals,
+        Counter::TransitionRegionMasked,
         Counter::FaultsDropped,
         Counter::PodemBacktracks,
         Counter::PodemDecisions,
@@ -110,6 +121,8 @@ impl Counter {
             Counter::StuckDetections => "fsim.stuck.detections",
             Counter::TransitionActivationSkips => "fsim.transition.activation_skips",
             Counter::TransitionDetections => "fsim.transition.detections",
+            Counter::TransitionRegionEvals => "fsim.transition.region_evals",
+            Counter::TransitionRegionMasked => "fsim.transition.region_masked",
             Counter::FaultsDropped => "drops.faults_dropped",
             Counter::PodemBacktracks => "podem.backtracks",
             Counter::PodemDecisions => "podem.decisions",

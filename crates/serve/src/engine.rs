@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use flh_atpg::transition::enumerate_transition_faults;
-use flh_atpg::{transition_campaign_with_view, TestView};
-use flh_core::evaluate_style;
+use flh_atpg::{transition_campaign_filtered, StaticFilter, TestView};
+use flh_core::{apply_style, evaluate_against, measure_baseline};
 use flh_exec::ThreadPool;
 
 use crate::cache::{CacheLookup, CacheStats, CircuitCache, CompiledEntry};
@@ -177,14 +177,22 @@ impl JobEngine {
                     Err(e) => return fail(e.to_string(), emit),
                 };
                 let faults = enumerate_transition_faults(&entry.netlist);
+                // One prune filter serves every style of the job.
+                let filter = StaticFilter::from_view(&view);
                 let pairs_total = styles.len() * *pairs;
                 let mut pairs_done = 0usize;
                 for (index, &style) in styles.iter().enumerate() {
                     // Lands in Progress fields that are absent by default;
                     // time-ok: sampled only when --timings opted in.
                     let batch_start = self.timings.then(std::time::Instant::now);
-                    let result = transition_campaign_with_view(
-                        &view, &faults, style, *pairs, *seed, &self.pool,
+                    let result = transition_campaign_filtered(
+                        &view,
+                        &faults,
+                        style,
+                        *pairs,
+                        *seed,
+                        &self.pool,
+                        Some(&filter),
                     );
                     pairs_done += *pairs;
                     if flh_obs::enabled() {
@@ -230,8 +238,15 @@ impl JobEngine {
                 }
             }
             JobKind::Evaluate { styles, config } => {
+                // The plain-scan baseline is measured once per job.
+                let baseline = match measure_baseline(&entry.netlist, config) {
+                    Ok(baseline) => baseline,
+                    Err(e) => return fail(e.to_string(), emit),
+                };
                 for (index, &style) in styles.iter().enumerate() {
-                    let eval = match evaluate_style(&entry.netlist, style, config) {
+                    let eval = apply_style(&entry.netlist, style)
+                        .and_then(|styled| evaluate_against(&baseline, &styled, config));
+                    let eval = match eval {
                         Ok(eval) => eval,
                         Err(e) => return fail(e.to_string(), emit),
                     };
