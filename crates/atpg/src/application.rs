@@ -203,39 +203,6 @@ fn stream_shard(
     found
 }
 
-/// Runs the full circuit × style campaign grid over a pool, one cell per
-/// `(netlist, style)` pair, each cell a self-contained serial
-/// [`random_transition_campaign`] with the same `pairs` and `seed`. Rows
-/// follow `netlists` order, columns `styles` order — identical to calling
-/// the serial campaign in two nested loops, at any pool size.
-///
-/// # Errors
-///
-/// Fails on combinationally cyclic netlists.
-pub fn campaign_grid(
-    netlists: &[Netlist],
-    styles: &[ApplicationStyle],
-    pairs: usize,
-    seed: u64,
-    pool: &ThreadPool,
-) -> flh_netlist::Result<Vec<Vec<CampaignResult>>> {
-    let cells = netlists.len() * styles.len();
-    let results = pool.run(cells, |i| {
-        let (ci, si) = (i / styles.len(), i % styles.len());
-        random_transition_campaign(&netlists[ci], styles[si], pairs, seed)
-    });
-    let mut rows = Vec::with_capacity(netlists.len());
-    let mut it = results.into_iter();
-    for _ in netlists {
-        let mut row = Vec::with_capacity(styles.len());
-        for _ in styles {
-            row.push(it.next().expect("one result per cell")?);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
 /// Runs batches of random pairs until `target_pct` coverage is reached or
 /// `max_pairs` are spent. Returns the pair count and coverage at the stop
 /// point — the raw material for cycles-to-coverage (test time)
@@ -485,43 +452,6 @@ mod tests {
                 .unwrap();
                 assert_eq!(pooled, serial, "{style}, workers = {workers}");
             }
-        }
-    }
-
-    #[test]
-    fn campaign_grid_matches_nested_loops() {
-        let a = circuit();
-        let b = generate_circuit(&GeneratorConfig {
-            name: "camp2".into(),
-            primary_inputs: 5,
-            primary_outputs: 3,
-            flip_flops: 8,
-            gates: 70,
-            logic_depth: 7,
-            avg_ff_fanout: 2.1,
-            unique_flg_ratio: 1.7,
-            hot_ff_fanout: None,
-            seed: 56,
-        })
-        .unwrap();
-        let netlists = [a, b];
-        let styles = [
-            ApplicationStyle::ArbitraryTwoPattern,
-            ApplicationStyle::SkewedLoad,
-        ];
-        let expected: Vec<Vec<CampaignResult>> = netlists
-            .iter()
-            .map(|n| {
-                styles
-                    .iter()
-                    .map(|&s| random_transition_campaign(n, s, 128, 5).unwrap())
-                    .collect()
-            })
-            .collect();
-        for workers in [1, 3] {
-            let grid =
-                campaign_grid(&netlists, &styles, 128, 5, &ThreadPool::new(workers)).unwrap();
-            assert_eq!(grid, expected, "workers = {workers}");
         }
     }
 

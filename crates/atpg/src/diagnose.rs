@@ -8,10 +8,8 @@
 //! predicted responses match the observation, failing patterns and passing
 //! patterns alike.
 
-use flh_netlist::{LaneWord, Packed256, PatternWord};
-
 use crate::fault::Fault;
-use crate::fsim::{StuckSimulator, PATTERN_BLOCK};
+use crate::fsim::stuck_coverage;
 use crate::tview::TestView;
 
 /// One scored diagnosis candidate.
@@ -74,7 +72,7 @@ pub fn faulty_responses(
 ///
 /// Candidates are returned sorted best-first: by exact-match count, then by
 /// explained failures, then by fewest mispredictions. A cheap
-/// pre-screening pass (64-way parallel fault simulation over the *failing*
+/// pre-screening pass (parallel-pattern fault simulation over the *failing*
 /// patterns only) drops candidates that cannot explain any failure before
 /// the expensive per-pattern comparison.
 pub fn diagnose(
@@ -96,21 +94,7 @@ pub fn diagnose(
     } else {
         let failing_patterns: Vec<Vec<bool>> =
             failing.iter().map(|&i| patterns[i].clone()).collect();
-        let mut sim = StuckSimulator::new(view);
-        let mut detected = vec![false; faults.len()];
-        let n = view.assignable().len();
-        for chunk in failing_patterns.chunks(PATTERN_BLOCK) {
-            let mut words = vec![Packed256::bot(); n];
-            for (lane, p) in chunk.iter().enumerate() {
-                for (i, &bit) in p.iter().enumerate() {
-                    if bit {
-                        words[i].0[lane / 64] |= 1 << (lane % 64);
-                    }
-                }
-            }
-            let mask = Packed256::mask_lanes(chunk.len());
-            sim.run_batch(&words, mask, faults, &mut detected);
-        }
+        let detected = stuck_coverage(view, faults, &failing_patterns);
         faults
             .iter()
             .zip(&detected)

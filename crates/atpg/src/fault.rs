@@ -93,8 +93,9 @@ impl Fault {
 ///   primary inputs, flip-flop outputs and combinational cells alike;
 /// * both polarities on every fanout branch of nets with fanout > 1.
 ///
-/// `Output` markers carry no faults of their own (their input line is the
-/// driving stem / branch).
+/// Observation pins carry no fault of their own: an `Output` marker's
+/// input and a flip-flop's D pin are observed as their driving stem, so a
+/// branch into either is skipped.
 pub fn enumerate_stuck_faults(netlist: &Netlist) -> Vec<Fault> {
     let fanouts = FanoutMap::compute(netlist);
     let mut faults = Vec::new();
@@ -110,7 +111,8 @@ pub fn enumerate_stuck_faults(netlist: &Netlist) -> Vec<Fault> {
         faults.push(Fault::stem(id, StuckValue::One));
         if n_readers > 1 {
             for &reader in fanouts.readers(id) {
-                if netlist.cell(reader).kind() == CellKind::Output {
+                let kind = netlist.cell(reader).kind();
+                if kind == CellKind::Output || kind.is_flip_flop() {
                     continue;
                 }
                 for (pin, &f) in netlist.cell(reader).fanin().iter().enumerate() {

@@ -1,37 +1,36 @@
-//! Parallel-pattern stuck-at fault simulation on the shared
-//! [`DeviationReplay`] engine, with fault dropping.
+//! Parallel-pattern fault simulation with fault dropping: the stuck-at
+//! front of the stem-region engine, and the pack / shard / scatter path
+//! both fault models share.
 //!
-//! The simulator walks the [`flh_netlist::CompiledCircuit`] inside its
-//! [`TestView`]: the good machine is evaluated once per 256-pattern block
-//! (one [`Packed256`] superword per assignable line) over the compiled
-//! level order, and each fault's deviation is then replayed **in place**
-//! by [`DeviationReplay`] — event-driven through the readers of changed
-//! cells, undone afterwards, with detection limited to changed observation
-//! drivers and an early exit as soon as an active lane miscompares (see
-//! [`crate::replay`] for the engine contract). Replaying 256 lanes per
-//! pass costs far less than four 64-lane replays because the per-event
-//! overhead (instruction decode, reader walks, bucket bookkeeping) is paid
-//! once for all four batches' deviations combined. The same engine drives
-//! [`crate::transition::TransitionSimulator`], so both fault models share
-//! one replay code path.
+//! There is one fault simulator, the stem-region core in the `region`
+//! module: per 256-pattern block it evaluates the good machine once (one
+//! [`Packed256`] superword per assignable line), traces every live fault's
+//! lanes to its fanout-free region's stem, and replays each requested stem
+//! once through [`crate::replay::DeviationReplay`]. [`StuckSimulator`] runs
+//! it on one frame, [`crate::transition::TransitionSimulator`] on the V2
+//! frame of a pattern pair. A stuck stem fault enters its region at its
+//! site, in the lanes where the good value opposes the stuck value; a
+//! branch fault `(g, p)` enters at `g`, in the lanes where
+//! [`flh_netlist::Program::eval_cell_pinned`] — `g` with pin `p` read as
+//! its driver's complement — differs from `g`'s good value.
 //!
-//! A final partial block is handled by **masking**: `pack_batch` returns
-//! an activation mask with only the populated lanes set, and every
-//! miscompare is intersected with it, so padding lanes never touch
-//! detection flags or coverage counts.
+//! A final partial block is handled by **masking**: the block's lane mask
+//! has only the populated lanes set, and every activation word is
+//! intersected with it, so padding lanes never touch detection flags or
+//! coverage counts.
 
 use flh_exec::{gather, DropMask, ThreadPool};
-use flh_netlist::{CellKind, CompiledCircuit, LaneWord, Packed256, PatternWord};
+use flh_netlist::{LaneWord, Packed256, PatternWord};
 
 use crate::fault::{Fault, FaultSite};
-use crate::replay::DeviationReplay;
+use crate::region::{deal_regions, RegionFault, RegionSim};
 use crate::tview::TestView;
 
-/// Faults per dealt chunk of a partitioned campaign
-/// ([`ThreadPool::partition_min`]): a list of fewer than two chunks runs as
-/// one shard, because the per-shard cost (a fresh simulator, a
-/// good-machine evaluation per batch) would outweigh any parallelism.
-/// Shard boundaries never affect results — stats are scattered back by
+/// Faults per dealt chunk of a partitioned campaign: a list of fewer than
+/// two chunks runs as one shard, because the per-shard cost (a fresh
+/// simulator, a good-machine evaluation per batch) would outweigh any
+/// parallelism. Chunks end at region boundaries (`deal_regions`), and
+/// shard boundaries never affect results — stats are scattered back by
 /// fault id — so this is purely a throughput knob.
 pub(crate) const MIN_FAULTS_PER_SHARD: usize = 64;
 
@@ -39,59 +38,17 @@ pub(crate) const MIN_FAULTS_PER_SHARD: usize = 64;
 /// superword.
 pub const PATTERN_BLOCK: usize = Packed256::LANES;
 
-/// Evaluates one library cell over a [`Packed256`] input row, limb by limb
-/// through [`CellKind::eval64`] — the branch-fault forced-value
-/// computation, where one gate is re-evaluated with a pin pinned.
-pub(crate) fn eval_kind_packed(
-    kind: CellKind,
-    inputs: &[Packed256],
-    limb_buf: &mut Vec<u64>,
-) -> Packed256 {
-    let mut limbs = [0u64; 4];
-    for (l, out) in limbs.iter_mut().enumerate() {
-        limb_buf.clear();
-        limb_buf.extend(inputs.iter().map(|w| w.limb(l)));
-        *out = kind.eval64(limb_buf);
-    }
-    Packed256::from_limbs(limbs)
-}
-
-/// Reorders a fault list **level-major by seed cell** (the logic level of
-/// the cell each fault's deviation is seeded at, ties broken by dense cell
-/// id, then original position): consecutive replays then walk adjacent
-/// CSR/bytecode regions instead of hopping across the circuit. Purely a
-/// locality pass — detection results are per-fault and independent of
-/// processing order, so callers that aggregate (campaign counts, the
-/// perf benches) can apply it freely; callers that return per-fault
-/// vectors must scatter results back through the permutation themselves.
-pub fn order_stuck_faults(compiled: &CompiledCircuit, faults: &[Fault]) -> Vec<Fault> {
-    let mut ordered: Vec<Fault> = faults.to_vec();
-    ordered.sort_by_key(|f| {
-        let seed = match f.site {
-            FaultSite::Stem(cell) => cell.index() as u32,
-            FaultSite::Branch { gate, .. } => gate.index() as u32,
-        };
-        (compiled.level_of(seed), seed)
-    });
-    ordered
-}
-
-/// 256-lane parallel-pattern stuck-at fault simulator.
+/// 256-lane parallel-pattern stuck-at fault simulator: the one-frame front
+/// of the stem-region core (see the [module docs](self)).
 pub struct StuckSimulator<'v, 'a> {
-    view: &'v TestView<'a>,
-    /// Good-machine values, reused across batches; faulty resimulation
-    /// mutates it in place under the replay engine's undo log.
-    values: Vec<Packed256>,
-    replay: DeviationReplay<Packed256>,
+    core: RegionSim<'v, 'a>,
 }
 
 impl<'v, 'a> StuckSimulator<'v, 'a> {
     /// Builds a simulator over a test view.
     pub fn new(view: &'v TestView<'a>) -> Self {
         StuckSimulator {
-            view,
-            values: Vec::new(),
-            replay: DeviationReplay::new(view.compiled(), view.program_arc()),
+            core: RegionSim::new(view),
         }
     }
 
@@ -105,65 +62,30 @@ impl<'v, 'a> StuckSimulator<'v, 'a> {
         faults: &[Fault],
         detected: &mut [bool],
     ) -> usize {
-        self.view.eval_lanes_into(words, &mut self.values);
-        let compiled = self.view.compiled();
-        let observed = self.view.observed_drivers();
-        let netlist = self.view.netlist();
-        let mut new_hits = 0;
+        self.core.load(words);
         let mut activation_skips = 0u64;
-        let mut inputs: Vec<Packed256> = Vec::with_capacity(8);
-        let mut limb_buf: Vec<u64> = Vec::with_capacity(8);
-
-        for (fi, fault) in faults.iter().enumerate() {
-            if detected[fi] {
-                continue;
-            }
-            // Activation lanes: the good line value must oppose the stuck
-            // value somewhere in the batch.
-            let driver = fault.driver(netlist);
-            let line = self.values[driver.index()];
-            let active_lanes = if fault.stuck.as_bool() {
-                line.not()
-            } else {
-                line
-            };
-            let lanes = active_lanes.and(active_mask);
-            if !lanes.any() {
+        let mut evals = 0u64;
+        for (fault, _) in faults.iter().zip(detected.iter()).filter(|(_, &d)| !d) {
+            let act = self.activation_lanes(fault).and(active_mask);
+            if !act.any() {
                 activation_skips += 1;
                 continue;
             }
-
-            // Seed of the deviation: a stem forces the line itself; a
-            // branch re-evaluates its gate with the faulted pin forced.
-            let (seed, forced) = match fault.site {
-                FaultSite::Stem(cell) => {
-                    let forced = if fault.stuck.as_bool() {
-                        Packed256::top()
-                    } else {
-                        Packed256::bot()
-                    };
-                    (cell.index() as u32, forced)
-                }
-                FaultSite::Branch { gate, pin } => {
-                    let id = gate.index() as u32;
-                    inputs.clear();
-                    inputs.extend(compiled.fanin(id).iter().map(|&x| self.values[x as usize]));
-                    inputs[pin] = if fault.stuck.as_bool() {
-                        Packed256::top()
-                    } else {
-                        Packed256::bot()
-                    };
-                    (
-                        id,
-                        eval_kind_packed(compiled.kind(id), &inputs, &mut limb_buf),
-                    )
-                }
-            };
-            let miscompare =
-                self.replay
-                    .replay(compiled, observed, &mut self.values, seed, forced, lanes);
-            if miscompare.and(lanes).any() {
-                detected[fi] = true;
+            let flip = self.flip_lanes(fault, act);
+            if flip.any() {
+                self.core.request(fault.entry(), flip, &mut evals);
+            }
+        }
+        self.core.replay_requests(false);
+        let mut new_hits = 0;
+        for (fault, d) in faults.iter().zip(detected.iter_mut()) {
+            let observed = self.core.observed(fault.entry());
+            if *d || !observed.any() {
+                continue;
+            }
+            let act = self.activation_lanes(fault).and(active_mask);
+            if self.flip_lanes(fault, act).and(observed).any() {
+                *d = true;
                 new_hits += 1;
             }
         }
@@ -171,17 +93,40 @@ impl<'v, 'a> StuckSimulator<'v, 'a> {
             // Per-fault quantities only (skips, detections): invariant
             // under fault-list sharding, so safe as deterministic metrics.
             // The per-shard good-machine evaluation above is width-
-            // dependent and is deliberately not counted.
+            // dependent and is deliberately not counted; the region walk's
+            // `evals` has no stuck-at counter.
             flh_obs::add(flh_obs::Counter::StuckActivationSkips, activation_skips);
             flh_obs::add(flh_obs::Counter::StuckDetections, new_hits as u64);
         }
         new_hits
     }
+
+    /// Lanes where the faulted line's good value opposes the stuck value.
+    fn activation_lanes(&self, fault: &Fault) -> Packed256 {
+        let line = self.core.good()[fault.driver(self.core.view().netlist()).index()];
+        if fault.stuck.as_bool() {
+            line.not()
+        } else {
+            line
+        }
+    }
+
+    /// The lanes of `act` in which the fault flips its entry cell: all of
+    /// them for a stem fault; for a branch fault, those where forcing the
+    /// pin flips the gate.
+    fn flip_lanes(&mut self, fault: &Fault, act: Packed256) -> Packed256 {
+        match fault.site {
+            FaultSite::Stem(_) => act,
+            FaultSite::Branch { gate, pin } => {
+                act.and(self.core.pin_flip(gate.index() as u32, pin))
+            }
+        }
+    }
 }
 
-/// Per-fault outcome of a partitioned stuck-at campaign: the detection flag
-/// plus the index of the 256-pattern block that first caught the fault.
-/// Block indices are global over the pattern set, so they are identical no
+/// Per-fault outcome of a partitioned campaign: the detection flag plus the
+/// index of the 256-pattern block that first caught the fault. Block
+/// indices are global over the pattern set, so they are identical no
 /// matter how the fault list is partitioned.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -192,40 +137,95 @@ pub struct FaultStats {
     pub first_batch: Option<u32>,
 }
 
-/// Packs up to [`PATTERN_BLOCK`] patterns into one superword per
-/// assignable input and returns the lane mask covering exactly the packed
-/// patterns (padding lanes stay masked out of every miscompare).
-fn pack_batch(chunk: &[Vec<bool>], n: usize, words: &mut [Packed256]) -> Packed256 {
+/// Packs up to [`PATTERN_BLOCK`] frame rows (one bit per assignable) into
+/// one superword per assignable, row `k` in lane `k`; the lanes past the
+/// last row are 0.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `words.len()`.
+pub(crate) fn pack_block<'p>(words: &mut [Packed256], rows: impl Iterator<Item = &'p [bool]>) {
     words.fill(Packed256::bot());
-    for (lane, p) in chunk.iter().enumerate() {
-        assert_eq!(p.len(), n, "pattern length mismatch");
-        for (i, &bit) in p.iter().enumerate() {
-            if bit {
-                words[i].0[lane / 64] |= 1 << (lane % 64);
+    for (lane, row) in rows.enumerate() {
+        assert_eq!(row.len(), words.len(), "pattern length mismatch");
+        let (limb, bit) = (lane / 64, 1u64 << (lane % 64));
+        for (w, &b) in words.iter_mut().zip(row) {
+            if b {
+                w.0[limb] |= bit;
             }
         }
     }
-    Packed256::mask_lanes(chunk.len())
+}
+
+/// A fault-simulation front over the stem-region core, as the shared
+/// partitioned path drives it: a fresh simulator per shard, and patterns of
+/// `FRAMES` rows (one bit per assignable) packed one block at a time.
+pub(crate) trait BlockSim<'v, 'a>: Sized {
+    /// The fault model.
+    type Fault: RegionFault;
+    /// The pattern type.
+    type Pattern: Sync;
+    /// Frames per pattern: one for a stuck-at pattern, two for a pair.
+    const FRAMES: usize;
+    /// Frame `f`'s row of `pattern`.
+    fn frame(pattern: &Self::Pattern, f: usize) -> &[bool];
+    /// A simulator over `view`.
+    fn new(view: &'v TestView<'a>) -> Self;
+    /// Simulates one block (`frames[f]` packed from frame `f` of every
+    /// pattern, lanes outside `mask` padding) against `faults`, setting
+    /// `detected` flags. Returns new detections.
+    fn run_frames(
+        &mut self,
+        frames: &[Vec<Packed256>],
+        mask: Packed256,
+        faults: &[Self::Fault],
+        detected: &mut [bool],
+    ) -> usize;
+}
+
+impl<'v, 'a> BlockSim<'v, 'a> for StuckSimulator<'v, 'a> {
+    type Fault = Fault;
+    type Pattern = Vec<bool>;
+    const FRAMES: usize = 1;
+    fn frame(pattern: &Vec<bool>, _: usize) -> &[bool] {
+        pattern
+    }
+    fn new(view: &'v TestView<'a>) -> Self {
+        StuckSimulator::new(view)
+    }
+    fn run_frames(
+        &mut self,
+        frames: &[Vec<Packed256>],
+        mask: Packed256,
+        faults: &[Fault],
+        detected: &mut [bool],
+    ) -> usize {
+        self.run_batch(&frames[0], mask, faults, detected)
+    }
 }
 
 /// One worker's share of a partitioned campaign: a fresh simulator over the
-/// shared view, the full pattern set, the faults of one dealt shard. Faults
-/// flagged in `dropped` were detected by an earlier call and are never
-/// replayed again; the shard's updated flags are merged back by the caller.
-fn stats_shard(
-    view: &TestView<'_>,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
+/// shared view, the full pattern set, the faults of one dealt shard (whole
+/// regions). Faults flagged in `dropped` were detected by an earlier call
+/// and are never simulated again; the shard's updated flags are merged
+/// back by the caller.
+fn stats_shard<'v, 'a, S: BlockSim<'v, 'a>>(
+    view: &'v TestView<'a>,
+    faults: &[S::Fault],
+    patterns: &[S::Pattern],
     mut dropped: Vec<bool>,
 ) -> (Vec<FaultStats>, Vec<bool>) {
-    let mut sim = StuckSimulator::new(view);
+    let mut sim = S::new(view);
     let mut stats = vec![FaultStats::default(); faults.len()];
     let already: Vec<bool> = dropped.clone();
     let n = view.assignable().len();
-    let mut words = vec![Packed256::bot(); n];
+    let mut frames = vec![vec![Packed256::bot(); n]; S::FRAMES];
     for (batch, chunk) in patterns.chunks(PATTERN_BLOCK).enumerate() {
-        let mask = pack_batch(chunk, n, &mut words);
-        let new_hits = sim.run_batch(&words, mask, faults, &mut dropped);
+        for (f, words) in frames.iter_mut().enumerate() {
+            pack_block(words, chunk.iter().map(|p| S::frame(p, f)));
+        }
+        let mask = Packed256::mask_lanes(chunk.len());
+        let new_hits = sim.run_frames(&frames, mask, faults, &mut dropped);
         if new_hits > 0 {
             for ((s, &d), &pre) in stats.iter_mut().zip(&dropped).zip(&already) {
                 if d && !pre && !s.detected {
@@ -238,13 +238,60 @@ fn stats_shard(
     (stats, dropped)
 }
 
+/// The partitioned campaign both fronts share: faults sorted region-major
+/// and dealt out to the pool workers in chunks of whole fanout-free
+/// regions (see the `region` module), each shard on its own simulator,
+/// per-fault stats scattered back **by fault id** — never in completion
+/// order. Faults already in `drops` are skipped by every shard and batch,
+/// and this call's detections are merged back into it. Bit-identical at
+/// any pool size, deterministic counters included.
+pub(crate) fn simulate_partitioned<'v, 'a, S: BlockSim<'v, 'a>>(
+    view: &'v TestView<'a>,
+    faults: &[S::Fault],
+    patterns: &[S::Pattern],
+    pool: &ThreadPool,
+    drops: &mut DropMask,
+) -> Vec<FaultStats> {
+    assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
+    // Position `p` of the region-major list holds input fault `order[p]`;
+    // the shards work on positions and everything is scattered back
+    // through `order`.
+    let order = view.regions().order(view.compiled(), faults);
+    let ordered: Vec<S::Fault> = order.iter().map(|&i| faults[i]).collect();
+    let mut ordered_drops = DropMask::new(faults.len());
+    for (p, &i) in order.iter().enumerate() {
+        if drops.is_dropped(i) {
+            ordered_drops.drop_fault(p);
+        }
+    }
+    let parts = deal_regions(pool, view.regions(), &ordered, |shard| {
+        stats_shard::<S>(
+            view,
+            &gather(&ordered, shard),
+            patterns,
+            ordered_drops.shard(shard),
+        )
+    });
+    let mut stats = vec![FaultStats::default(); faults.len()];
+    for (shard, (shard_stats, flags)) in parts {
+        for (p, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
+            stats[order[p]] = s;
+        }
+        ordered_drops.merge_shard(&shard, &flags);
+    }
+    for (p, &i) in order.iter().enumerate() {
+        if ordered_drops.is_dropped(p) {
+            drops.drop_fault(i);
+        }
+    }
+    stats
+}
+
 impl StuckSimulator<'_, '_> {
-    /// Partitioned stuck-at campaign: deals `faults` out to the pool
-    /// workers in [`MIN_FAULTS_PER_SHARD`]-sized chunks
-    /// ([`ThreadPool::partition_min`]), runs each shard on its own
-    /// simulator, and scatters per-fault stats back **by fault id**
-    /// through each shard's ranges — completion order never matters.
-    /// Bit-identical at any pool size.
+    /// Partitioned stuck-at campaign: faults dealt out to the pool workers
+    /// in chunks of whole fanout-free regions, each shard on its own
+    /// simulator, per-fault stats scattered back **by fault id** —
+    /// completion order never matters. Bit-identical at any pool size.
     pub fn simulate_partitioned(
         view: &TestView<'_>,
         faults: &[Fault],
@@ -258,7 +305,7 @@ impl StuckSimulator<'_, '_> {
     /// [`StuckSimulator::simulate_partitioned`] with a persistent
     /// [`DropMask`]: faults already dropped are skipped by every shard, and
     /// this call's detections are merged back into `drops`, so a sequence
-    /// of calls (incremental pattern blocks) never re-replays a detected
+    /// of calls (incremental pattern blocks) never re-simulates a detected
     /// fault. Stats describe **this call only** — a fault dropped by an
     /// earlier call reports `FaultStats::default()`.
     pub fn simulate_partitioned_dropping(
@@ -268,18 +315,7 @@ impl StuckSimulator<'_, '_> {
         pool: &ThreadPool,
         drops: &mut DropMask,
     ) -> Vec<FaultStats> {
-        assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
-        let parts = pool.run_partitioned_min(faults.len(), MIN_FAULTS_PER_SHARD, |shard| {
-            stats_shard(view, &gather(faults, shard), patterns, drops.shard(shard))
-        });
-        let mut stats = vec![FaultStats::default(); faults.len()];
-        for (shard, (shard_stats, flags)) in parts {
-            for (fi, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
-                stats[fi] = s;
-            }
-            drops.merge_shard(&shard, &flags);
-        }
-        stats
+        simulate_partitioned::<StuckSimulator>(view, faults, patterns, pool, drops)
     }
 }
 
@@ -291,10 +327,10 @@ pub fn stuck_coverage(view: &TestView<'_>, faults: &[Fault], patterns: &[Vec<boo
     stuck_coverage_partitioned(view, faults, patterns, &ThreadPool::serial())
 }
 
-/// Pooled [`stuck_coverage`]: the fault list is split across the pool's
-/// workers, each with its own simulator (the replay state is per-fault, so
-/// sharding by fault loses nothing). Detection flags are merged in fault-id
-/// order and are identical at any pool size.
+/// Pooled [`stuck_coverage`]: the fault list is dealt over the pool's
+/// workers in whole fanout-free regions, each shard on its own simulator.
+/// Detection flags are merged in fault-id order and are identical at any
+/// pool size.
 pub fn stuck_coverage_partitioned(
     view: &TestView<'_>,
     faults: &[Fault],
@@ -307,22 +343,11 @@ pub fn stuck_coverage_partitioned(
         .collect()
 }
 
-/// [`stuck_coverage_partitioned`] on a fixed-size pool — kept as the
-/// thread-count-explicit entry point.
-pub fn stuck_coverage_parallel(
-    view: &TestView<'_>,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-    threads: usize,
-) -> Vec<bool> {
-    stuck_coverage_partitioned(view, faults, patterns, &ThreadPool::new(threads))
-}
-
 /// Reference stuck-at detection for one fault and one 64-pattern word:
 /// full faulted re-evaluation through [`TestView::eval64`], full
 /// observation scan. Quadratically slower than [`StuckSimulator`] but
-/// independent of the replay/undo machinery — the equivalence oracle for
-/// it (superword runs check each [`Packed256`] limb against it).
+/// independent of the region and replay machinery — the equivalence oracle
+/// for it (superword runs check each [`Packed256`] limb against it).
 pub fn stuck_detects_reference(
     view: &TestView<'_>,
     fault: &Fault,
@@ -348,6 +373,7 @@ mod tests {
     use super::*;
     use crate::fault::{enumerate_stuck_faults, StuckValue};
     use crate::podem::{Podem, PodemConfig};
+    use crate::region::RegionFault;
     use flh_netlist::{generate_circuit, CellKind, GeneratorConfig, Netlist};
     use flh_rng::Rng;
 
@@ -372,22 +398,56 @@ mod tests {
         words.iter().map(|&w| Packed256::from_word(w)).collect()
     }
 
+    /// `g = AND(a, b)` feeds output `y` and `ff.D`, and `ff` feeds `z`
+    /// through a buffer: `g` fans out into an observation pin.
+    fn observed_fanout() -> Netlist {
+        let mut n = Netlist::new("obsfan");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_cell("g", CellKind::And2, vec![a, b]);
+        n.add_output("y", g);
+        let ff = n.add_cell("ff", CellKind::Dff, vec![g]);
+        let buf = n.add_cell("buf", CellKind::Buf, vec![ff]);
+        n.add_output("z", buf);
+        n
+    }
+
     #[test]
     fn exhaustive_patterns_detect_every_testable_fault() {
-        let n = circuit();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_stuck_faults(&n);
-        let na = view.assignable().len();
-        assert!(na <= 16);
-        let patterns: Vec<Vec<bool>> = (0u64..(1 << na))
-            .map(|bits| (0..na).map(|i| bits >> i & 1 == 1).collect())
-            .collect();
-        let detected = stuck_coverage(&view, &faults, &patterns);
-        // Cross-check against PODEM verdicts.
-        let podem = Podem::new(&view, PodemConfig::paper_default());
-        for (f, &d) in faults.iter().zip(&detected) {
-            let testable = podem.generate(f).is_some();
-            assert_eq!(d, testable, "{f:?}");
+        for n in [circuit(), observed_fanout()] {
+            let view = TestView::new(&n).unwrap();
+            let faults = enumerate_stuck_faults(&n);
+            if n.name() == "obsfan" {
+                // Stems of a, b, g, ff and buf; no branch faults, since g's
+                // second reader is an observation pin (`ff.D`).
+                assert_eq!(faults.len(), 10, "{faults:?}");
+            }
+            let na = view.assignable().len();
+            assert!(na <= 16);
+            let patterns: Vec<Vec<bool>> = (0u64..(1 << na))
+                .map(|bits| (0..na).map(|i| bits >> i & 1 == 1).collect())
+                .collect();
+            let detected = stuck_coverage(&view, &faults, &patterns);
+            // Cross-check against PODEM verdicts and, fault by fault, the
+            // brute-force reference over the same patterns.
+            let podem = Podem::new(&view, PodemConfig::paper_default());
+            let mut words = vec![0u64; na];
+            for (f, &d) in faults.iter().zip(&detected) {
+                let testable = podem.generate(f).is_some();
+                assert_eq!(d, testable, "{}: {f:?}", n.name());
+                let mut reference = false;
+                for block in patterns.chunks(64) {
+                    for (i, w) in words.iter_mut().enumerate() {
+                        *w = block
+                            .iter()
+                            .enumerate()
+                            .fold(0, |acc, (lane, p)| acc | u64::from(p[i]) << lane);
+                    }
+                    let mask = u64::MAX >> (64 - block.len());
+                    reference |= stuck_detects_reference(&view, f, &words, mask) != 0;
+                }
+                assert_eq!(d, reference, "{}: {f:?} vs reference", n.name());
+            }
         }
     }
 
@@ -496,7 +556,8 @@ mod tests {
             .collect();
         let serial = stuck_coverage(&view, &faults, &patterns);
         for threads in [1, 2, 3, 8, 1000] {
-            let parallel = stuck_coverage_parallel(&view, &faults, &patterns, threads);
+            let pool = ThreadPool::new(threads);
+            let parallel = stuck_coverage_partitioned(&view, &faults, &patterns, &pool);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
@@ -600,25 +661,25 @@ mod tests {
     }
 
     #[test]
-    fn fault_ordering_is_level_major_and_result_invariant() {
+    fn fault_ordering_is_region_major_and_result_invariant() {
         let n = circuit();
         let view = TestView::new(&n).unwrap();
         let faults = enumerate_stuck_faults(&n);
-        let ordered = order_stuck_faults(view.compiled(), &faults);
-        assert_eq!(ordered.len(), faults.len());
-        // Seed levels are non-decreasing.
-        let level_of = |f: &Fault| {
-            let seed = match f.site {
-                FaultSite::Stem(cell) => cell.index() as u32,
-                FaultSite::Branch { gate, .. } => gate.index() as u32,
-            };
-            view.compiled().level_of(seed)
-        };
-        assert!(ordered
-            .windows(2)
-            .all(|w| level_of(&w[0]) <= level_of(&w[1])));
-        // Same multiset of faults, and — since detection is per-fault —
-        // the same total coverage count on any pattern set.
+        let regions = view.regions();
+        let order = regions.order(view.compiled(), &faults);
+        let ordered: Vec<Fault> = order.iter().map(|&i| faults[i]).collect();
+        // Stems by level, and each region's faults (branch faults with
+        // their gate's region) in one contiguous run.
+        let stem = |f: &Fault| regions.stem(f.entry());
+        let level = |f: &Fault| view.compiled().level_of(stem(f));
+        assert!(ordered.windows(2).all(|w| level(&w[0]) <= level(&w[1])));
+        let mut runs: Vec<u32> = ordered.iter().map(stem).collect();
+        runs.dedup();
+        let mut stems = runs.clone();
+        stems.sort_unstable();
+        stems.dedup();
+        assert_eq!(runs.len(), stems.len(), "a region is split");
+        // Detection is per fault, whatever the list order.
         let na = view.assignable().len();
         let mut rng = Rng::seed_from_u64(21);
         let patterns: Vec<Vec<bool>> = (0..100)
@@ -626,10 +687,9 @@ mod tests {
             .collect();
         let base = stuck_coverage(&view, &faults, &patterns);
         let perm = stuck_coverage(&view, &ordered, &patterns);
-        assert_eq!(
-            base.iter().filter(|&&d| d).count(),
-            perm.iter().filter(|&&d| d).count()
-        );
+        for (p, &i) in order.iter().enumerate() {
+            assert_eq!(perm[p], base[i], "ordering changed {:?}", faults[i]);
+        }
     }
 
     #[test]

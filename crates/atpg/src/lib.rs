@@ -15,14 +15,16 @@
 //!   evaluation with single-fault injection;
 //! * [`podem`] — a PODEM implementation (objective / backtrace / imply with
 //!   backtracking) for stuck-at faults, plus justification-only mode;
-//! * [`replay`] — the shared deviation-replay engine: event-driven
-//!   in-place faulty resimulation (per-level bucket queue, undo log,
-//!   observed-driver miscompare, early exit on detection) that both the
-//!   stuck-at and transition simulators run on;
+//! * [`fsim`] — the one fault simulator: stem-region simulation
+//!   (`region`), which replays one stem per fanout-free region per block,
+//!   behind a one-frame stuck-at front and the shared pack / shard /
+//!   scatter path;
+//! * [`replay`] — the deviation-replay engine the stem replays run on:
+//!   event-driven in-place faulty resimulation (per-level bucket queue,
+//!   undo log, observed-driver miscompare, early exit on detection);
 //! * [`transition`] — two-pattern transition-fault ATPG built on PODEM
 //!   (launch value justified by V1, detection by a stuck-at test as V2) and
-//!   transition-fault simulation of pattern pairs, which replays one stem
-//!   per fanout-free region per block (`region`);
+//!   the two-frame front of the fault simulator for pattern pairs;
 //! * [`application`] — the three scan application styles: arbitrary
 //!   two-pattern (enhanced scan / FLH), broadside (V2's state = circuit
 //!   response to V1) and skewed-load (V2's state = 1-bit shift of V1's),
@@ -46,7 +48,7 @@ pub mod transition;
 pub mod tview;
 
 pub use application::{
-    campaign_grid, cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign,
+    cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign,
     random_transition_campaign_pooled, transition_campaign_filtered, transition_campaign_with_view,
     ApplicationStyle, CampaignResult,
 };
@@ -56,8 +58,8 @@ pub use fault::{
     collapse_faults, enumerate_stuck_faults, inject_fault, Fault, FaultSite, StuckValue,
 };
 pub use fsim::{
-    order_stuck_faults, stuck_coverage, stuck_coverage_parallel, stuck_coverage_partitioned,
-    stuck_detects_reference, FaultStats, StuckSimulator, PATTERN_BLOCK,
+    stuck_coverage, stuck_coverage_partitioned, stuck_detects_reference, FaultStats,
+    StuckSimulator, PATTERN_BLOCK,
 };
 pub use path::{
     generate_path_test, generate_robust_path_test, longest_paths, longest_sensitizable_path,
@@ -66,10 +68,7 @@ pub use path::{
 };
 pub use patterns_io::{parse_patterns, read_patterns_file, write_patterns};
 pub use podem::{Podem, PodemConfig, TestCube};
-pub use prune::{
-    order_stuck_faults_pruned, stuck_coverage_pruned, PruneOutcome, RedundantTransitions,
-    StaticFilter,
-};
+pub use prune::{PruneOutcome, RedundantTransitions, StaticFilter};
 pub use replay::DeviationReplay;
 pub use transition::{
     collapse_transition_faults, compact_transition_patterns, enumerate_transition_faults,

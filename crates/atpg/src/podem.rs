@@ -6,11 +6,14 @@
 //! one decision to the next — lane 0 the good machine, lane 1 the faulty
 //! one — and after each decision or backtrack re-evaluates only the
 //! readers of the assignables that changed, level by level through the
-//! lowered [`Program`]. The fault is an overlay at its site. The D-frontier
-//! and X-path scans walk only the site's fanout cone in ascending cell id,
-//! so every decision is the one a whole-circuit scan would take.
+//! lowered [`Program`]. The fault is an overlay at its site: a stem fault
+//! forces the site's faulty lane, a branch fault re-evaluates its gate with
+//! [`Program::eval_cell_pinned`], the faulted pin's faulty lane forced. The
+//! D-frontier and X-path scans walk only the site's fanout cone in
+//! ascending cell id, so every decision is the one a whole-circuit scan
+//! would take.
 
-use flh_netlist::{CellId, CellKind, CompiledCircuit, Dual64, Dual8, Program};
+use flh_netlist::{CellId, CellKind, CompiledCircuit, Dual8, Program};
 use flh_rng::Rng;
 use flh_sim::{logic_to_dual8, Logic};
 
@@ -366,28 +369,11 @@ impl<'p> Implication<'p> {
             Overlay::Branch { gate, pin, stuck } if gate == id => {
                 // The faulted pin's driver may feed other pins of the same
                 // gate, so the overlay goes on the pin, not on the driver's
-                // word: gather the pins and evaluate the cell function.
-                let pins: Vec<Dual64> = self
-                    .compiled
-                    .fanin(id)
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &f)| {
-                        let mut w = self.values[f as usize];
-                        if p == pin {
-                            w = force(w, FAULTY, stuck);
-                        }
-                        Dual64 {
-                            one: w.one.into(),
-                            zero: w.zero.into(),
-                        }
-                    })
-                    .collect();
-                let out = self.compiled.kind(id).eval_dual(&pins);
-                Dual8 {
-                    one: out.one as u8,
-                    zero: out.zero as u8,
-                }
+                // word.
+                let driver = self.compiled.fanin(id)[pin];
+                let word = force(self.values[driver as usize], FAULTY, stuck);
+                self.program
+                    .eval_cell_pinned(id, pin, word, &self.values, &mut self.scratch)
             }
             _ => self.program.eval_cell(id, &self.values, &mut self.scratch),
         }

@@ -47,10 +47,8 @@ use flh_netlist::static_analysis::{analyze, pin_blocked, redundant_stem_faults, 
 use flh_netlist::{CellKind, CompiledCircuit};
 
 use crate::fault::{Fault, FaultSite};
-use crate::fsim::{order_stuck_faults, stuck_coverage_partitioned};
 use crate::transition::TransitionFault;
 use crate::tview::TestView;
-use flh_exec::ThreadPool;
 
 /// Fault classifier backed by the static analyses of one compiled circuit.
 pub struct StaticFilter {
@@ -192,41 +190,11 @@ fn prune_by<T: Copy>(faults: &[T], mut untestable: impl FnMut(&T) -> bool) -> Pr
     }
 }
 
-/// [`order_stuck_faults`] with a static prune step in front: the returned
-/// list is level-major over only the faults the filter kept, plus the
-/// pruned count.
-pub fn order_stuck_faults_pruned(
-    filter: &StaticFilter,
-    compiled: &CompiledCircuit,
-    faults: &[Fault],
-) -> (Vec<Fault>, usize) {
-    let outcome = filter.prune_stuck(faults);
-    (order_stuck_faults(compiled, &outcome.kept), outcome.pruned)
-}
-
-/// Pruned stuck-at coverage: simulate only the kept faults and scatter the
-/// flags back to input order (pruned faults report undetected). Identical
-/// to `stuck_coverage` on the full list whenever the filter is sound.
-pub fn stuck_coverage_pruned(
-    view: &TestView<'_>,
-    filter: &StaticFilter,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-    pool: &ThreadPool,
-) -> Vec<bool> {
-    let outcome = filter.prune_stuck(faults);
-    let kept_flags = stuck_coverage_partitioned(view, &outcome.kept, patterns, pool);
-    let mut flags = vec![false; faults.len()];
-    for (&i, &d) in outcome.kept_index.iter().zip(&kept_flags) {
-        flags[i] = d;
-    }
-    flags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{enumerate_stuck_faults, StuckValue};
+    use crate::fsim::stuck_coverage;
     use crate::transition::{enumerate_transition_faults, TransitionKind};
     use flh_netlist::{CellKind, Netlist};
 
@@ -276,9 +244,18 @@ mod tests {
                     .collect()
             })
             .collect();
-        let pool = ThreadPool::serial();
-        let full = stuck_coverage_partitioned(&view, &faults, &patterns, &pool);
-        let pruned = stuck_coverage_pruned(&view, &filter, &faults, &patterns, &pool);
+        let full = stuck_coverage(&view, &faults, &patterns);
+        // Simulate only the kept faults; the pruned ones read undetected.
+        let outcome = filter.prune_stuck(&faults);
+        let mut pruned = vec![false; faults.len()];
+        for (&i, d) in
+            outcome
+                .kept_index
+                .iter()
+                .zip(stuck_coverage(&view, &outcome.kept, &patterns))
+        {
+            pruned[i] = d;
+        }
         assert_eq!(full, pruned);
         // Soundness on the fixture: nothing pruned is ever detected.
         for (f, &d) in faults.iter().zip(&full) {

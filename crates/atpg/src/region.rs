@@ -1,5 +1,7 @@
-//! Fanout-free regions: the map behind stem-region transition fault
-//! simulation.
+//! Fanout-free regions and the stem-region fault simulation core — the one
+//! fault simulator of this crate, behind both fronts
+//! ([`crate::fsim::StuckSimulator`] and
+//! [`crate::transition::TransitionSimulator`]).
 //!
 //! A line with exactly one reader can change the circuit only through that
 //! reader, so a deviation on it follows a single path until it reaches a
@@ -16,6 +18,13 @@
 //! the stem and the unique reader of every cell; a view builds it once
 //! ([`TestView::regions`]) and every simulator shard shares it.
 //!
+//! [`RegionSim`] simulates any fault that flips one cell — its *entry* —
+//! in known lanes of a block: a stuck stem fault enters at its site, a
+//! branch fault at its gate (in the lanes where the pin forced by
+//! [`flh_netlist::Program::eval_cell_pinned`] flips the gate), a transition
+//! fault at its site on V2. Per block it traces each fault's lanes to its
+//! region's stem in the good machine and replays each requested stem once.
+//!
 //! The map also fixes how a fault list is cut for the pool. Faults sorted
 //! region-major ([`RegionMap::order`]) and dealt in chunks of whole regions
 //! (`deal_regions`) keep each region on one shard, so the stem replays a
@@ -25,15 +34,39 @@
 use std::ops::Range;
 
 use flh_exec::ThreadPool;
-use flh_netlist::CompiledCircuit;
+use flh_netlist::{CompiledCircuit, LaneWord, Packed256, PatternWord};
 
+use crate::fault::{Fault, FaultSite};
 use crate::fsim::MIN_FAULTS_PER_SHARD;
+use crate::replay::DeviationReplay;
 use crate::transition::TransitionFault;
-#[cfg(doc)]
 use crate::tview::TestView;
 
 /// [`RegionMap::reader`] entry of a stem.
 const STEM: u32 = u32::MAX;
+
+/// A fault as the stem-region engine sees it: the cell its deviation
+/// enters the circuit at.
+pub(crate) trait RegionFault: Copy + Send + Sync {
+    /// The entry cell: a stem or transition fault's site, a branch fault's
+    /// gate.
+    fn entry(&self) -> u32;
+}
+
+impl RegionFault for Fault {
+    fn entry(&self) -> u32 {
+        match self.site {
+            FaultSite::Stem(cell) => cell.index() as u32,
+            FaultSite::Branch { gate, .. } => gate.index() as u32,
+        }
+    }
+}
+
+impl RegionFault for TransitionFault {
+    fn entry(&self) -> u32 {
+        self.site.index() as u32
+    }
+}
 
 /// The stem and unique reader of every cell of one compiled circuit (see
 /// the [module docs](self)).
@@ -94,13 +127,13 @@ impl RegionMap {
     }
 
     /// Region-major permutation of `faults`: positions sorted by (stem
-    /// level, stem, site level, site), ties kept in input order. Replays
+    /// level, stem, entry level, entry), ties kept in input order. Replays
     /// then sweep the program front to back, and each region's faults sit
     /// together when the pool deals a fault list.
-    pub(crate) fn order(
+    pub(crate) fn order<F: RegionFault>(
         &self,
         compiled: &CompiledCircuit,
-        faults: &[TransitionFault],
+        faults: &[F],
     ) -> Vec<usize> {
         let mut order: Vec<usize> = (0..faults.len()).collect();
         order.sort_by_key(|&i| self.key(compiled, &faults[i]));
@@ -109,14 +142,19 @@ impl RegionMap {
 
     /// Sorts `faults` region-major in place, in the order of
     /// [`RegionMap::order`].
-    pub(crate) fn sort(&self, compiled: &CompiledCircuit, faults: &mut [TransitionFault]) {
+    pub(crate) fn sort<F: RegionFault>(&self, compiled: &CompiledCircuit, faults: &mut [F]) {
         faults.sort_by_key(|f| self.key(compiled, f));
     }
 
-    fn key(&self, compiled: &CompiledCircuit, fault: &TransitionFault) -> (u32, u32, u32, u32) {
-        let site = fault.site.index() as u32;
-        let stem = self.stem(site);
-        (compiled.level_of(stem), stem, compiled.level_of(site), site)
+    fn key<F: RegionFault>(&self, compiled: &CompiledCircuit, fault: &F) -> (u32, u32, u32, u32) {
+        let entry = fault.entry();
+        let stem = self.stem(entry);
+        (
+            compiled.level_of(stem),
+            stem,
+            compiled.level_of(entry),
+            entry,
+        )
     }
 }
 
@@ -126,13 +164,14 @@ impl RegionMap {
 /// through [`ThreadPool::run_partitioned_min`], so every shard takes a
 /// slice of every level band; a list too short for two chunks runs as one
 /// shard. Returns `(fault ranges, result)` per shard, in shard order.
-pub(crate) fn deal_regions<T, F>(
+pub(crate) fn deal_regions<R, T, F>(
     pool: &ThreadPool,
     regions: &RegionMap,
-    faults: &[TransitionFault],
+    faults: &[R],
     f: F,
 ) -> Vec<(Vec<Range<usize>>, T)>
 where
+    R: RegionFault,
     T: Send,
     F: Fn(&[Range<usize>]) -> T + Sync,
 {
@@ -141,8 +180,7 @@ where
     let mut bounds = vec![0];
     for i in 1..faults.len() {
         let start = bounds[bounds.len() - 1];
-        let boundary = regions.stem(faults[i].site.index() as u32)
-            != regions.stem(faults[i - 1].site.index() as u32);
+        let boundary = regions.stem(faults[i].entry()) != regions.stem(faults[i - 1].entry());
         if boundary && i - start >= MIN_FAULTS_PER_SHARD {
             bounds.push(i);
         }
@@ -161,6 +199,226 @@ where
         .into_iter()
         .map(|(shard, result)| (to_faults(&shard), result))
         .collect()
+}
+
+/// The stem-region simulation core over the good machine of one frame,
+/// built on the shared [`DeviationReplay`] engine. The fronts evaluate the
+/// frame ([`RegionSim::load`]), hand in each live fault's entry cell and
+/// *flip word* — the lanes where the fault flips that cell — and read back
+/// detections. Per block of up to 256 patterns there are three passes:
+///
+/// 1. [`RegionSim::request`]: `lanes = flip ∧ D(entry)`, where `D(x)` is
+///    the word of lanes in which flipping `x` in the good machine flips the
+///    region's stem: `D(stem) = ⊤`, and `D(x) = (eval_cell(reader) with x
+///    flipped ⊕ good(reader)) ∧ D(reader)`, memoized per block along the
+///    chain. `lanes` is ORed into the stem's request word `U`.
+/// 2. [`RegionSim::replay_requests`]: each stem with a non-empty `U` is
+///    replayed once, with `forced = good ⊕ U`, and its miscompare word `O`
+///    is kept.
+/// 3. [`RegionSim::observed`]: a fault is detected in `flip ∧ D(entry) ∧
+///    O`; counting takes its popcount.
+///
+/// This is exact. The chain from an entry to its stem is a single path, so
+/// the fault flips the stem in exactly the lanes `lanes`, and nothing else
+/// in the circuit. In a requested lane, `good ⊕ U` is therefore the stem
+/// value the fault's own replay would reach, and every opcode is lane-wise,
+/// so `O` agrees with that replay in every lane the fault reads. The replay
+/// is event-driven (readers of changed cells only), scans only changed
+/// observation drivers, and stops on the first miscompare in `U` when
+/// exactly one fault asked for the stem.
+///
+/// Per-block state is one `u32` slot per cell, a sensitization word per
+/// region-internal cell the block touched, and a request word per stem it
+/// replays — no per-fault lane vector.
+pub(crate) struct RegionSim<'v, 'a> {
+    view: &'v TestView<'a>,
+    regions: &'v RegionMap,
+    /// The frame's good values, reused across blocks; stem replays mutate
+    /// it in place under the replay engine's undo log.
+    good: Vec<Packed256>,
+    replay: DeviationReplay<Packed256>,
+    /// Per cell: the index of a region-internal cell's entry in `sens`, or
+    /// of a stem's entry in `requests`. An index left from an earlier block
+    /// is stale unless the entry there names the cell back (a sparse set,
+    /// so a new block needs no reset).
+    slot: Vec<u32>,
+    /// The region-internal cells this block has needed `D` of, aligned
+    /// with `sens`.
+    sens_cells: Vec<u32>,
+    /// Their words `D(x)`.
+    sens: Vec<Packed256>,
+    /// Stems requested this block, in first-request order: `(stem, faults
+    /// asking)`, aligned with `words`.
+    requests: Vec<(u32, u32)>,
+    /// Per request: the request word `U` until the stem is replayed, then
+    /// its miscompare word `O`.
+    words: Vec<Packed256>,
+    /// The unresolved `(cell, reader)` links of a chain during a `D` walk.
+    chain: Vec<(u32, u32)>,
+    /// Register scratch for [`flh_netlist::Program::eval_cell`].
+    scratch: Vec<Packed256>,
+}
+
+impl<'v, 'a> RegionSim<'v, 'a> {
+    /// A core over `view`, sharing its region map.
+    pub(crate) fn new(view: &'v TestView<'a>) -> Self {
+        RegionSim {
+            view,
+            regions: view.regions(),
+            good: Vec::new(),
+            replay: DeviationReplay::new(view.compiled(), view.program_arc()),
+            slot: vec![0; view.compiled().cell_count()],
+            sens_cells: Vec::new(),
+            sens: Vec::new(),
+            requests: Vec::new(),
+            words: Vec::new(),
+            chain: Vec::new(),
+            scratch: vec![Packed256::bot(); view.program().scratch_words()],
+        }
+    }
+
+    /// Starts a block: evaluates the good machine of `assignment` (one
+    /// superword per assignable) and forgets the last block's words.
+    pub(crate) fn load(&mut self, assignment: &[Packed256]) {
+        self.view.eval_lanes_into(assignment, &mut self.good);
+        self.sens_cells.clear();
+        self.sens.clear();
+        self.requests.clear();
+        self.words.clear();
+    }
+
+    /// The view the core simulates.
+    pub(crate) fn view(&self) -> &'v TestView<'a> {
+        self.view
+    }
+
+    /// The block's good machine, indexed by cell.
+    pub(crate) fn good(&self) -> &[Packed256] {
+        &self.good
+    }
+
+    /// The lanes where a branch fault on `pin` of `gate` flips the gate:
+    /// the gate evaluated with that pin read as its driver's complement,
+    /// against its good value. Only the pin is forced, whatever else its
+    /// driver feeds.
+    pub(crate) fn pin_flip(&mut self, gate: u32, pin: usize) -> Packed256 {
+        let driver = self.view.compiled().fanin(gate)[pin];
+        let forced = self.good[driver as usize].not();
+        self.view
+            .program()
+            .eval_cell_pinned(gate, pin, forced, &self.good, &mut self.scratch)
+            .xor(self.good[gate as usize])
+    }
+
+    /// Pass 1 for one fault that flips `entry` in the lanes `flip`: ORs
+    /// `flip ∧ D(entry)` into the request word of `entry`'s stem. Returns
+    /// false, requesting nothing, when that word is empty. `evals` counts
+    /// the reader evaluations `D` took.
+    pub(crate) fn request(&mut self, entry: u32, flip: Packed256, evals: &mut u64) -> bool {
+        let lanes = flip.and(self.sensitization(entry, evals));
+        if !lanes.any() {
+            return false;
+        }
+        let stem = self.regions.stem(entry);
+        if let Some(r) = self.request_slot(stem) {
+            self.requests[r].1 += 1;
+            self.words[r] = self.words[r].or(lanes);
+        } else {
+            self.slot[stem as usize] = self.requests.len() as u32;
+            self.requests.push((stem, 1));
+            self.words.push(lanes);
+        }
+        true
+    }
+
+    /// Pass 2: replays each requested stem once. Counting replays run to
+    /// quiescence (`stop_lanes = ⊥`) for an exact per-lane word, as does
+    /// any stem more than one fault asked for; a stem one fault asked for
+    /// stops on its first miscompare.
+    pub(crate) fn replay_requests(&mut self, counting: bool) {
+        for (&(stem, faults), word) in self.requests.iter().zip(self.words.iter_mut()) {
+            let stop = if counting || faults > 1 {
+                Packed256::bot()
+            } else {
+                *word
+            };
+            let forced = self.good[stem as usize].xor(*word);
+            *word = self.replay.replay(
+                self.view.compiled(),
+                self.view.observed_drivers(),
+                &mut self.good,
+                stem,
+                forced,
+                stop,
+            );
+        }
+    }
+
+    /// Pass 3: `D(entry) ∧ O(stem)`, the lanes in which flipping `entry`
+    /// reached an observation point this block; a fault's detection lanes
+    /// are this word and its flip word. Valid for every entry
+    /// [`Self::request`] saw with a non-empty flip word (for any other the
+    /// flip word is empty, so the conjunction is too).
+    pub(crate) fn observed(&self, entry: u32) -> Packed256 {
+        let Some(r) = self.request_slot(self.regions.stem(entry)) else {
+            return Packed256::bot();
+        };
+        let sens = match self.sens_slot(entry) {
+            Some(k) => self.sens[k],
+            None => Packed256::top(), // a stem
+        };
+        sens.and(self.words[r])
+    }
+
+    /// `D(cell)`: the lanes in which flipping `cell` in the good machine
+    /// flips its region's stem. Walks up the reader chain to the stem or to
+    /// the first cell already known this block, then folds back down,
+    /// evaluating each reader once with its driver flipped (counted in
+    /// `evals`) and memoizing every word on the way. Once a word is empty,
+    /// every word below it is too, and no reader is evaluated for them.
+    fn sensitization(&mut self, cell: u32, evals: &mut u64) -> Packed256 {
+        let mut x = cell;
+        let mut d = loop {
+            let Some(reader) = self.regions.reader(x) else {
+                break Packed256::top();
+            };
+            if let Some(k) = self.sens_slot(x) {
+                break self.sens[k];
+            }
+            self.chain.push((x, reader));
+            x = reader;
+        };
+        while let Some((x, reader)) = self.chain.pop() {
+            if d.any() {
+                let good = self.good[x as usize];
+                self.good[x as usize] = good.not();
+                let flipped = self
+                    .view
+                    .program()
+                    .eval_cell(reader, &self.good, &mut self.scratch);
+                self.good[x as usize] = good;
+                d = d.and(flipped.xor(self.good[reader as usize]));
+                *evals += 1;
+            }
+            self.slot[x as usize] = self.sens.len() as u32;
+            self.sens_cells.push(x);
+            self.sens.push(d);
+        }
+        d
+    }
+
+    /// This block's `sens` index of a region-internal `cell`, once its `D`
+    /// is known.
+    fn sens_slot(&self, cell: u32) -> Option<usize> {
+        let k = self.slot[cell as usize] as usize;
+        (k < self.sens_cells.len() && self.sens_cells[k] == cell).then_some(k)
+    }
+
+    /// This block's `requests` index of `stem`, once a fault asked for it.
+    fn request_slot(&self, stem: u32) -> Option<usize> {
+        let k = self.slot[stem as usize] as usize;
+        (k < self.requests.len() && self.requests[k].0 == stem).then_some(k)
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The shared deviation-replay engine.
 //!
-//! Every fault simulator in this crate answers the same question: *given
-//! the good machine's packed lane values, how does forcing one cell change
-//! the observed outputs?* [`DeviationReplay`] owns the machinery that
+//! The fault simulator of this crate keeps asking one question: *given the
+//! good machine's packed lane values, how does forcing one cell change the
+//! observed outputs?* [`DeviationReplay`] owns the machinery that
 //! answers it without ever cloning the value array or walking a static
 //! fanout cone:
 //!
@@ -21,16 +21,17 @@
 //! The engine is generic over [`PatternWord`], so one undo log / bucket /
 //! miscompare implementation serves both widths: `u64` (64 pattern lanes,
 //! the historical engine, kept as the equivalence reference) and
-//! [`Packed256`] (256 lanes — each fault replays four batches' worth of
+//! [`Packed256`] (256 lanes — each replay covers four batches' worth of
 //! patterns per pass, and because the four deviation frontiers overlap
 //! heavily, a superword replay costs far less than four word replays).
 //!
-//! [`crate::fsim::StuckSimulator`] replays the single-frame faulty machine
-//! on it, once per fault; [`crate::transition::TransitionSimulator`]
-//! replays the V2 frame of a two-pattern test once per fanout-free region
-//! stem (the `region` module), forced in the union of the lanes its region's
-//! faults need. Both engines are bit-identical to their brute-force
-//! references ([`crate::fsim::stuck_detects_reference`],
+//! The stem-region core (the `region` module) is its one caller: per block
+//! it replays each requested fanout-free region stem once, forced in the
+//! union of the lanes its region's faults need — on the one frame of
+//! [`crate::fsim::StuckSimulator`] or the V2 frame of
+//! [`crate::transition::TransitionSimulator`]. Both fronts are
+//! bit-identical to their brute-force references
+//! ([`crate::fsim::stuck_detects_reference`],
 //! [`crate::transition::transition_detects_reference`]).
 
 use std::sync::Arc;
@@ -263,8 +264,9 @@ fn flush_replay_metrics<W: PatternWord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{Fault, StuckValue};
     use crate::tview::TestView;
-    use flh_netlist::{generate_circuit, GeneratorConfig, LaneWord, Netlist, Packed256};
+    use flh_netlist::{generate_circuit, CellId, GeneratorConfig, LaneWord, Netlist, Packed256};
     use flh_rng::Rng;
 
     fn circuit() -> Netlist {
@@ -309,19 +311,15 @@ mod tests {
                     0,
                 );
                 assert_eq!(values, good, "values not restored for seed {seed}");
-                // Reference: force the seed by hand on a scratch copy and
-                // re-evaluate everything in level order.
-                let mut reference = good.clone();
-                reference[seed as usize] = forced;
-                let mut inputs: Vec<u64> = Vec::new();
-                for &id in compiled.order() {
-                    if id == seed {
-                        continue;
-                    }
-                    inputs.clear();
-                    inputs.extend(compiled.fanin(id).iter().map(|&x| reference[x as usize]));
-                    reference[id as usize] = compiled.kind(id).eval64(&inputs);
-                }
+                // Reference: the seed stuck at the forced value, through
+                // the view's full faulted re-evaluation.
+                let stuck = if forced == 0 {
+                    StuckValue::Zero
+                } else {
+                    StuckValue::One
+                };
+                let fault = Fault::stem(CellId::from_index(seed as usize), stuck);
+                let reference = view.eval64(&words, Some(&fault));
                 let mut expected = 0u64;
                 for (id, (&g, &f)) in good.iter().zip(&reference).enumerate() {
                     if view.observed_drivers()[id] {

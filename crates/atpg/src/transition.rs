@@ -9,20 +9,21 @@
 //! justification for V1 — precisely why the paper's technique, which
 //! enables arbitrary pairs cheaply, preserves full ATPG power.
 //!
-//! [`TransitionSimulator`] is the one transition fault simulator: a
-//! stem-region simulator that traces each fault to its fanout-free
-//! region's stem inside the good machine and replays each stem once per
-//! block (see the `region` module), instead of replaying every fault.
+//! [`TransitionSimulator`] is the two-frame front of the one fault
+//! simulator: the stem-region core (the `region` module), which traces
+//! each fault to its fanout-free region's stem inside the good V2 machine
+//! and replays each stem once per block, instead of replaying every fault.
+//! [`crate::fsim::StuckSimulator`] is its one-frame front; both share one
+//! pack / shard / scatter path.
 
-use flh_exec::{gather, DropMask, ThreadPool};
+use flh_exec::{DropMask, ThreadPool};
 use flh_netlist::{analysis, CellId, CellKind, LaneWord, Netlist, Packed256, PatternWord};
 use flh_rng::Rng;
 
 use crate::fault::{Fault, StuckValue};
-use crate::fsim::{FaultStats, PATTERN_BLOCK};
+use crate::fsim::{pack_block, simulate_partitioned, BlockSim, FaultStats};
 use crate::podem::{Podem, PodemConfig};
-use crate::region::{deal_regions, RegionMap};
-use crate::replay::DeviationReplay;
+use crate::region::{RegionFault, RegionSim};
 use crate::tview::TestView;
 
 /// Transition polarity.
@@ -238,84 +239,30 @@ pub struct TransitionPattern {
     pub v2: Vec<bool>,
 }
 
-/// Stem-region transition fault simulator over a test view, built on the
-/// shared [`DeviationReplay`] engine.
+/// Stem-region transition fault simulator over a test view: the two-frame
+/// front of the one fault simulation core (the `region` module).
 ///
-/// A fault on a region-internal line reaches the rest of the circuit only
-/// through its fanout-free region's stem (`RegionMap`). So per block of
-/// up to 256 pattern pairs the simulator works in three passes:
-///
-/// 1. For each live fault, `act` = the lanes where V1 sets the initial
-///    value and V2 the final value, and `lanes = act ∧ D(site)`, where
-///    `D(x)` is the word of lanes in which flipping `x` in the good V2
-///    machine flips the region's stem: `D(stem) = ⊤`, and `D(x) =
-///    (eval_cell(reader) with x flipped ⊕ good(reader)) ∧ D(reader)`,
-///    memoized per block along the chain. `lanes` is ORed into the stem's
-///    request word `U`.
-/// 2. Each stem with a non-empty `U` is replayed once, with `forced = good
-///    ⊕ U`, and its miscompare word `O` is kept.
-/// 3. A fault is detected iff `lanes ∧ O ≠ 0`; counting takes
-///    `popcount(lanes ∧ O)`.
-///
-/// This is exact. The chain from a site to its stem is a single path, so
-/// the site stuck at its initial value flips the stem in exactly the lanes
-/// `lanes`, and nothing else in the circuit. In a requested lane, `good ⊕
-/// U` is therefore the stem value the fault's own replay would reach, and
-/// every opcode is lane-wise, so `O` agrees with that replay in every lane
-/// the fault reads. The replay is event-driven (readers of changed cells
-/// only), scans only changed observation drivers, and stops on the first
-/// miscompare in `U` when exactly one fault asked for the stem.
-///
-/// Per-block state is one `u32` slot per cell, a sensitization word per
-/// region-internal cell the block touched, and a request word per stem it
-/// replays — no per-fault lane vector.
+/// A transition fault is its stuck equivalent on V2 — the site stuck at
+/// its initial value — gated by V1 setting that initial value. It therefore
+/// enters its fanout-free region at its site, in the lanes `act` where V1
+/// sets the initial value and V2 the final value: per block of up to 256
+/// pattern pairs, `lanes = act ∧ D(site)` is ORed into the stem's request
+/// word, each requested stem of the V2 frame is replayed once, and the
+/// fault is detected iff `lanes ∧ O ≠ 0` (counting takes `popcount(lanes ∧
+/// O)`). See the core's docs for `D`, `O` and why this is exact.
 pub struct TransitionSimulator<'v, 'a> {
-    view: &'v TestView<'a>,
-    regions: &'v RegionMap,
-    /// Good V2 values, reused across batches; stem replays mutate it in
-    /// place under the replay engine's undo log.
-    values2: Vec<Packed256>,
     /// Good V1 values (never mutated per fault).
     values1: Vec<Packed256>,
-    replay: DeviationReplay<Packed256>,
-    /// Per cell: the index of a region-internal cell's entry in `sens`, or
-    /// of a stem's entry in `requests`. An index left from an earlier block
-    /// is stale unless the entry there names the cell back (a sparse set,
-    /// so a new block needs no reset).
-    slot: Vec<u32>,
-    /// The region-internal cells this block has needed `D` of, aligned
-    /// with `sens`.
-    sens_cells: Vec<u32>,
-    /// Their words `D(x)`.
-    sens: Vec<Packed256>,
-    /// Stems requested this block, in first-request order: `(stem, faults
-    /// asking)`, aligned with `words`.
-    requests: Vec<(u32, u32)>,
-    /// Per request: the request word `U` until the stem is replayed, then
-    /// its miscompare word `O`.
-    words: Vec<Packed256>,
-    /// The unresolved `(cell, reader)` links of a chain during a `D` walk.
-    chain: Vec<(u32, u32)>,
-    /// Register scratch for [`flh_netlist::Program::eval_cell`].
-    scratch: Vec<Packed256>,
+    /// The core over the V2 frame.
+    core: RegionSim<'v, 'a>,
 }
 
 impl<'v, 'a> TransitionSimulator<'v, 'a> {
     /// Builds a simulator.
     pub fn new(view: &'v TestView<'a>) -> Self {
         TransitionSimulator {
-            view,
-            regions: view.regions(),
-            values2: Vec::new(),
             values1: Vec::new(),
-            replay: DeviationReplay::new(view.compiled(), view.program_arc()),
-            slot: vec![0; view.compiled().cell_count()],
-            sens_cells: Vec::new(),
-            sens: Vec::new(),
-            requests: Vec::new(),
-            words: Vec::new(),
-            chain: Vec::new(),
-            scratch: vec![Packed256::bot(); view.program().scratch_words()],
+            core: RegionSim::new(view),
         }
     }
 
@@ -334,8 +281,10 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         faults: &[TransitionFault],
         detected: &mut [bool],
     ) -> usize {
-        self.view.eval_lanes_into(v1_words, &mut self.values1);
-        self.view.eval_lanes_into(v2_words, &mut self.values2);
+        self.core
+            .view()
+            .eval_lanes_into(v1_words, &mut self.values1);
+        self.core.load(v2_words);
         let live = faults.iter().zip(detected.iter()).filter(|(_, &d)| !d);
         self.replay_regions(active_mask, live.map(|(f, _)| f), false);
         let mut new_hits = 0;
@@ -363,9 +312,11 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         active_mask: Packed256,
         live: &mut Vec<TransitionFault>,
     ) -> usize {
-        self.view.eval_lanes_into(v1_words, &mut self.values1);
+        self.core
+            .view()
+            .eval_lanes_into(v1_words, &mut self.values1);
         launch(&self.values1, v2_words);
-        self.view.eval_lanes_into(v2_words, &mut self.values2);
+        self.core.load(v2_words);
         self.replay_regions(active_mask, live.iter(), false);
         let before = live.len();
         live.retain(|fault| !self.detection_lanes(fault, active_mask).any());
@@ -389,8 +340,10 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         counts: &mut [u32],
         target: u32,
     ) -> usize {
-        self.view.eval_lanes_into(v1_words, &mut self.values1);
-        self.view.eval_lanes_into(v2_words, &mut self.values2);
+        self.core
+            .view()
+            .eval_lanes_into(v1_words, &mut self.values1);
+        self.core.load(v2_words);
         let live = faults
             .iter()
             .zip(counts.iter())
@@ -410,61 +363,26 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         newly_saturated
     }
 
-    /// Passes 1 and 2 of a block (see the type docs) over the good
-    /// machines already in `values1`/`values2`: collects the stem requests
-    /// of the `live` faults and replays each requested stem once. Counting
-    /// replays run to quiescence (`stop_lanes = ⊥`) for an exact per-lane
-    /// word, as does any stem more than one fault asked for; a stem one
-    /// fault asked for stops on its first miscompare.
+    /// Passes 1 and 2 of a block over the good machines already loaded:
+    /// requests the stem of every `live` fault with sensitized activation
+    /// lanes, then replays each requested stem once (to quiescence when
+    /// `counting`).
     fn replay_regions<'f>(
         &mut self,
         mask: Packed256,
         live: impl Iterator<Item = &'f TransitionFault>,
         counting: bool,
     ) {
-        self.sens_cells.clear();
-        self.sens.clear();
-        self.requests.clear();
-        self.words.clear();
         let (mut activation_skips, mut masked, mut evals) = (0u64, 0u64, 0u64);
         for fault in live {
             let act = self.activation_lanes(fault).and(mask);
             if !act.any() {
                 activation_skips += 1;
-                continue;
-            }
-            let site = fault.site.index() as u32;
-            let lanes = act.and(self.sensitization(site, &mut evals));
-            if !lanes.any() {
+            } else if !self.core.request(fault.entry(), act, &mut evals) {
                 masked += 1;
-                continue;
-            }
-            let stem = self.regions.stem(site);
-            if let Some(r) = self.request_slot(stem) {
-                self.requests[r].1 += 1;
-                self.words[r] = self.words[r].or(lanes);
-            } else {
-                self.slot[stem as usize] = self.requests.len() as u32;
-                self.requests.push((stem, 1));
-                self.words.push(lanes);
             }
         }
-        for (&(stem, faults), word) in self.requests.iter().zip(self.words.iter_mut()) {
-            let stop = if counting || faults > 1 {
-                Packed256::bot()
-            } else {
-                *word
-            };
-            let forced = self.values2[stem as usize].xor(*word);
-            *word = self.replay.replay(
-                self.view.compiled(),
-                self.view.observed_drivers(),
-                &mut self.values2,
-                stem,
-                forced,
-                stop,
-            );
-        }
+        self.core.replay_requests(counting);
         if flh_obs::enabled() {
             // Per-fault and per-region quantities only: regions are dealt
             // whole, so these are invariant under fault-list sharding (the
@@ -477,148 +395,51 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         }
     }
 
-    /// `D(cell)`: the lanes in which flipping `cell` in the good V2 machine
-    /// flips its region's stem. Walks up the reader chain to the stem or to
-    /// the first cell already known this block, then folds back down,
-    /// evaluating each reader once with its driver flipped (counted in
-    /// `evals`) and memoizing every word on the way. Once a word is empty,
-    /// every word below it is too, and no reader is evaluated for them.
-    fn sensitization(&mut self, cell: u32, evals: &mut u64) -> Packed256 {
-        let mut x = cell;
-        let mut d = loop {
-            let Some(reader) = self.regions.reader(x) else {
-                break Packed256::top();
-            };
-            if let Some(k) = self.sens_slot(x) {
-                break self.sens[k];
-            }
-            self.chain.push((x, reader));
-            x = reader;
-        };
-        while let Some((x, reader)) = self.chain.pop() {
-            if d.any() {
-                let good = self.values2[x as usize];
-                self.values2[x as usize] = good.not();
-                let flipped =
-                    self.view
-                        .program()
-                        .eval_cell(reader, &self.values2, &mut self.scratch);
-                self.values2[x as usize] = good;
-                d = d.and(flipped.xor(self.values2[reader as usize]));
-                *evals += 1;
-            }
-            self.slot[x as usize] = self.sens.len() as u32;
-            self.sens_cells.push(x);
-            self.sens.push(d);
-        }
-        d
-    }
-
     /// Pass 3 for one fault: the lanes of this block that detect it — its
     /// activated, stem-sensitized lanes where its stem's replay
     /// miscompared. Valid after [`Self::replay_regions`] saw the fault.
     fn detection_lanes(&self, fault: &TransitionFault, mask: Packed256) -> Packed256 {
-        let act = self.activation_lanes(fault).and(mask);
-        if !act.any() {
+        let observed = self.core.observed(fault.entry());
+        if !observed.any() {
             return Packed256::bot();
         }
-        let site = fault.site.index() as u32;
-        let sens = match self.sens_slot(site) {
-            Some(k) => self.sens[k],
-            None => Packed256::top(), // a stem
-        };
-        let lanes = act.and(sens);
-        match self.request_slot(self.regions.stem(site)) {
-            Some(r) if lanes.any() => lanes.and(self.words[r]),
-            _ => Packed256::bot(),
-        }
-    }
-
-    /// This block's `sens` index of a region-internal `cell`, once its `D`
-    /// is known.
-    fn sens_slot(&self, cell: u32) -> Option<usize> {
-        let k = self.slot[cell as usize] as usize;
-        (k < self.sens_cells.len() && self.sens_cells[k] == cell).then_some(k)
-    }
-
-    /// This block's `requests` index of `stem`, once a fault asked for it.
-    fn request_slot(&self, stem: u32) -> Option<usize> {
-        let k = self.slot[stem as usize] as usize;
-        (k < self.requests.len() && self.requests[k].0 == stem).then_some(k)
+        self.activation_lanes(fault).and(mask).and(observed)
     }
 
     /// Lanes where V1 sets the initial value and V2 the final value at the
     /// fault site.
     fn activation_lanes(&self, fault: &TransitionFault) -> Packed256 {
         let site = fault.site.index();
-        let init_mask = if fault.initial_value() {
-            self.values1[site]
-        } else {
-            self.values1[site].not()
-        };
-        let launch_mask = if fault.final_value() {
-            self.values2[site]
-        } else {
-            self.values2[site].not()
-        };
+        let (v1, v2) = (self.values1[site], self.core.good()[site]);
+        let init_mask = if fault.initial_value() { v1 } else { v1.not() };
+        let launch_mask = if fault.final_value() { v2 } else { v2.not() };
         init_mask.and(launch_mask)
     }
 }
 
-/// Packs up to [`PATTERN_BLOCK`] pattern pairs into per-assignable
-/// superwords and returns the lane mask covering exactly the packed pairs.
-fn pack_pair_batch(
-    chunk: &[TransitionPattern],
-    n: usize,
-    v1_words: &mut [Packed256],
-    v2_words: &mut [Packed256],
-) -> Packed256 {
-    v1_words.fill(Packed256::bot());
-    v2_words.fill(Packed256::bot());
-    for (lane, p) in chunk.iter().enumerate() {
-        let (limb, bit) = (lane / 64, 1u64 << (lane % 64));
-        for i in 0..n {
-            if p.v1[i] {
-                v1_words[i].0[limb] |= bit;
-            }
-            if p.v2[i] {
-                v2_words[i].0[limb] |= bit;
-            }
+impl<'v, 'a> BlockSim<'v, 'a> for TransitionSimulator<'v, 'a> {
+    type Fault = TransitionFault;
+    type Pattern = TransitionPattern;
+    const FRAMES: usize = 2;
+    fn frame(pattern: &TransitionPattern, f: usize) -> &[bool] {
+        if f == 0 {
+            &pattern.v1
+        } else {
+            &pattern.v2
         }
     }
-    Packed256::mask_lanes(chunk.len())
-}
-
-/// One worker's share of a partitioned pair campaign: a fresh simulator,
-/// the full pattern-pair set, the faults of one dealt shard (whole
-/// regions). Faults flagged in `dropped` were detected by an earlier call
-/// and are never simulated again; the shard's updated flags are merged
-/// back by the caller.
-fn pair_stats_shard(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    patterns: &[TransitionPattern],
-    mut dropped: Vec<bool>,
-) -> (Vec<FaultStats>, Vec<bool>) {
-    let mut sim = TransitionSimulator::new(view);
-    let mut stats = vec![FaultStats::default(); faults.len()];
-    let already: Vec<bool> = dropped.clone();
-    let n = view.assignable().len();
-    let mut v1_words = vec![Packed256::bot(); n];
-    let mut v2_words = vec![Packed256::bot(); n];
-    for (batch, chunk) in patterns.chunks(PATTERN_BLOCK).enumerate() {
-        let mask = pack_pair_batch(chunk, n, &mut v1_words, &mut v2_words);
-        let new_hits = sim.run_batch(&v1_words, &v2_words, mask, faults, &mut dropped);
-        if new_hits > 0 {
-            for ((s, &d), &pre) in stats.iter_mut().zip(&dropped).zip(&already) {
-                if d && !pre && !s.detected {
-                    s.detected = true;
-                    s.first_batch = Some(batch as u32);
-                }
-            }
-        }
+    fn new(view: &'v TestView<'a>) -> Self {
+        TransitionSimulator::new(view)
     }
-    (stats, dropped)
+    fn run_frames(
+        &mut self,
+        frames: &[Vec<Packed256>],
+        mask: Packed256,
+        faults: &[TransitionFault],
+        detected: &mut [bool],
+    ) -> usize {
+        self.run_batch(&frames[0], &frames[1], mask, faults, detected)
+    }
 }
 
 impl TransitionSimulator<'_, '_> {
@@ -641,7 +462,7 @@ impl TransitionSimulator<'_, '_> {
     /// [`TransitionSimulator::simulate_partitioned`] with a persistent
     /// [`DropMask`]: faults already dropped are skipped by every shard and
     /// batch, and this call's detections are merged back into `drops`, so
-    /// a staged campaign (incremental pair blocks) never re-replays a
+    /// a staged campaign (incremental pair blocks) never re-simulates a
     /// detected fault. Stats describe **this call only** — a fault dropped
     /// by an earlier call reports `FaultStats::default()`.
     pub fn simulate_partitioned_dropping(
@@ -651,39 +472,7 @@ impl TransitionSimulator<'_, '_> {
         pool: &ThreadPool,
         drops: &mut DropMask,
     ) -> Vec<FaultStats> {
-        assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
-        // Position `p` of the region-major list holds input fault
-        // `order[p]`; the shards work on positions and everything is
-        // scattered back through `order`.
-        let order = view.regions().order(view.compiled(), faults);
-        let ordered: Vec<TransitionFault> = order.iter().map(|&i| faults[i]).collect();
-        let mut ordered_drops = DropMask::new(faults.len());
-        for (p, &i) in order.iter().enumerate() {
-            if drops.is_dropped(i) {
-                ordered_drops.drop_fault(p);
-            }
-        }
-        let parts = deal_regions(pool, view.regions(), &ordered, |shard| {
-            pair_stats_shard(
-                view,
-                &gather(&ordered, shard),
-                patterns,
-                ordered_drops.shard(shard),
-            )
-        });
-        let mut stats = vec![FaultStats::default(); faults.len()];
-        for (shard, (shard_stats, flags)) in parts {
-            for (p, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
-                stats[order[p]] = s;
-            }
-            ordered_drops.merge_shard(&shard, &flags);
-        }
-        for (p, &i) in order.iter().enumerate() {
-            if ordered_drops.is_dropped(p) {
-                drops.drop_fault(i);
-            }
-        }
-        stats
+        simulate_partitioned::<TransitionSimulator>(view, faults, patterns, pool, drops)
     }
 }
 
@@ -850,6 +639,7 @@ pub fn transition_atpg_with_filter(
     let mut patterns = Vec::new();
     let mut sim = TransitionSimulator::new(view);
     let n = view.assignable().len();
+    let (mut v1_words, mut v2_words) = (vec![Packed256::bot(); n], vec![Packed256::bot(); n]);
 
     for fi in 0..faults.len() {
         if detected[fi] {
@@ -885,12 +675,8 @@ pub fn transition_atpg_with_filter(
         };
         // Simulate the new pair against every remaining fault (lane 0
         // carries the pair; the rest of the block is masked off).
-        let mut v1_words = vec![Packed256::bot(); n];
-        let mut v2_words = vec![Packed256::bot(); n];
-        for i in 0..n {
-            v1_words[i] = Packed256::from_word(if pattern.v1[i] { 1 } else { 0 });
-            v2_words[i] = Packed256::from_word(if pattern.v2[i] { 1 } else { 0 });
-        }
+        pack_block(&mut v1_words, std::iter::once(&pattern.v1[..]));
+        pack_block(&mut v2_words, std::iter::once(&pattern.v2[..]));
         sim.run_batch(
             &v1_words,
             &v2_words,
@@ -961,6 +747,7 @@ pub fn transition_atpg_ndetect(
     let mut patterns: Vec<TransitionPattern> = Vec::new();
     let mut sim = TransitionSimulator::new(view);
     let na = view.assignable().len();
+    let (mut v1_words, mut v2_words) = (vec![Packed256::bot(); na], vec![Packed256::bot(); na]);
 
     for fi in 0..faults.len() {
         if counts[fi] >= n {
@@ -988,12 +775,8 @@ pub fn transition_atpg_ndetect(
                 counts[fi] = counts[fi].max(1);
                 break;
             }
-            let mut v1_words = vec![Packed256::bot(); na];
-            let mut v2_words = vec![Packed256::bot(); na];
-            for i in 0..na {
-                v1_words[i] = Packed256::from_word(if pattern.v1[i] { 1 } else { 0 });
-                v2_words[i] = Packed256::from_word(if pattern.v2[i] { 1 } else { 0 });
-            }
+            pack_block(&mut v1_words, std::iter::once(&pattern.v1[..]));
+            pack_block(&mut v2_words, std::iter::once(&pattern.v2[..]));
             sim.run_batch_counting(
                 &v1_words,
                 &v2_words,
@@ -1029,13 +812,10 @@ pub fn compact_transition_patterns(
     let mut detected = vec![false; faults.len()];
     let n = view.assignable().len();
     let mut kept: Vec<TransitionPattern> = Vec::new();
+    let (mut v1, mut v2) = (vec![Packed256::bot(); n], vec![Packed256::bot(); n]);
     for pattern in patterns.iter().rev() {
-        let mut v1 = vec![Packed256::bot(); n];
-        let mut v2 = vec![Packed256::bot(); n];
-        for i in 0..n {
-            v1[i] = Packed256::from_word(if pattern.v1[i] { 1 } else { 0 });
-            v2[i] = Packed256::from_word(if pattern.v2[i] { 1 } else { 0 });
-        }
+        pack_block(&mut v1, std::iter::once(&pattern.v1[..]));
+        pack_block(&mut v2, std::iter::once(&pattern.v2[..]));
         if sim.run_batch(&v1, &v2, Packed256::lane_bit(0), faults, &mut detected) > 0 {
             kept.push(pattern.clone());
         }
@@ -1047,6 +827,8 @@ pub fn compact_transition_patterns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{enumerate_stuck_faults, FaultSite};
+    use crate::fsim::{stuck_detects_reference, StuckSimulator};
     use flh_netlist::{generate_circuit, GeneratorConfig};
 
     fn small() -> Netlist {
@@ -1315,19 +1097,24 @@ mod tests {
         }
     }
 
-    /// Checks stem-region simulation lane by lane against
-    /// [`transition_detects_reference`] on `n`: `run_batch` and
-    /// `run_batch_counting` over the whole fault list at once (several
-    /// faults per stem: full propagation) and `run_batch` per fault (one
-    /// fault per stem: early exit), under full, single-lane, single-limb
-    /// and sparse masks.
-    fn assert_regions_match_reference(n: &Netlist) {
+    /// Checks stem-region simulation lane by lane against the references
+    /// on `n`. Transition faults against [`transition_detects_reference`]:
+    /// `run_batch` and `run_batch_counting` over the whole fault list at
+    /// once (several faults per stem: full propagation) and `run_batch` per
+    /// fault (one fault per stem: early exit). Stuck-at stem and branch
+    /// faults on the V2 frame against [`stuck_detects_reference`], whole
+    /// list and one fault at a time. All under full, single-lane,
+    /// single-limb and sparse masks. Returns the number of branch faults
+    /// checked.
+    fn assert_regions_match_reference(n: &Netlist) -> usize {
         let view = TestView::new(n).unwrap();
         let faults = enumerate_transition_faults(n);
         assert!(!faults.is_empty());
+        let stuck = enumerate_stuck_faults(n);
         let na = view.assignable().len();
         let mut rng = Rng::seed_from_u64(n.cell_count() as u64);
         let mut sim = TransitionSimulator::new(&view);
+        let mut stuck_sim = StuckSimulator::new(&view);
         for _ in 0..8 {
             let mut limbs = || -> Vec<Vec<u64>> {
                 (0..4)
@@ -1352,7 +1139,7 @@ mod tests {
                     [(); 4].map(|_| (0..density).fold(!0u64, |acc, _| acc & rng.gen::<u64>()));
                 masks.push(Packed256::from_limbs(sparse));
             }
-            for mask in masks {
+            for &mask in &masks {
                 let reference: Vec<Vec<u64>> = faults
                     .iter()
                     .map(|f| {
@@ -1383,8 +1170,33 @@ mod tests {
                     sim.run_batch(&w1, &w2, mask, std::slice::from_ref(fault), &mut one);
                     assert_eq!(one[0], want, "{}: {fault:?} alone, {mask:?}", n.name());
                 }
+
+                let expected: Vec<bool> = stuck
+                    .iter()
+                    .map(|f| {
+                        (0..4).any(|l| stuck_detects_reference(&view, f, &v2[l], mask.limb(l)) != 0)
+                    })
+                    .collect();
+                let mut detected = vec![false; stuck.len()];
+                let hits = stuck_sim.run_batch(&w2, mask, &stuck, &mut detected);
+                assert_eq!(
+                    detected,
+                    expected,
+                    "{}: all stuck faults, {mask:?}",
+                    n.name()
+                );
+                assert_eq!(hits, expected.iter().filter(|&&d| d).count());
+                for (fault, &want) in stuck.iter().zip(&expected) {
+                    let mut one = vec![false];
+                    stuck_sim.run_batch(&w2, mask, std::slice::from_ref(fault), &mut one);
+                    assert_eq!(one[0], want, "{}: {fault:?} alone, {mask:?}", n.name());
+                }
             }
         }
+        stuck
+            .iter()
+            .filter(|f| matches!(f.site, FaultSite::Branch { .. }))
+            .count()
     }
 
     #[test]
@@ -1426,7 +1238,8 @@ mod tests {
         let z = n.add_cell("z", CellKind::Xor2, vec![m, m]);
         let r = n.add_cell("r", CellKind::Or2, vec![q, z]);
         n.add_output("y", r);
-        assert_regions_match_reference(&n);
+        // Branch faults on one pin of q and of z: only that pin is forced.
+        assert!(assert_regions_match_reference(&n) > 0);
     }
 
     #[test]
@@ -1457,7 +1270,7 @@ mod tests {
         let h = n.add_cell("h", CellKind::Nor2, vec![g, c]);
         n.add_output("y1", g);
         n.add_output("y2", h);
-        assert_regions_match_reference(&n);
+        assert!(assert_regions_match_reference(&n) > 0);
     }
 
     #[test]
@@ -1475,7 +1288,24 @@ mod tests {
         let t = n.add_cell("t", CellKind::Or2, vec![r, ins[5]]);
         n.add_output("y1", p);
         n.add_output("y2", t);
-        assert_regions_match_reference(&n);
+        assert!(assert_regions_match_reference(&n) > 0);
+    }
+
+    #[test]
+    fn regions_match_reference_on_branches_into_complex_gates() {
+        // a fans out to pins 0 and 2 of an AOI21 and into an XNOR it also
+        // reads through an inverter; both gates sit inside r's region.
+        let mut n = Netlist::new("complexbr");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let i = n.add_cell("i", CellKind::Inv, vec![a]);
+        let g = n.add_cell("g", CellKind::Aoi21, vec![a, b, a]);
+        let x = n.add_cell("x", CellKind::Xnor2, vec![a, i]);
+        let m = n.add_cell("m", CellKind::Mux2, vec![g, x, c]);
+        let r = n.add_cell("r", CellKind::Nand2, vec![m, b]);
+        n.add_output("y", r);
+        assert!(assert_regions_match_reference(&n) > 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `circuit × style` combination and holds it against an implementation
 //! that never touches the bytecode:
 //!
-//! * packed settles ([`Dual64`] and the [`Dual256`] superword) against the
-//!   event-driven [`LogicSim`], lane by lane, with injected unknowns;
+//! * the packed [`Dual64`] settle against the event-driven [`LogicSim`],
+//!   lane by lane, with injected unknowns;
 //! * [`StuckSimulator`] batches against the brute-force two-evaluation
 //!   [`stuck_detects_reference`];
 //! * [`TransitionSimulator`] batches against
@@ -24,18 +24,14 @@ use flh_bench::build_circuit;
 use flh_core::{apply_style, DftStyle};
 use flh_netlist::bytecode::INST_WORDS;
 use flh_netlist::{
-    iscas89_profiles, CompiledCircuit, Dual256, Dual64, Netlist, Packed256, PatternWord, Program,
+    iscas89_profiles, CompiledCircuit, Dual64, Netlist, Packed256, PatternWord, Program,
 };
 use flh_rng::Rng;
-use flh_sim::{
-    lane_to_logic, logic_to_lane, logic_to_superlane, settle_packed, superlane_to_logic, Logic,
-    LogicSim,
-};
+use flh_sim::{lane_to_logic, logic_to_lane, settle_packed, Logic, LogicSim};
 
 const STYLES: [DftStyle; 3] = [DftStyle::EnhancedScan, DftStyle::MuxHold, DftStyle::Flh];
 
-/// Lanes checked against the scalar reference (spanning both superword
-/// limb boundaries when scaled by 3).
+/// Lanes checked against the scalar reference.
 const CHECK_LANES: [u32; 3] = [0, 17, 63];
 
 /// Every k-th element, bounding debug-build runtime while spanning the
@@ -70,11 +66,8 @@ fn packed_bytecode_settle_matches_event_driven_on_all_profiles_and_styles() {
             let p = Program::lower(&c);
             let mut rng = Rng::seed_from_u64(0xCE11 + (pi * 8 + si) as u64);
 
-            // One independent stimulus per checked lane, mirrored into the
-            // 64-lane word (lane k) and the superword (lane 3k — crosses
-            // limb boundaries for the high lanes).
+            // One independent stimulus per checked lane of the 64-lane word.
             let mut packed = vec![Dual64::all_x(); c.cell_count()];
-            let mut superpacked = vec![Dual256::all_x(); c.cell_count()];
             let mut scalars: Vec<Vec<Logic>> = Vec::new();
             for &lane in &CHECK_LANES {
                 let mut scalar = vec![Logic::X; c.cell_count()];
@@ -84,16 +77,10 @@ fn packed_bytecode_settle_matches_event_driven_on_all_profiles_and_styles() {
                     let d = logic_to_lane(v, lane);
                     packed[src as usize].one |= d.one;
                     packed[src as usize].zero |= d.zero;
-                    let s = logic_to_superlane(v, 3 * lane);
-                    for limb in 0..4 {
-                        superpacked[src as usize].one[limb] |= s.one[limb];
-                        superpacked[src as usize].zero[limb] |= s.zero[limb];
-                    }
                 }
                 scalars.push(scalar);
             }
             settle_packed(&p, &mut packed);
-            settle_packed(&p, &mut superpacked);
 
             for (&lane, scalar) in CHECK_LANES.iter().zip(&scalars) {
                 let mut reference = LogicSim::new(&n).expect("acyclic after scan insertion");
@@ -111,13 +98,6 @@ fn packed_bytecode_settle_matches_event_driven_on_all_profiles_and_styles() {
                         want,
                         "{} / {style}: lane {lane} {id:?}",
                         profile.name
-                    );
-                    assert_eq!(
-                        superlane_to_logic(superpacked[id.index()], 3 * lane),
-                        want,
-                        "{} / {style}: superword lane {} {id:?}",
-                        profile.name,
-                        3 * lane
                     );
                 }
             }

@@ -26,10 +26,10 @@
 //!   pattern-for-pattern and count-for-count.
 
 use flh_atpg::{
-    enumerate_stuck_faults, enumerate_transition_faults, order_stuck_faults,
-    order_stuck_faults_pruned, simulate_transition_patterns, stuck_coverage, transition_atpg,
-    transition_atpg_with_filter, transition_campaign_filtered, transition_campaign_with_view,
-    ApplicationStyle, PodemConfig, StaticFilter, TestView, TransitionFault, TransitionPattern,
+    enumerate_stuck_faults, enumerate_transition_faults, simulate_transition_patterns,
+    stuck_coverage, transition_atpg, transition_atpg_with_filter, transition_campaign_filtered,
+    transition_campaign_with_view, ApplicationStyle, PodemConfig, StaticFilter, TestView,
+    TransitionFault, TransitionPattern,
 };
 use flh_bench::build_circuit;
 use flh_core::{apply_style, DftStyle};
@@ -215,17 +215,16 @@ fn pruned_stuck_ordering_preserves_coverage() {
         let view = TestView::new(&netlist).expect("test view");
         let filter = StaticFilter::from_view(&view);
         let faults = enumerate_stuck_faults(&netlist);
-        let baseline = order_stuck_faults(view.compiled(), &faults);
-        let (pruned, dropped) = order_stuck_faults_pruned(&filter, view.compiled(), &faults);
-        assert_eq!(pruned.len() + dropped, baseline.len());
+        let outcome = filter.prune_stuck(&faults);
+        assert_eq!(outcome.kept.len() + outcome.pruned, faults.len());
 
         let mut rng = Rng::seed_from_u64(0xC0DE);
         let patterns = random_vectors(&mut rng, view.assignable().len(), STUCK_PATTERNS);
-        let full: usize = stuck_coverage(&view, &baseline, &patterns)
+        let full: usize = stuck_coverage(&view, &faults, &patterns)
             .iter()
             .filter(|&&d| d)
             .count();
-        let kept: usize = stuck_coverage(&view, &pruned, &patterns)
+        let kept: usize = stuck_coverage(&view, &outcome.kept, &patterns)
             .iter()
             .filter(|&&d| d)
             .count();

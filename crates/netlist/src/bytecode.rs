@@ -20,12 +20,19 @@
 //!    cache lines.
 //!
 //! The executor is generic over [`LaneWord`], so one opcode table serves
-//! every engine: plain `u64` two-valued fault simulation, [`Dual64`]
-//! 64-lane dual-rail settles, the 8-lane [`Dual8`] scalar-sim storage and
-//! the 256-lane [`Dual256`] manual `u64x4` superword. Per-gate dual-rail
-//! Kleene evaluation is exactly `eval3` for the whole library (proven by
-//! the flh-sim tests), so the bytecode engines stay bit-identical to the
-//! event-driven reference.
+//! every engine: plain `u64` two-valued evaluation, the 256-lane
+//! [`Packed256`] pattern word of the fault simulators, [`Dual64`] 64-lane
+//! dual-rail settles and the 8-lane [`Dual8`] words of the scalar simulator
+//! and of PODEM. Per-gate dual-rail Kleene evaluation is exactly `eval3` for
+//! the whole library (proven by the flh-sim tests), so the bytecode engines
+//! stay bit-identical to the event-driven reference.
+//!
+//! The same table applies faults. A stem fault is a forced cell value; a
+//! branch fault — one fanin pin of one gate — is
+//! [`Program::eval_cell_pinned`], which re-runs the gate's chain with only
+//! that pin's operand slot read as a given word. Lowering records the slot
+//! of every pin, so a gate reading one driver on several pins (`XOR(a, a)`)
+//! has only the faulted pin forced.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -37,7 +44,7 @@ use crate::compiled::CompiledCircuit;
 /// bitwise connectives the opcode table is built from.
 ///
 /// Implementations are either *two-valued* (`u64`: one pattern per bit) or
-/// *dual-rail three-valued* ([`Dual8`], [`Dual64`], [`Dual256`]): a lane is
+/// *dual-rail three-valued* ([`Dual8`], [`Dual64`]): a lane is
 /// definitely-1, definitely-0 or unknown, and the connectives implement
 /// exact Kleene logic. `mux` carries the consensus term in the dual-rail
 /// forms so `MUX(a, a, X) = a`.
@@ -100,19 +107,31 @@ impl LaneWord for Dual64 {
     }
     #[inline(always)]
     fn and(self, rhs: Self) -> Self {
-        Dual64::and(self, rhs)
+        Dual64 {
+            one: self.one & rhs.one,
+            zero: self.zero | rhs.zero,
+        }
     }
     #[inline(always)]
     fn or(self, rhs: Self) -> Self {
-        Dual64::or(self, rhs)
+        Dual64 {
+            one: self.one | rhs.one,
+            zero: self.zero & rhs.zero,
+        }
     }
     #[inline(always)]
     fn not(self) -> Self {
-        Dual64::not(self)
+        Dual64 {
+            one: self.zero,
+            zero: self.one,
+        }
     }
     #[inline(always)]
     fn xor(self, rhs: Self) -> Self {
-        Dual64::xor(self, rhs)
+        Dual64 {
+            one: (self.one & rhs.zero) | (self.zero & rhs.one),
+            zero: (self.one & rhs.one) | (self.zero & rhs.zero),
+        }
     }
     #[inline(always)]
     fn mux(a: Self, b: Self, s: Self) -> Self {
@@ -195,108 +214,17 @@ impl LaneWord for Dual8 {
     }
 }
 
-/// 256 lanes of dual-rail three-valued logic: a manual `u64x4` superword.
-/// One instruction evaluates 256 independent patterns; the four limbs keep
-/// the planes in straight-line code the compiler vectorizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Dual256 {
-    /// Definitely-one plane, four 64-lane limbs.
-    pub one: [u64; 4],
-    /// Definitely-zero plane, four 64-lane limbs.
-    pub zero: [u64; 4],
-}
-
-impl Dual256 {
-    /// All 256 lanes unknown.
-    #[inline]
-    pub fn all_x() -> Self {
-        Dual256 {
-            one: [0; 4],
-            zero: [0; 4],
-        }
-    }
-}
-
 #[inline(always)]
 fn zip4(a: [u64; 4], b: [u64; 4], f: impl Fn(u64, u64) -> u64) -> [u64; 4] {
     [f(a[0], b[0]), f(a[1], b[1]), f(a[2], b[2]), f(a[3], b[3])]
 }
 
-impl LaneWord for Dual256 {
-    #[inline(always)]
-    fn top() -> Self {
-        Dual256 {
-            one: [!0; 4],
-            zero: [0; 4],
-        }
-    }
-    #[inline(always)]
-    fn bot() -> Self {
-        Dual256 {
-            one: [0; 4],
-            zero: [!0; 4],
-        }
-    }
-    #[inline(always)]
-    fn and(self, rhs: Self) -> Self {
-        Dual256 {
-            one: zip4(self.one, rhs.one, |a, b| a & b),
-            zero: zip4(self.zero, rhs.zero, |a, b| a | b),
-        }
-    }
-    #[inline(always)]
-    fn or(self, rhs: Self) -> Self {
-        Dual256 {
-            one: zip4(self.one, rhs.one, |a, b| a | b),
-            zero: zip4(self.zero, rhs.zero, |a, b| a & b),
-        }
-    }
-    #[inline(always)]
-    fn not(self) -> Self {
-        Dual256 {
-            one: self.zero,
-            zero: self.one,
-        }
-    }
-    #[inline(always)]
-    fn xor(self, rhs: Self) -> Self {
-        Dual256 {
-            one: zip4(
-                zip4(self.one, rhs.zero, |a, b| a & b),
-                zip4(self.zero, rhs.one, |a, b| a & b),
-                |a, b| a | b,
-            ),
-            zero: zip4(
-                zip4(self.one, rhs.one, |a, b| a & b),
-                zip4(self.zero, rhs.zero, |a, b| a & b),
-                |a, b| a | b,
-            ),
-        }
-    }
-    #[inline(always)]
-    fn mux(a: Self, b: Self, s: Self) -> Self {
-        let pick = |sa: [u64; 4], sb: [u64; 4], va: [u64; 4], vb: [u64; 4]| {
-            zip4(
-                zip4(sa, va, |x, y| x & y),
-                zip4(sb, vb, |x, y| x & y),
-                |x, y| x | y,
-            )
-        };
-        let sel = pick(s.zero, s.one, a.one, b.one);
-        let consensus_one = zip4(a.one, b.one, |x, y| x & y);
-        let selz = pick(s.zero, s.one, a.zero, b.zero);
-        let consensus_zero = zip4(a.zero, b.zero, |x, y| x & y);
-        Dual256 {
-            one: zip4(sel, consensus_one, |x, y| x | y),
-            zero: zip4(selz, consensus_zero, |x, y| x | y),
-        }
-    }
-}
-
 /// 256 lanes of two-valued logic: a manual `u64x4` superword, the pattern
 /// word of the fault simulators. One bit per pattern, four limbs of 64
 /// lanes each; the limbs keep the connectives in straight-line code the
-/// compiler vectorizes, exactly like [`Dual256`] on the dual-rail side.
+/// compiler vectorizes. The stem-region fault engine keeps the good machine
+/// of a 256-pattern block in it, replays stems over it and forces branch
+/// pins with [`Program::eval_cell_pinned`] at this width.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(C, align(32))]
 pub struct Packed256(pub [u64; 4]);
@@ -563,8 +491,9 @@ pub const MAX_FUSED_OPERANDS: usize = 4;
 pub const INST_WORDS: usize = 2 + MAX_FUSED_OPERANDS;
 
 /// Instructions per level batch. A batch's destination stripe stays within
-/// a few cache lines for the widest lane word (64 × [`Dual8`] = 2 lines;
-/// 64 × [`Dual256`] = one 4 KiB stride the hardware prefetcher tracks).
+/// a few cache lines for the narrow lane words (64 × [`Dual8`] = 2 lines)
+/// and is one 2 KiB stride the hardware prefetcher tracks for the widest
+/// (64 × [`Packed256`]).
 pub const BATCH_INSTS: u32 = 64;
 
 /// One contiguous run of instructions inside a single level.
@@ -621,14 +550,22 @@ pub struct Program {
     /// Per cell id: (first code word, word count) of its instruction chain,
     /// or `(u32::MAX, 0)` for sources that are never evaluated.
     cell_chain: Vec<(u32, u32)>,
+    /// Per lowered cell, one entry per fanin pin (from `pin_off[cell]`): the
+    /// code word, counted from the chain start, of the one operand slot that
+    /// reads the pin — what [`Program::eval_cell_pinned`] forces.
+    pin_operand: Vec<u32>,
+    /// `pin_operand[pin_off[c]..pin_off[c + 1]]` are cell `c`'s pins; a
+    /// source's range is empty.
+    pin_off: Vec<u32>,
     inst_count: u32,
     micro_ops: u64,
 }
 
-/// Virtual operand during lowering: a cell value or a chain-local temp.
+/// Virtual operand during lowering: one of the cell's fanin pins (by pin
+/// index, so `XOR(a, a)` keeps its two pins apart) or a chain-local temp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Arg {
-    Cell(u32),
+    Pin(u32),
     Node(u32),
 }
 
@@ -652,21 +589,22 @@ fn push(nodes: &mut Vec<Node>, op: Opcode, args: Vec<Arg>) -> Arg {
     Arg::Node(nodes.len() as u32 - 1)
 }
 
-/// Left-fold a binary associative op over the fanin list.
-fn fold_chain(nodes: &mut Vec<Node>, op: Opcode, fanin: &[u32]) -> Arg {
-    let mut acc = Arg::Cell(fanin[0]);
-    for &f in &fanin[1..] {
-        acc = push(nodes, op, vec![acc, Arg::Cell(f)]);
+/// Left-fold a binary associative op over the cell's `pins` fanin pins.
+fn fold_chain(nodes: &mut Vec<Node>, op: Opcode, pins: usize) -> Arg {
+    let mut acc = Arg::Pin(0);
+    for p in 1..pins as u32 {
+        acc = push(nodes, op, vec![acc, Arg::Pin(p)]);
     }
     acc
 }
 
-/// Stage 1: expand one library cell into binary micro-ops over single-use
-/// virtual temps. The last pushed node is the cell's root value.
-fn expand(kind: CellKind, fanin: &[u32]) -> Vec<Node> {
+/// Stage 1: expand one library cell of `pins` fanin pins into binary
+/// micro-ops over single-use virtual temps. Every pin is read by exactly one
+/// micro-op; the last pushed node is the cell's root value.
+fn expand(kind: CellKind, pins: usize) -> Vec<Node> {
     use CellKind::*;
     let mut nodes = Vec::new();
-    let c = |i: usize| Arg::Cell(fanin[i]);
+    let c = |i: u32| Arg::Pin(i);
     match kind {
         Input | Dff | ScanDff => unreachable!("sources are not lowered"),
         Const0 => {
@@ -682,24 +620,24 @@ fn expand(kind: CellKind, fanin: &[u32]) -> Vec<Node> {
             push(&mut nodes, Opcode::Not, vec![c(0)]);
         }
         And2 | And3 | And4 | AndN(_) => {
-            fold_chain(&mut nodes, Opcode::And, fanin);
+            fold_chain(&mut nodes, Opcode::And, pins);
         }
         Nand2 | Nand3 | Nand4 | NandN(_) => {
-            let t = fold_chain(&mut nodes, Opcode::And, fanin);
+            let t = fold_chain(&mut nodes, Opcode::And, pins);
             push(&mut nodes, Opcode::Not, vec![t]);
         }
         Or2 | Or3 | Or4 | OrN(_) => {
-            fold_chain(&mut nodes, Opcode::Or, fanin);
+            fold_chain(&mut nodes, Opcode::Or, pins);
         }
         Nor2 | Nor3 | Nor4 | NorN(_) => {
-            let t = fold_chain(&mut nodes, Opcode::Or, fanin);
+            let t = fold_chain(&mut nodes, Opcode::Or, pins);
             push(&mut nodes, Opcode::Not, vec![t]);
         }
         Xor2 | XorN(_) => {
-            fold_chain(&mut nodes, Opcode::Xor, fanin);
+            fold_chain(&mut nodes, Opcode::Xor, pins);
         }
         Xnor2 => {
-            let t = fold_chain(&mut nodes, Opcode::Xor, fanin);
+            let t = fold_chain(&mut nodes, Opcode::Xor, pins);
             push(&mut nodes, Opcode::Not, vec![t]);
         }
         Aoi21 => {
@@ -762,7 +700,7 @@ fn fuse(nodes: &mut [Node]) {
                             && nodes[i].args.len() - 1 + nodes[j].args.len() <= MAX_FUSED_OPERANDS)
                             .then_some(j)
                     }
-                    Arg::Cell(_) => None,
+                    Arg::Pin(_) => None,
                 };
                 if let Some(j) = absorb {
                     let inner = nodes[j].args.clone();
@@ -788,7 +726,7 @@ fn fuse(nodes: &mut [Node]) {
     }
     let inner = match nodes[root].args[0] {
         Arg::Node(j) => j as usize,
-        Arg::Cell(_) => return, // plain inverter of a cell
+        Arg::Pin(_) => return, // plain inverter of a pin
     };
     let (new_op, new_args, absorbed): (Opcode, Vec<Arg>, Vec<usize>) = match nodes[inner].op {
         Opcode::Or if nodes[inner].args.len() == 2 => {
@@ -865,6 +803,67 @@ fn fuse(nodes: &mut [Node]) {
     nodes[root].folded = folded;
 }
 
+/// The opcode table: the value of an instruction with header `header`
+/// whose operand `k` reads `ld(k)`. Every executor evaluates through it.
+#[inline(always)]
+fn eval_op<W: LaneWord>(header: u32, ld: impl Fn(usize) -> W) -> W {
+    let op = Opcode::from_raw((header >> OP_SHIFT) as u8);
+    let nops = ((header >> NOPS_SHIFT) & 0xf) as usize;
+    match op {
+        Opcode::Const0 => W::bot(),
+        Opcode::Const1 => W::top(),
+        Opcode::Copy => ld(0),
+        Opcode::Not => ld(0).not(),
+        Opcode::And | Opcode::Nand => {
+            let mut acc = ld(0).and(ld(1));
+            if nops > 2 {
+                acc = acc.and(ld(2));
+            }
+            if nops > 3 {
+                acc = acc.and(ld(3));
+            }
+            if op == Opcode::Nand {
+                acc.not()
+            } else {
+                acc
+            }
+        }
+        Opcode::Or | Opcode::Nor => {
+            let mut acc = ld(0).or(ld(1));
+            if nops > 2 {
+                acc = acc.or(ld(2));
+            }
+            if nops > 3 {
+                acc = acc.or(ld(3));
+            }
+            if op == Opcode::Nor {
+                acc.not()
+            } else {
+                acc
+            }
+        }
+        Opcode::Xor | Opcode::Xnor => {
+            let mut acc = ld(0).xor(ld(1));
+            if nops > 2 {
+                acc = acc.xor(ld(2));
+            }
+            if nops > 3 {
+                acc = acc.xor(ld(3));
+            }
+            if op == Opcode::Xnor {
+                acc.not()
+            } else {
+                acc
+            }
+        }
+        Opcode::Aoi21 => ld(0).and(ld(1)).or(ld(2)).not(),
+        Opcode::Aoi22 => ld(0).and(ld(1)).or(ld(2).and(ld(3))).not(),
+        Opcode::Oai21 => ld(0).or(ld(1)).and(ld(2)).not(),
+        Opcode::Oai22 => ld(0).or(ld(1)).and(ld(2).or(ld(3))).not(),
+        Opcode::Mux => W::mux(ld(0), ld(1), ld(2)),
+    }
+}
+
 impl Program {
     /// Lowers a compiled circuit through the full pipeline (expansion →
     /// fusion → scratch allocation → emission). Deterministic: same
@@ -874,6 +873,16 @@ impl Program {
         let mut code: Vec<u32> = Vec::new();
         let mut batches: Vec<Batch> = Vec::new();
         let mut cell_chain = vec![(u32::MAX, 0u32); n_cells as usize];
+        let mut pin_off = Vec::with_capacity(n_cells as usize + 1);
+        let mut pins = 0u32;
+        for id in 0..n_cells {
+            pin_off.push(pins);
+            if compiled.level_of(id) > 0 {
+                pins += compiled.fanin(id).len() as u32;
+            }
+        }
+        pin_off.push(pins);
+        let mut pin_operand = vec![u32::MAX; pins as usize];
         let mut n_scratch = 0u32;
         let mut inst_count = 0u32;
         let mut micro_ops = 0u64;
@@ -893,7 +902,7 @@ impl Program {
             // runs instead of data-dependent hopping.
             lowered.clear();
             for &id in compiled.level_cells(level) {
-                let mut nodes = expand(compiled.kind(id), compiled.fanin(id));
+                let mut nodes = expand(compiled.kind(id), compiled.fanin(id).len());
                 micro_ops += nodes.len() as u64;
                 fuse(&mut nodes);
                 let root_op = nodes[nodes.len() - 1].op as u8;
@@ -906,6 +915,8 @@ impl Program {
             for (_, id, nodes) in &lowered {
                 let (id, nodes) = (*id, nodes);
                 let kind = compiled.kind(id);
+                let fanin = compiled.fanin(id);
+                let pin_base = pin_off[id as usize] as usize;
 
                 // Stages 3+4: allocate scratch for surviving temps and emit.
                 let chain_start = code.len() as u32;
@@ -930,7 +941,11 @@ impl Program {
                     let mut operand_slots = [0u32; MAX_FUSED_OPERANDS];
                     for (k, &arg) in nodes[i].args.iter().enumerate() {
                         operand_slots[k] = match arg {
-                            Arg::Cell(cid) => cid,
+                            Arg::Pin(p) => {
+                                pin_operand[pin_base + p as usize] =
+                                    code.len() as u32 + 2 + k as u32 - chain_start;
+                                fanin[p as usize]
+                            }
                             Arg::Node(j) => {
                                 let s = slot_of[j as usize];
                                 debug_assert_ne!(s, u32::MAX, "temp used before def");
@@ -985,6 +1000,8 @@ impl Program {
             code,
             batches,
             cell_chain,
+            pin_operand,
+            pin_off,
             inst_count,
             micro_ops,
         };
@@ -1043,10 +1060,6 @@ impl Program {
     /// checks vanish once the caller hands in `chunks_exact` windows.
     #[inline(always)]
     fn eval_inst<W: LaneWord>(&self, inst: &[u32], values: &[W], scratch: &[W]) -> (W, usize, u32) {
-        let header = inst[0];
-        let op = Opcode::from_raw((header >> OP_SHIFT) as u8);
-        let nops = ((header >> NOPS_SHIFT) & 0xf) as usize;
-        let dst = inst[1] as usize;
         let n_cells = self.n_cells as usize;
         let ld = |k: usize| {
             let slot = inst[2 + k] as usize;
@@ -1056,60 +1069,7 @@ impl Program {
                 scratch[slot - n_cells]
             }
         };
-        let v = match op {
-            Opcode::Const0 => W::bot(),
-            Opcode::Const1 => W::top(),
-            Opcode::Copy => ld(0),
-            Opcode::Not => ld(0).not(),
-            Opcode::And | Opcode::Nand => {
-                let mut acc = ld(0).and(ld(1));
-                if nops > 2 {
-                    acc = acc.and(ld(2));
-                }
-                if nops > 3 {
-                    acc = acc.and(ld(3));
-                }
-                if op == Opcode::Nand {
-                    acc.not()
-                } else {
-                    acc
-                }
-            }
-            Opcode::Or | Opcode::Nor => {
-                let mut acc = ld(0).or(ld(1));
-                if nops > 2 {
-                    acc = acc.or(ld(2));
-                }
-                if nops > 3 {
-                    acc = acc.or(ld(3));
-                }
-                if op == Opcode::Nor {
-                    acc.not()
-                } else {
-                    acc
-                }
-            }
-            Opcode::Xor | Opcode::Xnor => {
-                let mut acc = ld(0).xor(ld(1));
-                if nops > 2 {
-                    acc = acc.xor(ld(2));
-                }
-                if nops > 3 {
-                    acc = acc.xor(ld(3));
-                }
-                if op == Opcode::Xnor {
-                    acc.not()
-                } else {
-                    acc
-                }
-            }
-            Opcode::Aoi21 => ld(0).and(ld(1)).or(ld(2)).not(),
-            Opcode::Aoi22 => ld(0).and(ld(1)).or(ld(2).and(ld(3))).not(),
-            Opcode::Oai21 => ld(0).or(ld(1)).and(ld(2)).not(),
-            Opcode::Oai22 => ld(0).or(ld(1)).and(ld(2).or(ld(3))).not(),
-            Opcode::Mux => W::mux(ld(0), ld(1), ld(2)),
-        };
-        (v, dst, header)
+        (eval_op(inst[0], ld), inst[1] as usize, inst[0])
     }
 
     /// Executes the whole program unconditionally: every evaluable cell is
@@ -1138,43 +1098,6 @@ impl Program {
             }
         }
         executed
-    }
-
-    /// [`Program::execute`] with freeze semantics: a cell store is skipped
-    /// (its old value is kept) when `hold` is engaged and the instruction
-    /// targets a hold element, or when `frozen` marks the destination cell.
-    /// Scratch stores always happen. Returns the number of cell values
-    /// actually written.
-    pub fn execute_masked<W: LaneWord>(
-        &self,
-        values: &mut [W],
-        scratch: &mut [W],
-        hold: bool,
-        frozen: Option<&[bool]>,
-    ) -> u64 {
-        assert_eq!(values.len(), self.n_cells as usize);
-        assert!(scratch.len() >= self.n_scratch as usize);
-        if let Some(f) = frozen {
-            assert_eq!(f.len(), self.n_cells as usize);
-        }
-        let n_cells = self.n_cells as usize;
-        let mut written = 0u64;
-        for b in &self.batches {
-            let window = &self.code[b.start as usize..b.end as usize];
-            for inst in window.chunks_exact(INST_WORDS) {
-                let (v, dst, header) = self.eval_inst(inst, values, scratch);
-                if dst < n_cells {
-                    let skip = (hold && header & HOLD_BIT != 0) || frozen.is_some_and(|f| f[dst]);
-                    if !skip {
-                        values[dst] = v;
-                        written += 1;
-                    }
-                } else {
-                    scratch[dst - n_cells] = v;
-                }
-            }
-        }
-        written
     }
 
     /// [`Program::execute`] with a commit hook on every cell store: the
@@ -1224,6 +1147,56 @@ impl Program {
         let chain = &self.code[start as usize..(start + len) as usize];
         for inst in chain.chunks_exact(INST_WORDS) {
             let (v, dst, _header) = self.eval_inst(inst, values, scratch);
+            if dst == cell as usize {
+                return v;
+            }
+            scratch[dst - n_cells] = v;
+        }
+        unreachable!("chain must end with the cell store")
+    }
+
+    /// [`Program::eval_cell`] with fanin pin `pin` of `cell` read as `word`
+    /// instead of its driver's value — the one way the fault engines apply
+    /// a branch fault. Only that pin is forced: the lowering records which
+    /// operand slot reads each pin, so in `XOR(a, a)` the other pin still
+    /// reads `a`. A source returns its stored value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` is not a fanin pin of a lowered `cell`.
+    #[inline]
+    pub fn eval_cell_pinned<W: LaneWord>(
+        &self,
+        cell: u32,
+        pin: usize,
+        word: W,
+        values: &[W],
+        scratch: &mut [W],
+    ) -> W {
+        let (start, len) = self.cell_chain[cell as usize];
+        if start == u32::MAX {
+            return values[cell as usize];
+        }
+        let pins = self.pin_off[cell as usize] as usize..self.pin_off[cell as usize + 1] as usize;
+        let operand = self.pin_operand[pins][pin] as usize;
+        let n_cells = self.n_cells as usize;
+        let chain = &self.code[start as usize..(start + len) as usize];
+        for (i, inst) in chain.chunks_exact(INST_WORDS).enumerate() {
+            // The forced operand's index in this instruction; no match (a
+            // wrapped or too-large index) outside the one that reads it.
+            let forced = operand.wrapping_sub(i * INST_WORDS + 2);
+            let ld = |k: usize| {
+                let slot = inst[2 + k] as usize;
+                if k == forced {
+                    word
+                } else if slot < n_cells {
+                    values[slot]
+                } else {
+                    scratch[slot - n_cells]
+                }
+            };
+            let v = eval_op(inst[0], ld);
+            let dst = inst[1] as usize;
             if dst == cell as usize {
                 return v;
             }
@@ -1566,99 +1539,88 @@ mod tests {
         assert_eq!(p.scratch_words(), 1, "AndN(8) needs exactly one temp");
     }
 
+    /// Pin forcing against the [`CellKind::eval64`] oracle: every pin of
+    /// every lowered cell of the library netlist, plus `XOR(a, a)`,
+    /// `AOI21(a, b, a)` and a 7-input generic whose chain spans two
+    /// instructions, at `u64`, [`Dual8`] and [`Packed256`] width. The
+    /// oracle forces the one pin, so a driver read on two pins must keep
+    /// its good value on the other.
     #[test]
-    fn execute_matches_eval_dual_on_random_circuits() {
-        use crate::generate::{generate_circuit, GeneratorConfig};
-        for seed in [2u64, 19] {
-            let n = generate_circuit(&GeneratorConfig {
-                name: format!("bc{seed}"),
-                primary_inputs: 7,
-                primary_outputs: 6,
-                flip_flops: 8,
-                gates: 120,
-                logic_depth: 9,
-                avg_ff_fanout: 2.2,
-                unique_flg_ratio: 1.6,
-                hot_ff_fanout: None,
-                seed,
-            })
-            .unwrap();
-            let c = CompiledCircuit::compile(&n).unwrap();
-            let p = Program::lower(&c);
-
-            // Pseudo-random dual-rail stimulus with X lanes on all sources.
-            let mut values = vec![Dual64::all_x(); c.cell_count()];
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            for &src in c.inputs().iter().chain(c.flip_flops()) {
-                let one = next();
-                let zero = next() & !one;
-                values[src as usize] = Dual64 { one, zero };
-            }
-
-            // Reference: direct per-cell eval_dual over the level order.
-            let mut want = values.clone();
-            let mut fanin_buf = Vec::new();
-            for &id in c.order() {
-                fanin_buf.clear();
-                fanin_buf.extend(c.fanin(id).iter().map(|&f| want[f as usize]));
-                want[id as usize] = c.kind(id).eval_dual(&fanin_buf);
-            }
-
-            let mut scratch = vec![Dual64::all_x(); p.scratch_words()];
-            let executed = p.execute(&mut values, &mut scratch);
-            assert_eq!(executed, p.inst_count() as u64);
-            assert_eq!(values, want, "seed {seed}");
-
-            // eval_cell agrees with the stored chain result for every cell.
-            for &id in c.order() {
-                let v = p.eval_cell(id, &values, &mut scratch);
-                assert_eq!(v, values[id as usize], "cell {id}");
-            }
+    fn pinned_evaluation_forces_exactly_one_pin() {
+        use CellKind::*;
+        let mut n = library_netlist();
+        let a = n.find("i0").unwrap();
+        let b = n.find("i1").unwrap();
+        let dups = [
+            n.add_cell("dup_xor", Xor2, vec![a, a]),
+            n.add_cell("dup_aoi", Aoi21, vec![a, b, a]),
+            n.add_cell("dup_and7", AndN(7), vec![a, b, a, b, b, a, b]),
+        ];
+        for (k, &g) in dups.iter().enumerate() {
+            n.add_output(format!("dup_y{k}"), g);
         }
-    }
-
-    #[test]
-    fn masked_execute_freezes_cells_and_hold_elements() {
-        let mut n = Netlist::new("mask");
-        let a = n.add_input("a");
-        let h = n.add_cell("h", CellKind::HoldLatch, vec![a]);
-        let g1 = n.add_cell("g1", CellKind::Inv, vec![a]);
-        let g2 = n.add_cell("g2", CellKind::Xor2, vec![h, g1]);
-        n.add_output("y", g2);
         let c = CompiledCircuit::compile(&n).unwrap();
         let p = Program::lower(&c);
-        let mut values = vec![Dual64::all_x(); c.cell_count()];
-        let mut scratch = vec![Dual64::all_x(); p.scratch_words().max(1)];
-        values[c.id_of(a) as usize] = Dual64::from_word(0b1100);
-        p.execute(&mut values, &mut scratch);
-        let held = values[c.id_of(h) as usize];
-
-        // Engage hold, flip the input: the latch keeps its word, the
-        // inverter follows, and the xor sees the mix.
-        values[c.id_of(a) as usize] = Dual64::from_word(0b1010);
-        p.execute_masked(&mut values, &mut scratch, true, None);
-        assert_eq!(values[c.id_of(h) as usize], held, "hold latch frozen");
-        assert_eq!(values[c.id_of(g1) as usize].one, !0b1010);
-
-        // A frozen mask pins an ordinary gate the same way.
-        let mut frozen = vec![false; c.cell_count()];
-        frozen[c.id_of(g1) as usize] = true;
-        values[c.id_of(a) as usize] = Dual64::from_word(0b0110);
-        p.execute_masked(&mut values, &mut scratch, false, Some(&frozen));
-        assert_eq!(values[c.id_of(g1) as usize].one, !0b1010, "frozen gate");
-        assert_eq!(values[c.id_of(h) as usize].one, 0b0110, "hold released");
+        assert_eq!(p.chain_len(c.id_of(dups[2])), 2);
+        let mut state = 0x0B1D_FACEu64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // One random good machine: limb 0 is the u64 machine, its low 8
+        // lanes the Dual8 one.
+        let mut wide = vec![Packed256::bot(); c.cell_count()];
+        for &src in c.inputs().iter().chain(c.flip_flops()) {
+            wide[src as usize] = Packed256::from_limbs([next(), next(), next(), next()]);
+        }
+        let mut s256 = vec![Packed256::bot(); p.scratch_words()];
+        p.execute(&mut wide, &mut s256);
+        let narrow: Vec<u64> = wide.iter().map(|w| w.limb(0)).collect();
+        let dual8 = |w: u64| Dual8 {
+            one: w as u8,
+            zero: !w as u8,
+        };
+        let duals: Vec<Dual8> = narrow.iter().map(|&w| dual8(w)).collect();
+        let mut s64 = vec![0u64; p.scratch_words()];
+        let mut s8 = vec![Dual8::all_x(); p.scratch_words()];
+        let mut checked = 0;
+        for &id in c.order() {
+            let kind = c.kind(id);
+            for pin in 0..c.fanin(id).len() {
+                let word = Packed256::from_limbs([next(), next(), next(), next()]);
+                let oracle = |limb: usize| {
+                    let mut inputs: Vec<u64> = c
+                        .fanin(id)
+                        .iter()
+                        .map(|&f| wide[f as usize].limb(limb))
+                        .collect();
+                    inputs[pin] = word.limb(limb);
+                    kind.eval64(&inputs)
+                };
+                let got = p.eval_cell_pinned(id, pin, word, &wide, &mut s256);
+                for limb in 0..4 {
+                    assert_eq!(
+                        got.limb(limb),
+                        oracle(limb),
+                        "{kind:?} pin {pin} limb {limb}"
+                    );
+                }
+                let got = p.eval_cell_pinned(id, pin, word.limb(0), &narrow, &mut s64);
+                assert_eq!(got, oracle(0), "{kind:?} pin {pin} u64");
+                let got = p.eval_cell_pinned(id, pin, dual8(word.limb(0)), &duals, &mut s8);
+                assert_eq!(got, dual8(oracle(0)), "{kind:?} pin {pin} dual8");
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "{checked} pins checked");
     }
 
     #[test]
     fn lane_words_agree_across_widths() {
-        // The same two-valued stimulus through u64, Dual8, Dual64 and
-        // Dual256 lanes must produce the same per-lane answers.
+        // The same two-valued stimulus through u64, Dual8 and Dual64 lanes
+        // must produce the same per-lane answers.
         let n = library_netlist();
         let c = CompiledCircuit::compile(&n).unwrap();
         let p = Program::lower(&c);
@@ -1672,26 +1634,19 @@ mod tests {
         let mut v64 = vec![0u64; c.cell_count()];
         let mut vd8 = vec![Dual8::all_x(); c.cell_count()];
         let mut vd64 = vec![Dual64::all_x(); c.cell_count()];
-        let mut vd256 = vec![Dual256::all_x(); c.cell_count()];
         for &src in c.inputs().iter().chain(c.flip_flops()) {
             let w = next();
             v64[src as usize] = w;
             let bit0 = w & 1 != 0;
             vd8[src as usize] = if bit0 { Dual8::top() } else { Dual8::bot() };
             vd64[src as usize] = Dual64::from_word(w);
-            vd256[src as usize] = Dual256 {
-                one: [w; 4],
-                zero: [!w; 4],
-            };
         }
         let mut s64 = vec![0u64; p.scratch_words()];
         let mut sd8 = vec![Dual8::all_x(); p.scratch_words()];
         let mut sd64 = vec![Dual64::all_x(); p.scratch_words()];
-        let mut sd256 = vec![Dual256::all_x(); p.scratch_words()];
         p.execute(&mut v64, &mut s64);
         p.execute(&mut vd8, &mut sd8);
         p.execute(&mut vd64, &mut sd64);
-        p.execute(&mut vd256, &mut sd256);
         for &id in c.order() {
             let id = id as usize;
             let w = v64[id];
@@ -1705,8 +1660,6 @@ mod tests {
                 },
                 "cell {id} dual8"
             );
-            assert_eq!(vd256[id].one, [w; 4], "cell {id} dual256 one");
-            assert_eq!(vd256[id].zero, [!w; 4], "cell {id} dual256 zero");
         }
     }
 

@@ -49,8 +49,11 @@ impl fmt::Display for CellId {
 /// Bit `i` of `one` says lane `i` is definitely 1; bit `i` of `zero` says it
 /// is definitely 0; a lane set in neither plane is unknown (X). A lane set
 /// in both planes is a contradiction and never produced by the library
-/// evaluators. The encoding supports exact Kleene logic per gate via
-/// [`CellKind::eval_dual`].
+/// evaluators. The Kleene connectives are its [`LaneWord`] impl, so the
+/// lowered [`Program`] evaluates any cell over it exactly.
+///
+/// [`LaneWord`]: crate::LaneWord
+/// [`Program`]: crate::Program
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Dual64 {
     /// Definitely-one plane.
@@ -91,45 +94,6 @@ impl Dual64 {
     #[inline]
     pub fn known(self) -> u64 {
         self.one | self.zero
-    }
-
-    /// Kleene NOT: swap the planes.
-    // Named for the Kleene connective alongside `and`/`or`/`xor`, not the
-    // `std::ops::Not` trait (which would collide with these inherent names).
-    #[allow(clippy::should_implement_trait)]
-    #[inline]
-    pub fn not(self) -> Self {
-        Dual64 {
-            one: self.zero,
-            zero: self.one,
-        }
-    }
-
-    /// Kleene AND.
-    #[inline]
-    pub fn and(self, rhs: Self) -> Self {
-        Dual64 {
-            one: self.one & rhs.one,
-            zero: self.zero | rhs.zero,
-        }
-    }
-
-    /// Kleene OR.
-    #[inline]
-    pub fn or(self, rhs: Self) -> Self {
-        Dual64 {
-            one: self.one | rhs.one,
-            zero: self.zero & rhs.zero,
-        }
-    }
-
-    /// Kleene XOR (exact: X only where an operand is X).
-    #[inline]
-    pub fn xor(self, rhs: Self) -> Self {
-        Dual64 {
-            one: (self.one & rhs.zero) | (self.zero & rhs.one),
-            zero: (self.one & rhs.one) | (self.zero & rhs.zero),
-        }
     }
 }
 
@@ -334,61 +298,6 @@ impl CellKind {
             OrN(_) => inputs.iter().fold(0u64, |acc, v| acc | v),
             NorN(_) => !inputs.iter().fold(0u64, |acc, v| acc | v),
             XorN(_) => inputs.iter().fold(0u64, |acc, v| acc ^ v),
-        }
-    }
-
-    /// 64-lane dual-rail three-valued evaluation.
-    ///
-    /// Each lane of the [`Dual64`] pair carries one pattern; a lane is `1`
-    /// in `one` when the value is definitely 1, `1` in `zero` when
-    /// definitely 0, and unknown (X) when set in neither. For every kind in
-    /// the library the result is *exact* Kleene three-valued logic — the
-    /// library formulas are read-once, and the one non-read-once cell
-    /// ([`CellKind::Mux2`]) carries an explicit consensus term so
-    /// `MUX(a, a, X) = a` instead of the pessimistic X.
-    pub fn eval_dual(self, inputs: &[Dual64]) -> Dual64 {
-        use CellKind::*;
-        assert_eq!(
-            inputs.len(),
-            self.arity(),
-            "{self:?} expects {} inputs, got {}",
-            self.arity(),
-            inputs.len()
-        );
-        match self {
-            Input => Dual64::all_x(),
-            Const0 => Dual64::all_zero(),
-            Const1 => Dual64::all_one(),
-            Output | Buf | Dff | ScanDff | HoldLatch | HoldMux => inputs[0],
-            Inv => inputs[0].not(),
-            And2 | And3 | And4 | AndN(_) => {
-                inputs.iter().fold(Dual64::all_one(), |acc, v| acc.and(*v))
-            }
-            Nand2 | Nand3 | Nand4 | NandN(_) => inputs
-                .iter()
-                .fold(Dual64::all_one(), |acc, v| acc.and(*v))
-                .not(),
-            Or2 | Or3 | Or4 | OrN(_) => inputs.iter().fold(Dual64::all_zero(), |acc, v| acc.or(*v)),
-            Nor2 | Nor3 | Nor4 | NorN(_) => inputs
-                .iter()
-                .fold(Dual64::all_zero(), |acc, v| acc.or(*v))
-                .not(),
-            Xor2 => inputs[0].xor(inputs[1]),
-            Xnor2 => inputs[0].xor(inputs[1]).not(),
-            XorN(_) => inputs.iter().fold(Dual64::all_zero(), |acc, v| acc.xor(*v)),
-            Aoi21 => inputs[0].and(inputs[1]).or(inputs[2]).not(),
-            Aoi22 => inputs[0].and(inputs[1]).or(inputs[2].and(inputs[3])).not(),
-            Oai21 => inputs[0].or(inputs[1]).and(inputs[2]).not(),
-            Oai22 => inputs[0].or(inputs[1]).and(inputs[2].or(inputs[3])).not(),
-            Mux2 => {
-                let (a, b, s) = (inputs[0], inputs[1], inputs[2]);
-                Dual64 {
-                    // Selected branch when s is known, plus the consensus
-                    // term (both branches agree) when s is X.
-                    one: (s.zero & a.one) | (s.one & b.one) | (a.one & b.one),
-                    zero: (s.zero & a.zero) | (s.one & b.zero) | (a.zero & b.zero),
-                }
-            }
         }
     }
 

@@ -9,10 +9,9 @@
 //!   to a flat fused-opcode [`Program`] (or accepts a pre-lowered one) and
 //!   `settle` executes it over [`Dual8`] dual-rail words — the whole value
 //!   file of a mid-size circuit stays in L1.
-//! * [`settle_packed`] / [`settle_packed_frozen`] — lane-parallel dual-rail
-//!   settles, generic over [`LaneWord`]: [`Dual64`] for the classic 64-lane
-//!   kernel and [`Dual256`] for the manual `u64x4` superword (256 patterns
-//!   per instruction), both with exact Kleene X semantics.
+//! * [`settle_packed`] — a lane-parallel dual-rail settle, generic over
+//!   [`LaneWord`]; over [`Dual64`] it runs 64 patterns per instruction with
+//!   exact Kleene X semantics.
 //!
 //! All engines are cross-checked bit-for-bit against the event-driven
 //! simulator and `eval3` by the crate tests and
@@ -20,7 +19,7 @@
 
 use std::sync::Arc;
 
-use flh_netlist::{CellId, CompiledCircuit, Dual256, Dual64, Dual8, LaneWord, Program};
+use flh_netlist::{CellId, CompiledCircuit, Dual64, Dual8, LaneWord, Program};
 
 use crate::simulator::Activity;
 use crate::value::Logic;
@@ -313,34 +312,6 @@ pub fn lane_to_logic(v: Dual64, lane: u32) -> Logic {
     }
 }
 
-/// Converts a [`Logic`] value to one lane of a 256-wide superword.
-#[inline]
-pub fn logic_to_superlane(v: Logic, lane: u32) -> Dual256 {
-    let mut w = Dual256::all_x();
-    let limb = (lane / 64) as usize;
-    let bit = 1u64 << (lane % 64);
-    match v {
-        Logic::One => w.one[limb] = bit,
-        Logic::Zero => w.zero[limb] = bit,
-        Logic::X => {}
-    }
-    w
-}
-
-/// Reads one lane of a 256-wide superword back into a [`Logic`] value.
-#[inline]
-pub fn superlane_to_logic(v: Dual256, lane: u32) -> Logic {
-    let limb = (lane / 64) as usize;
-    let bit = 1u64 << (lane % 64);
-    if v.one[limb] & bit != 0 {
-        Logic::One
-    } else if v.zero[limb] & bit != 0 {
-        Logic::Zero
-    } else {
-        Logic::X
-    }
-}
-
 /// Lane-parallel dual-rail settle: one bytecode pass over `values`.
 ///
 /// `values` is indexed by dense cell id; sources (primary inputs, flip-flop
@@ -348,7 +319,7 @@ pub fn superlane_to_logic(v: Dual256, lane: u32) -> Logic {
 /// cell is recomputed. Each lane carries an independent pattern with exact
 /// Kleene X semantics — lane `k` of the result equals a scalar `eval3`
 /// sweep of lane `k`'s inputs (proven by the crate tests). Instantiate with
-/// [`Dual64`] for 64 lanes or [`Dual256`] for the 256-lane superword.
+/// [`Dual64`] for 64 lanes.
 ///
 /// # Panics
 ///
@@ -359,21 +330,6 @@ pub fn settle_packed<W: LaneWord>(program: &Program, values: &mut [W]) {
     if flh_obs::enabled() {
         // The instruction stream is fixed per circuit — deterministic work.
         flh_obs::add(flh_obs::Counter::SimBytecodeInsts, insts);
-    }
-}
-
-/// [`settle_packed`] with a freeze mask: cells with `frozen[id] == true`
-/// keep their current `values` entry instead of being re-evaluated. This is
-/// the packed analogue of hold/sleep skipping in [`CompiledSim::settle`].
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ from `program.cell_words()`.
-pub fn settle_packed_frozen<W: LaneWord>(program: &Program, values: &mut [W], frozen: &[bool]) {
-    let mut scratch = vec![W::bot(); program.scratch_words()];
-    let written = program.execute_masked(values, &mut scratch, false, Some(frozen));
-    if flh_obs::enabled() {
-        flh_obs::add(flh_obs::Counter::SimBytecodeInsts, written);
     }
 }
 
@@ -480,9 +436,9 @@ mod tests {
     #[test]
     fn packed_lanes_match_eval3_per_gate_exhaustively() {
         use flh_netlist::CellKind;
-        // Every library kind, every 3-valued input combination: the packed
-        // dual-rail gate evaluation must equal scalar eval3 exactly,
-        // including the Mux2 consensus (X select, equal branches).
+        // Every library kind, every 3-valued input combination: a one-gate
+        // Program over Dual64 must equal scalar eval3 exactly, including
+        // the Mux2 consensus (X select, equal branches).
         let kinds = [
             CellKind::Const0,
             CellKind::Const1,
@@ -516,18 +472,26 @@ mod tests {
         const LUT: [Logic; 3] = [Logic::Zero, Logic::One, Logic::X];
         for kind in kinds {
             let arity = kind.arity();
+            let mut n = Netlist::new("gate");
+            let pins: Vec<CellId> = (0..arity).map(|i| n.add_input(format!("i{i}"))).collect();
+            let g = n.add_cell("g", kind, pins.clone());
+            n.add_output("y", g);
+            let c = flh_netlist::CompiledCircuit::compile(&n).unwrap();
+            let p = flh_netlist::Program::lower(&c);
+            let mut values = vec![Dual64::all_x(); c.cell_count()];
+            let mut scratch = vec![Dual64::all_x(); p.scratch_words()];
             let combos = 3usize.pow(arity as u32);
             for mut code in 0..combos {
                 let mut scalar = Vec::with_capacity(arity);
-                let mut packed = Vec::with_capacity(arity);
-                for _ in 0..arity {
+                for &pin in &pins {
                     let v = LUT[code % 3];
                     code /= 3;
                     scalar.push(v);
-                    packed.push(logic_to_lane(v, 17));
+                    values[pin.index()] = logic_to_lane(v, 17);
                 }
+                p.execute(&mut values, &mut scratch);
                 let want = eval3(kind, &scalar);
-                let got = lane_to_logic(kind.eval_dual(&packed), 17);
+                let got = lane_to_logic(values[g.index()], 17);
                 assert_eq!(got, want, "{kind:?} {scalar:?}");
             }
         }
@@ -541,10 +505,9 @@ mod tests {
             let p = flh_netlist::Program::lower(&c);
             let mut rng = Rng::seed_from_u64(seed ^ 0xBEEF);
 
-            // The same stimuli (with X lanes) in 64-lane words, 256-lane
-            // superwords, and 64 scalar shadows.
+            // The same stimuli (with X lanes) in 64-lane words and 64
+            // scalar shadows.
             let mut packed = vec![Dual64::all_x(); c.cell_count()];
-            let mut superpacked = vec![Dual256::all_x(); c.cell_count()];
             let mut scalars: Vec<Vec<Logic>> = vec![vec![Logic::X; c.cell_count()]; 64];
             for &src in c.inputs().iter().chain(c.flip_flops()) {
                 for (lane, scalar) in scalars.iter_mut().enumerate() {
@@ -554,17 +517,9 @@ mod tests {
                     let cur = &mut packed[src as usize];
                     cur.one |= d.one;
                     cur.zero |= d.zero;
-                    // Superword lane 3*lane keeps a copy of the same pattern.
-                    let s = logic_to_superlane(v, 3 * lane as u32);
-                    let sup = &mut superpacked[src as usize];
-                    for limb in 0..4 {
-                        sup.one[limb] |= s.one[limb];
-                        sup.zero[limb] |= s.zero[limb];
-                    }
                 }
             }
             settle_packed(&p, &mut packed);
-            settle_packed(&p, &mut superpacked);
 
             for (lane, scalar) in scalars.iter().enumerate() {
                 let mut sim = LogicSim::new(&n).unwrap();
@@ -585,36 +540,8 @@ mod tests {
                         sim.value(id),
                         "lane {lane} {id:?}"
                     );
-                    assert_eq!(
-                        superlane_to_logic(superpacked[id.index()], 3 * lane as u32),
-                        sim.value(id),
-                        "superword lane {} {id:?}",
-                        3 * lane
-                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn frozen_cells_keep_their_lanes() {
-        use flh_netlist::CellKind;
-        let mut n = Netlist::new("freeze");
-        let a = n.add_input("a");
-        let g1 = n.add_cell("g1", CellKind::Inv, vec![a]);
-        let g2 = n.add_cell("g2", CellKind::Inv, vec![g1]);
-        n.add_output("y", g2);
-        let c = flh_netlist::CompiledCircuit::compile(&n).unwrap();
-        let p = flh_netlist::Program::lower(&c);
-        let mut vals = vec![Dual64::all_x(); c.cell_count()];
-        vals[a.index()] = Dual64::from_word(0b1010);
-        settle_packed(&p, &mut vals);
-        assert_eq!(vals[g1.index()].one, !0b1010);
-        let mut frozen = vec![false; c.cell_count()];
-        frozen[g1.index()] = true;
-        vals[a.index()] = Dual64::from_word(0b0101); // flip the input
-        settle_packed_frozen(&p, &mut vals, &frozen);
-        assert_eq!(vals[g1.index()].one, !0b1010, "frozen g1 must hold");
-        assert_eq!(vals[g2.index()].one, 0b1010, "g2 follows frozen g1");
     }
 }

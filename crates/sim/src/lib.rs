@@ -34,8 +34,7 @@ pub mod two_pattern;
 pub mod value;
 
 pub use compiled_sim::{
-    dual8_to_logic, lane_to_logic, logic_to_dual8, logic_to_lane, logic_to_superlane,
-    settle_packed, settle_packed_frozen, superlane_to_logic, CompiledSim,
+    dual8_to_logic, lane_to_logic, logic_to_dual8, logic_to_lane, settle_packed, CompiledSim,
 };
 pub use scan::{MultiScanController, ScanChain, ScanController};
 pub use simulator::{Activity, LogicSim};

@@ -90,7 +90,21 @@ if ! diff "$bench_tmp/analyze_w1.txt" "$bench_tmp/analyze_w4.txt"; then
     echo "ANALYZE GATE FAILED: analyze report depends on FLH_THREADS" >&2
     exit 1
 fi
-echo "verifier clean, prune-consistent, pool-width invariant"
+# `--check-sim` is the golden flow for stuck-at fault simulation: its
+# deterministic counters (fsim.stuck.*, fsim.transition.*, replay work,
+# drops) must reproduce tests/golden/analyze_s1196.det.json byte for byte
+# at every width. Both fault models deal whole fanout-free regions, so the
+# stem replays do not depend on the width.
+for w in 1 2 3 4; do
+    FLH_THREADS=$w cargo run -q --release --offline --bin flh -- \
+        analyze s1196 --check-sim \
+        --metrics-det-json "$bench_tmp/analyze_metrics_w$w.json" >/dev/null
+    if ! diff tests/golden/analyze_s1196.det.json "$bench_tmp/analyze_metrics_w$w.json"; then
+        echo "ANALYZE GATE FAILED: deterministic metrics at FLH_THREADS=$w differ from the golden" >&2
+        exit 1
+    fi
+done
+echo "verifier clean, prune-consistent, pool-width invariant, golden stuck-at counts"
 
 echo "== metrics gate (deterministic counters vs golden, FLH_THREADS=1, 2, 3, 4) =="
 # The flh-obs deterministic section is a golden: the same campaign at

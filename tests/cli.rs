@@ -232,22 +232,28 @@ fn det_metrics(args: &[&str], threads: &str, out: &std::path::Path) -> Vec<u8> {
     std::fs::read(out).expect("metrics document written")
 }
 
-/// Golden counts: every deterministic counter of two fixed flows must
+/// Golden counts: every deterministic counter of three fixed flows must
 /// match the committed document byte for byte. An algorithmic change
 /// moves a count (PODEM decisions and aborts, redundancy-pass prunes,
 /// replay events, early exits, superword calls and lanes per call), so
-/// the check needs no tolerance. The campaign document must also not
-/// depend on the pool width. A change that moves a count regenerates the
-/// golden with the same command.
+/// the check needs no tolerance. `analyze --check-sim` is the one golden
+/// flow that runs stuck-at fault simulation. The campaign and analyze
+/// documents must also not depend on the pool width. A change that moves
+/// a count regenerates the golden with the same command.
 #[test]
 fn deterministic_metrics_match_the_goldens() {
     let dir = std::env::temp_dir().join(format!("flh_cli_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let flows: [(&str, &[&str], &[&str]); 2] = [
+    let flows: [(&str, &[&str], &[&str]); 3] = [
         ("atpg_s1196", &["atpg", "s1196"], &["1"]),
         (
             "campaign_s9234",
             &["campaign", "s9234", "--pairs", "192", "--seed", "7"],
+            &["1", "2"],
+        ),
+        (
+            "analyze_s1196",
+            &["analyze", "s1196", "--check-sim"],
             &["1", "2"],
         ),
     ];
