@@ -110,7 +110,10 @@ pub fn enumerate_stuck_faults(netlist: &Netlist) -> Vec<Fault> {
         faults.push(Fault::stem(id, StuckValue::Zero));
         faults.push(Fault::stem(id, StuckValue::One));
         if n_readers > 1 {
-            for &reader in fanouts.readers(id) {
+            // A gate reading `id` on k pins is listed k times, adjacently;
+            // each distinct reader's branches are emitted once.
+            for run in fanouts.readers(id).chunk_by(|a, b| a == b) {
+                let reader = run[0];
                 let kind = netlist.cell(reader).kind();
                 if kind == CellKind::Output || kind.is_flip_flop() {
                     continue;
@@ -239,6 +242,27 @@ mod tests {
         // Stems: a, b, g, h1, h2 => 10 faults.
         // Branches: g has fanout 2 (h1, h2) => 4 faults.
         assert_eq!(faults.len(), 14);
+
+        // A gate reading one driver on two pins: p feeds XOR(p, p) and
+        // INV(p), three reading pins on two gates.
+        let mut n = Netlist::new("x");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let p = n.add_cell("p", CellKind::Nand2, vec![a, b]);
+        let x = n.add_cell("x", CellKind::Xor2, vec![p, p]);
+        let i = n.add_cell("i", CellKind::Inv, vec![p]);
+        n.add_output("y1", x);
+        n.add_output("y2", i);
+        let faults = enumerate_stuck_faults(&n);
+        let branches: Vec<&Fault> = faults
+            .iter()
+            .filter(|f| matches!(f.site, FaultSite::Branch { .. }))
+            .collect();
+        // One pair per reading pin: x.0, x.1 and i.0.
+        assert_eq!(branches.len(), 6, "{branches:?}");
+        for (k, f) in faults.iter().enumerate() {
+            assert!(!faults[..k].contains(f), "{f:?} listed twice");
+        }
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl StaticFilter {
         StaticFilter { compiled, analysis }
     }
 
-    /// The underlying analysis bundle (constants, liveness, observability,
-    /// SCOAP).
+    /// The underlying analysis bundle (constants, liveness,
+    /// observability).
     pub fn analysis(&self) -> &StaticAnalysis {
         &self.analysis
     }

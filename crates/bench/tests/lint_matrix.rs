@@ -49,12 +49,15 @@ fn full_profile_grid_lints_error_free() {
             "unexpected diagnostic family on clean circuits: {code}"
         );
     }
-    // And the machine-readable summary agrees.
+    // And the machine-readable summary agrees, in canonical form (the
+    // render of its own parse), as `flh_lint --json` writes it.
     let json = reports_to_json(&reports);
     assert!(
         json.contains("\"total_errors\":0"),
         "JSON gate must be clean"
     );
+    let parsed = flh_obs::parse_json(&json).expect("summary parses");
+    assert_eq!(flh_obs::render(&parsed) + "\n", json);
 }
 
 #[test]

@@ -82,7 +82,10 @@ fn deterministic_metrics_are_pool_width_invariant() {
         );
         assert!(!snap.spans.is_empty(), "width {width}: no spans recorded");
         assert!(
-            flh_obs::nondeterministic_json(&snap).contains("\"spans\""),
+            matches!(
+                flh_obs::nondeterministic_json(&snap).as_object().and_then(|o| o.get("spans")),
+                Some(flh_obs::Json::Array(spans)) if !spans.is_empty()
+            ),
             "width {width}: spans missing from the nondeterministic section"
         );
 

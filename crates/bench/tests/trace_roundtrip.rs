@@ -1,5 +1,6 @@
 //! Chrome trace-event round trip: emit a trace with `flh_obs`, re-parse
-//! the file with the in-house JSON parser ([`flh_serve::json`]), and check
+//! the file with the workspace's JSON parser ([`flh_obs::json`]), and check
+//! that the file is in canonical form (the render of its own parse) and
 //! that the events are well-formed complete events (`ph: "X"`, numeric
 //! `ts`/`dur`) whose interval nesting reproduces the span nesting that
 //! produced them — truncating start and end to microseconds independently
@@ -12,7 +13,7 @@
 
 use std::time::Duration;
 
-use flh_serve::{parse_json, Json};
+use flh_obs::{parse_json, render, Json};
 
 /// Pulls one required member out of a parsed object.
 fn member<'j>(event: &'j Json, key: &str) -> &'j Json {
@@ -69,6 +70,7 @@ fn trace_events_roundtrip_and_nest_like_spans() {
     let text = std::fs::read_to_string(&path).expect("read trace file back");
 
     let doc = parse_json(&text).expect("trace file parses with the in-house parser");
+    assert_eq!(render(&doc) + "\n", text, "trace file is in canonical form");
     assert_eq!(string(&doc, "displayTimeUnit"), "ms");
     let Json::Array(events) = member(&doc, "traceEvents") else {
         panic!("traceEvents is not an array")

@@ -1,6 +1,5 @@
 //! Execution layer: a dependency-free, deterministic scoped thread pool
-//! plus the [`Campaign`] fan-out abstraction the batch APIs of the
-//! workspace are built on.
+//! the batch APIs of the workspace are built on.
 //!
 //! The paper's evaluation is embarrassingly parallel at two granularities
 //! — across circuit × holding-style cells, and across fault/vector
@@ -21,8 +20,9 @@
 //!   and scattered back through each shard's ranges, never in completion
 //!   order;
 //! * **Independent units** — a job may only read shared immutable state
-//!   (e.g. an `Arc<CompiledCircuit>` held by a [`Campaign`]); all mutable
-//!   state is job-local and returned by value.
+//!   (e.g. a compiled circuit borrowed by every job of a
+//!   [`ThreadPool::run`]); all mutable state is job-local and returned by
+//!   value.
 //!
 //! The worker count defaults to the `FLH_THREADS` environment variable and
 //! falls back to [`std::thread::available_parallelism`]; serial paths are
@@ -38,12 +38,10 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod campaign;
 pub mod drops;
 pub mod pool;
 pub mod queue;
 
-pub use campaign::Campaign;
 pub use drops::DropMask;
 pub use pool::{gather, ThreadPool, THREADS_ENV};
 pub use queue::{BoundedQueue, PushError};

@@ -1,74 +1,77 @@
-//! Machine-readable summary for CI: a hand-rolled JSON emitter (the
-//! workspace is dependency-free by design, so no serde).
+//! Machine-readable summary for CI, rendered through flh-obs's one JSON
+//! implementation.
 
 use std::collections::BTreeSet;
 
-use flh_obs::escape;
+use flh_obs::{render, Json};
 
 use crate::report::LintReport;
 
-fn string_array(items: impl IntoIterator<Item = String>) -> String {
-    let quoted: Vec<String> = items
-        .into_iter()
-        .map(|s| format!("\"{}\"", escape(&s)))
-        .collect();
-    format!("[{}]", quoted.join(","))
+fn strings<S: Into<String>>(items: impl IntoIterator<Item = S>) -> Json {
+    Json::Array(items.into_iter().map(|s| Json::String(s.into())).collect())
 }
 
 /// Renders the whole run as a JSON document:
 ///
 /// ```json
 /// {
+///   "codes": ["FLH005"],
 ///   "targets": [
-///     {"target": "s298", "style": "FLH", "errors": 0, "warnings": 1,
-///      "skipped_passes": [],
-///      "diagnostics": [{"code": "FLH005", "severity": "warning",
-///                       "cells": ["g12"], "message": "...", "hint": "..."}]}
+///     {"diagnostics": [{"cells": ["g12"], "code": "FLH005", "hint": "...",
+///                       "message": "...", "severity": "warning"}],
+///      "errors": 0, "skipped_passes": [], "style": "FLH", "target": "s298",
+///      "warnings": 1}
 ///   ],
-///   "total_errors": 0, "total_warnings": 1, "codes": ["FLH005"]
+///   "total_errors": 0, "total_warnings": 1
 /// }
 /// ```
 ///
-/// Key order and formatting are fixed, so CI can diff summaries byte for
-/// byte across runs.
+/// Keys are sorted and the rendering is compact, so CI can diff summaries
+/// byte for byte across runs.
 pub fn reports_to_json(reports: &[LintReport]) -> String {
-    let mut targets = Vec::with_capacity(reports.len());
     let mut total_errors = 0usize;
     let mut total_warnings = 0usize;
     let mut codes: BTreeSet<&'static str> = BTreeSet::new();
+    let mut targets = Vec::with_capacity(reports.len());
     for report in reports {
         total_errors += report.error_count();
         total_warnings += report.warning_count();
-        let mut diagnostics = Vec::with_capacity(report.diagnostics.len());
-        for d in &report.diagnostics {
-            codes.insert(d.code.code());
-            diagnostics.push(format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"cells\":{},\"message\":\"{}\",\"hint\":\"{}\"}}",
-                d.code,
-                d.severity,
-                string_array(d.cells.iter().cloned()),
-                escape(&d.message),
-                escape(&d.hint)
-            ));
-        }
-        let style = match &report.style {
-            Some(s) => format!("\"{}\"", escape(s)),
-            None => "null".to_string(),
-        };
-        targets.push(format!(
-            "{{\"target\":\"{}\",\"style\":{style},\"errors\":{},\"warnings\":{},\"skipped_passes\":{},\"diagnostics\":[{}]}}",
-            escape(&report.target),
-            report.error_count(),
-            report.warning_count(),
-            string_array(report.skipped_passes.iter().map(|s| s.to_string())),
-            diagnostics.join(",")
-        ));
+        let diagnostics = report
+            .diagnostics
+            .iter()
+            .map(|d| {
+                codes.insert(d.code.code());
+                Json::object([
+                    ("cells", strings(d.cells.iter().cloned())),
+                    ("code", Json::String(d.code.to_string())),
+                    ("hint", Json::String(d.hint.clone())),
+                    ("message", Json::String(d.message.clone())),
+                    ("severity", Json::String(d.severity.to_string())),
+                ])
+            })
+            .collect();
+        targets.push(Json::object([
+            ("diagnostics", Json::Array(diagnostics)),
+            ("errors", Json::Number(report.error_count() as f64)),
+            (
+                "skipped_passes",
+                strings(report.skipped_passes.iter().copied()),
+            ),
+            (
+                "style",
+                report.style.clone().map_or(Json::Null, Json::String),
+            ),
+            ("target", Json::String(report.target.clone())),
+            ("warnings", Json::Number(report.warning_count() as f64)),
+        ]));
     }
-    format!(
-        "{{\"targets\":[{}],\"total_errors\":{total_errors},\"total_warnings\":{total_warnings},\"codes\":{}}}\n",
-        targets.join(","),
-        string_array(codes.into_iter().map(str::to_string))
-    )
+    let summary = Json::object([
+        ("codes", strings(codes)),
+        ("targets", Json::Array(targets)),
+        ("total_errors", Json::Number(total_errors as f64)),
+        ("total_warnings", Json::Number(total_warnings as f64)),
+    ]);
+    render(&summary) + "\n"
 }
 
 #[cfg(test)]

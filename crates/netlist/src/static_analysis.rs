@@ -16,11 +16,11 @@
 //!   unknown is exact Kleene constant propagation through the fused opcode
 //!   table; backward liveness over the code stream then finds instructions
 //!   whose results can never reach an observation point.
-//! * [`observability`] + [`scoap`] — SCOAP-flavoured testability costing in
-//!   level order. `obs_struct` is plain reverse reachability from the
-//!   observation roots; `obs_sens` additionally rules out propagation paths
-//!   that the constant lattice proves unsensitizable (a definite side pin
-//!   blocks the only path through a gate).
+//! * [`observability`] — testability in reverse level order. `obs_struct`
+//!   is plain reverse reachability from the observation roots; `obs_sens`
+//!   additionally rules out propagation paths that the constant lattice
+//!   proves unsensitizable (a definite side pin blocks the only path
+//!   through a gate).
 //! * [`redundant_stem_faults`] — FIRE stem-conflict redundancy on top of
 //!   the lattice: stem faults that need a stem at 0 and also at 1, which
 //!   reconvergent fanout creates and the lattice cannot see (DESIGN.md §2m).
@@ -40,9 +40,6 @@
 use crate::bytecode::{Program, BATCH_INSTS, INST_WORDS, MAX_FUSED_OPERANDS};
 use crate::cell::{CellKind, Dual64};
 use crate::compiled::CompiledCircuit;
-
-/// Saturation bound for SCOAP costs (advisory display values).
-pub const SCOAP_SAT: u32 = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // Bytecode verifier
@@ -676,135 +673,6 @@ pub fn observability(compiled: &CompiledCircuit, constants: &[Option<bool>]) -> 
 }
 
 // ---------------------------------------------------------------------------
-// SCOAP costing (advisory)
-// ---------------------------------------------------------------------------
-
-/// SCOAP-style controllability/observability costs per cell. Display-only:
-/// fault classification uses the exact lattice in [`Observability`], never
-/// these heuristics.
-#[derive(Clone, Debug)]
-pub struct Scoap {
-    /// Cost to drive the cell to 0 (sources cost 1, saturates at
-    /// [`SCOAP_SAT`]).
-    pub cc0: Vec<u32>,
-    /// Cost to drive the cell to 1.
-    pub cc1: Vec<u32>,
-    /// Cost to observe the cell at a primary output or flip-flop D pin.
-    pub co: Vec<u32>,
-}
-
-fn sat_add(a: u32, b: u32) -> u32 {
-    a.saturating_add(b).min(SCOAP_SAT)
-}
-
-/// Combinational controllability of an AND of `pins` (no level increment).
-fn cc_and(pins: &[(u32, u32)]) -> (u32, u32) {
-    let c1 = pins.iter().fold(0, |acc, p| sat_add(acc, p.1));
-    let c0 = pins.iter().map(|p| p.0).min().unwrap_or(SCOAP_SAT);
-    (c0, c1)
-}
-
-fn cc_or(pins: &[(u32, u32)]) -> (u32, u32) {
-    let c0 = pins.iter().fold(0, |acc, p| sat_add(acc, p.0));
-    let c1 = pins.iter().map(|p| p.1).min().unwrap_or(SCOAP_SAT);
-    (c0, c1)
-}
-
-fn cc_not(p: (u32, u32)) -> (u32, u32) {
-    (p.1, p.0)
-}
-
-fn cc_xor(a: (u32, u32), b: (u32, u32)) -> (u32, u32) {
-    (
-        sat_add(a.0, b.0).min(sat_add(a.1, b.1)),
-        sat_add(a.0, b.1).min(sat_add(a.1, b.0)),
-    )
-}
-
-/// Compute SCOAP costs in level order (controllability) and reverse level
-/// order (observability). Complex-gate observability uses the cheapest-side
-/// approximation; these numbers rank fault ordering and feed the `flh
-/// analyze` report, nothing else.
-pub fn scoap(compiled: &CompiledCircuit, observed_driver: &[bool]) -> Scoap {
-    use CellKind::*;
-    let n = compiled.cell_count() as usize;
-    let mut cc0 = vec![1u32; n];
-    let mut cc1 = vec![1u32; n];
-    for &id in compiled.order() {
-        let pins: Vec<(u32, u32)> = compiled
-            .fanin(id)
-            .iter()
-            .map(|&f| (cc0[f as usize], cc1[f as usize]))
-            .collect();
-        let (c0, c1) = match compiled.kind(id) {
-            Const0 => (0, SCOAP_SAT),
-            Const1 => (SCOAP_SAT, 0),
-            Output | Buf | Dff | ScanDff | HoldLatch | HoldMux => pins[0],
-            Inv => cc_not(pins[0]),
-            And2 | And3 | And4 | AndN(_) => cc_and(&pins),
-            Nand2 | Nand3 | Nand4 | NandN(_) => cc_not(cc_and(&pins)),
-            Or2 | Or3 | Or4 | OrN(_) => cc_or(&pins),
-            Nor2 | Nor3 | Nor4 | NorN(_) => cc_not(cc_or(&pins)),
-            Xor2 => cc_xor(pins[0], pins[1]),
-            Xnor2 => cc_not(cc_xor(pins[0], pins[1])),
-            XorN(_) => pins[1..].iter().fold(pins[0], |acc, &p| cc_xor(acc, p)),
-            Aoi21 => cc_not(cc_or(&[cc_and(&pins[..2]), pins[2]])),
-            Aoi22 => cc_not(cc_or(&[cc_and(&pins[..2]), cc_and(&pins[2..])])),
-            Oai21 => cc_not(cc_and(&[cc_or(&pins[..2]), pins[2]])),
-            Oai22 => cc_not(cc_and(&[cc_or(&pins[..2]), cc_or(&pins[2..])])),
-            Mux2 => (
-                sat_add(pins[0].0, pins[2].0).min(sat_add(pins[1].0, pins[2].1)),
-                sat_add(pins[0].1, pins[2].0).min(sat_add(pins[1].1, pins[2].1)),
-            ),
-            Input => (1, 1),
-        };
-        let bump = u32::from(compiled.kind(id).is_combinational());
-        cc0[id as usize] = sat_add(c0, bump);
-        cc1[id as usize] = sat_add(c1, bump);
-    }
-
-    let mut co = vec![SCOAP_SAT; n];
-    let mut sweep: Vec<u32> = compiled.order().iter().rev().copied().collect();
-    sweep.extend((0..n as u32).filter(|&c| compiled.level_of(c) == 0));
-    for &c in &sweep {
-        let ci = c as usize;
-        let mut best = if observed_driver[ci] { 0 } else { SCOAP_SAT };
-        for &g in compiled.readers(c) {
-            let gk = compiled.kind(g);
-            if matches!(gk, Output | Dff | ScanDff) {
-                continue;
-            }
-            let fanin = compiled.fanin(g);
-            for (p, &f) in fanin.iter().enumerate() {
-                if f != c {
-                    continue;
-                }
-                let side_cost =
-                    fanin
-                        .iter()
-                        .enumerate()
-                        .filter(|&(q, _)| q != p)
-                        .fold(0u32, |acc, (_, &s)| {
-                            let si = s as usize;
-                            let c = match gk {
-                                And2 | And3 | And4 | Nand2 | Nand3 | Nand4 | AndN(_) | NandN(_) => {
-                                    cc1[si]
-                                }
-                                Or2 | Or3 | Or4 | Nor2 | Nor3 | Nor4 | OrN(_) | NorN(_) => cc0[si],
-                                _ => cc0[si].min(cc1[si]),
-                            };
-                            sat_add(acc, c)
-                        });
-                best = best.min(sat_add(co[g as usize], sat_add(side_cost, 1)));
-            }
-        }
-        co[ci] = best;
-    }
-
-    Scoap { cc0, cc1, co }
-}
-
-// ---------------------------------------------------------------------------
 // Bundle
 // ---------------------------------------------------------------------------
 
@@ -818,23 +686,19 @@ pub struct StaticAnalysis {
     pub dead: DeadCodeReport,
     /// Structural + sensitization observability ([`observability`]).
     pub obs: Observability,
-    /// Advisory SCOAP costs ([`scoap`]).
-    pub scoap: Scoap,
 }
 
-/// Run the abstract interpreter, liveness and testability costing against a
+/// Run the abstract interpreter, liveness and observability against a
 /// lowered program. Does not include [`verify_program`] — callers decide
 /// whether verification failures should gate the rest.
 pub fn analyze(compiled: &CompiledCircuit, program: &Program) -> StaticAnalysis {
     let constants = ternary_constants(program);
     let dead = dead_instructions(compiled, program);
     let obs = observability(compiled, &constants);
-    let scoap = scoap(compiled, &obs.observed_driver);
     StaticAnalysis {
         constants,
         dead,
         obs,
-        scoap,
     }
 }
 
@@ -1456,9 +1320,6 @@ mod tests {
         // d has no fanout at all.
         assert!(!a.obs.obs_struct[id("d")]);
         assert!(!a.obs.obs_sens[id("d")]);
-        // SCOAP: observed XOR driver is cheap, dead gate saturates.
-        assert!(a.scoap.co[id("h")] == 0);
-        assert_eq!(a.scoap.co[id("d")], SCOAP_SAT);
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! Minimal JSON parsing and rendering for the serve protocol (the
-//! workspace has no serde).
+//! The workspace's one JSON implementation: a value type, a parser and a
+//! renderer (the workspace has no serde).
 //!
-//! It is the workspace's only JSON parser. [`render`] is the protocol's
-//! inverse: object keys come out of the `BTreeMap` in sorted order and
-//! numbers with no fractional part print as integers, so a rendered line
-//! is a byte-stable function of the value — the property the `flh serve`
-//! determinism gate diffs on.
+//! Every JSON document the workspace writes goes through [`render`]: the
+//! metrics documents and the Chrome trace of this crate, the `flh-lint`
+//! summary and every `flh serve` reply. Object keys come out of the
+//! `BTreeMap` in sorted order, numbers with no fractional part print as
+//! integers and strings use one escaper, so a rendered document is a
+//! byte-stable function of its value — the property the golden metrics
+//! documents and the `flh serve` transcript gates diff on.
+//!
+//! [`parse_json`] reads RFC 8259 JSON, every string escape included, and
+//! is the inverse of [`render`]: `parse_json(&render(&v)) == v` for every
+//! value whose numbers are finite.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// A parsed JSON value (numbers are kept as `f64`; good enough for the
 /// protocol and report schemas, which never use integers outside `f64`'s
@@ -167,9 +174,12 @@ impl<'a> Parser<'a> {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
                         b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
                         b'n' => out.push('\n'),
                         b't' => out.push('\t'),
                         b'r' => out.push('\r'),
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(format!(
                                 "byte {}: unsupported escape \\{}",
@@ -195,6 +205,43 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, as a UTF-16 code unit.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| format!("byte {}: \\u needs four hex digits", self.pos))?;
+        let text = std::str::from_utf8(digits).expect("hex digits are ASCII");
+        self.pos += 4;
+        Ok(u32::from_str_radix(text, 16).expect("four hex digits fit a u32"))
+    }
+
+    /// The character a `\u` escape names, after its `u`: a code point
+    /// outside the surrogates, or a high surrogate followed by a `\u`
+    /// low surrogate (a character beyond U+FFFF).
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let at = self.pos - 2;
+        let lone = || JsonError::Syntax(format!("byte {at}: lone UTF-16 surrogate in \\u escape"));
+        let unit = self.hex4()?;
+        let code = match unit {
+            0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(lone());
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(lone());
+                }
+                0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(lone()),
+            _ => unit,
+        };
+        Ok(char::from_u32(code).expect("a non-surrogate code point up to U+10FFFF"))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -318,6 +365,10 @@ pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
+/// The one string escaper: quote, backslash, `\n`, `\r` and `\t` get
+/// their short escapes, every other character below U+0020 `\u00XX`, and
+/// everything else stays as it is, so a rendered line holds no control
+/// byte.
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -325,8 +376,11 @@ fn render_string(s: &str, out: &mut String) {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -339,13 +393,13 @@ fn render_into(value: &Json, out: &mut String) {
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Json::Number(n) => {
             // Whole numbers in i64 range render without a fraction, so a
-            // parse → render round trip of protocol integers (job counts,
+            // parse → render round trip of integers (counters, job counts,
             // seeds, fault totals) is the identity.
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
+            let _ = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                write!(out, "{}", *n as i64)
             } else {
-                out.push_str(&format!("{n}"));
-            }
+                write!(out, "{n}")
+            };
         }
         Json::String(s) => render_string(s, out),
         Json::Array(items) => {
@@ -374,8 +428,9 @@ fn render_into(value: &Json, out: &mut String) {
 }
 
 /// Renders a value as a single compact line: sorted object keys, no
-/// whitespace, whole numbers as integers. `parse_json(render(v)) == v` for
-/// every value this module itself produces.
+/// whitespace, whole numbers as integers, no control byte.
+/// `parse_json(&render(&v)) == v` for every value whose numbers are
+/// finite.
 pub fn render(value: &Json) -> String {
     let mut out = String::new();
     render_into(value, &mut out);
@@ -456,6 +511,54 @@ mod tests {
         for n in [0.0, -7.0, 71.32, 1.0e9, -2.5] {
             let line = render(&Json::Number(n));
             assert_eq!(parse_json(&line).unwrap(), Json::Number(n), "{line}");
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_with_no_control_byte_on_the_wire() {
+        let mut cases: Vec<String> = (0u8..0x20).map(|b| format!("a{}b", b as char)).collect();
+        cases.extend(["\"", "\\", "é", "😀", "caf\u{e9} \"quoted\"\\ 😀\u{1}"].map(String::from));
+        for s in cases {
+            let line = render(&Json::String(s.clone()));
+            assert!(line.bytes().all(|b| b >= 0x20), "control byte in {line:?}");
+            assert_eq!(parse_json(&line), Ok(Json::String(s)), "{line}");
+        }
+        assert_eq!(render(&Json::String("a\u{1}b".into())), "\"a\\u0001b\"");
+        assert_eq!(
+            render(&Json::String("a\"b\\c\nd".into())),
+            "\"a\\\"b\\\\c\\nd\""
+        );
+    }
+
+    #[test]
+    fn every_rfc_8259_escape_decodes() {
+        let decode = |text: &str| parse_json(text).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(decode(r#""caf\u00e9""#), Ok(Some("café".into())));
+        assert_eq!(decode(r#""\ud83d\ude00""#), Ok(Some("😀".into())));
+        assert_eq!(decode(r#""\u00E9\u0041""#), Ok(Some("éA".into())));
+        assert_eq!(
+            decode(r#""\b\f\/\n\r\t\"\\""#),
+            Ok(Some("\u{8}\u{c}/\n\r\t\"\\".into()))
+        );
+        // Raw control bytes in the input stay accepted.
+        assert_eq!(decode("\"a\u{1}b\""), Ok(Some("a\u{1}b".into())));
+    }
+
+    #[test]
+    fn lone_surrogates_and_bad_escapes_are_syntax_errors() {
+        for text in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ude00""#,
+            r#""\u12""#,
+            r#""\u+123""#,
+            r#""\x""#,
+        ] {
+            assert!(
+                matches!(parse_json(text), Err(JsonError::Syntax(_))),
+                "{text} must not parse"
+            );
         }
     }
 }

@@ -47,26 +47,34 @@
 //! # Exporters
 //!
 //! * [`render_text`] — human-readable report;
-//! * [`full_json`] / [`det_document`] — hand-rolled JSON (no serde in this
-//!   workspace), fixed key order, byte-stable;
+//! * [`deterministic_json`] / [`nondeterministic_json`] — the two sections
+//!   as [`Json`] values; [`det_document`] / [`full_json`] render them;
 //! * [`write_trace`] — a Chrome trace-event file (`chrome://tracing` /
 //!   Perfetto loadable), written when `FLH_TRACE=<path>` is set.
+//!
+//! # JSON
+//!
+//! [`json`] is the workspace's one JSON implementation (no serde in this
+//! workspace): the [`Json`] value, [`parse_json`] and [`render`], with
+//! one string escaper. Every document — the metrics documents and trace
+//! here, the `flh-lint` summary, every `flh serve` reply — is [`render`]
+//! of a value: sorted keys, compact, byte-stable.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod json;
 mod registry;
 mod report;
 mod span;
 
+pub use json::{parse_json, render, Json, JsonError};
 pub use registry::{
     add, bind_worker_shard, gauge_add, gauge_max, gauge_set, named_add, nondet_gauge_add,
     nondet_gauge_max, nondet_gauge_set, record, sched_add, series_record, snapshot, worker_busy,
     Counter, Hist, HistogramSnapshot, SeriesSnapshot, Snapshot, SpanSnapshot, WorkerSnapshot,
     HIST_BUCKETS, SERIES_CAPACITY,
 };
-pub use report::{
-    det_document, deterministic_json, escape, full_json, nondeterministic_json, render_text,
-};
+pub use report::{det_document, deterministic_json, full_json, nondeterministic_json, render_text};
 pub use span::{span, write_trace, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -193,10 +201,10 @@ mod tests {
         let snap = snapshot();
         assert!(snap.spans.iter().any(|s| s.name == "test.outer"));
         assert!(snap.spans.iter().any(|s| s.name == "test.inner"));
-        let det = deterministic_json(&snap);
+        let det = render(&deterministic_json(&snap));
         assert!(!det.contains("test.outer"), "span leaked into {det}");
         assert!(det.contains("\"podem.backtracks\":2"));
-        let nondet = nondeterministic_json(&snap);
+        let nondet = render(&nondeterministic_json(&snap));
         assert!(nondet.contains("test.outer"));
         ENABLED.store(false, Ordering::Relaxed);
     }
@@ -215,7 +223,7 @@ mod tests {
             vec![("lint.pass.cycles.findings".to_string(), 3)]
         );
         assert_eq!(snap.sched, vec![("pool.partition.calls".to_string(), 1)]);
-        let det = deterministic_json(&snap);
+        let det = render(&deterministic_json(&snap));
         assert!(det.contains("lint.pass.cycles.findings"));
         assert!(!det.contains("pool.partition.calls"));
         ENABLED.store(false, Ordering::Relaxed);
@@ -240,6 +248,10 @@ mod tests {
         let det = det_document(&snap);
         assert!(det.ends_with('\n'));
         assert!(!det.contains("nondeterministic"));
+        // Both documents are in canonical form: render of their own parse.
+        for doc in [&a, &det] {
+            assert_eq!(render(&parse_json(doc).unwrap()) + "\n", *doc);
+        }
         let text = render_text(&snap);
         assert!(text.contains("replay.calls"));
         assert!(text.contains("nondeterministic"));
@@ -324,10 +336,10 @@ mod tests {
                 ("exec.queue.depth_peak".to_string(), 7),
             ]
         );
-        let det = deterministic_json(&snap);
+        let det = render(&deterministic_json(&snap));
         assert!(det.contains("\"serve.queue.depth\":2"));
         assert!(!det.contains("exec.queue.depth"), "nondet gauge leaked");
-        let nondet = nondeterministic_json(&snap);
+        let nondet = render(&nondeterministic_json(&snap));
         assert!(nondet.contains("\"exec.queue.depth\":7"));
         // det_delta drops both gauge banks: levels are not interval
         // growth, and a concurrent publisher would race a scoped delta.
@@ -361,8 +373,8 @@ mod tests {
                 (SERIES_CAPACITY as i64 + 7) * 10
             ))
         );
-        let det = deterministic_json(&snap);
-        assert!(det.contains("\"series\":[{\"name\":\"serve.coverage.arbitrary\""));
+        let det = render(&deterministic_json(&snap));
+        assert!(det.contains("\"series\":[{\"capacity\":64,\"name\":\"serve.coverage.arbitrary\""));
         assert!(det.contains("[8,80]"));
         // Series are windows, not monotonic sums: deltas drop them.
         let delta = snap.det_delta(&snap);
@@ -397,7 +409,7 @@ mod tests {
         let dir = std::env::temp_dir().join("flh_obs_unit_trace.json");
         write_trace(&dir).expect("trace written");
         let text = std::fs::read_to_string(&dir).expect("trace readable");
-        assert!(text.starts_with("{\"traceEvents\":["));
+        assert!(text.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"name\":\"trace.outer\""));
         let _ = std::fs::remove_file(&dir);

@@ -1,172 +1,151 @@
-//! Exporters: a text report and hand-rolled JSON in the workspace house
-//! style (fixed key order, compact objects, trailing newline on full
-//! documents — the same discipline as `flh-lint`'s summary emitter).
+//! Exporters: a text report and the JSON metrics documents.
 //!
-//! The deterministic and nondeterministic sections are rendered by
-//! separate functions so callers can diff the former byte-for-byte across
-//! pool widths ([`det_document`]) while still shipping the latter for
-//! humans ([`full_json`]).
+//! The deterministic and nondeterministic sections are [`Json`] values,
+//! built by separate functions so callers can diff the former
+//! byte-for-byte across pool widths ([`det_document`]) while still
+//! shipping the latter for humans ([`full_json`]). Both documents are
+//! [`render`] of those values: sorted keys, compact, trailing newline.
 
 use std::fmt::Write;
 
+use crate::json::{render, Json};
 use crate::registry::Snapshot;
 
-/// Escapes a string for inclusion in a JSON document: quote, backslash,
-/// `\n`, `\r` and `\t` get their short escapes, other control characters
-/// `\u00XX`. `flh-lint`'s summary emitter shares it.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// Wall-clock nanoseconds as milliseconds, rounded to three decimals.
+fn ms(ns: u64) -> f64 {
+    (ns as f64 / 1e3).round() / 1e3
 }
 
-fn ms(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e6)
+/// A `{name: number}` object.
+fn numbers<K: AsRef<str>>(entries: impl IntoIterator<Item = (K, f64)>) -> Json {
+    Json::Object(
+        entries
+            .into_iter()
+            .map(|(name, v)| (name.as_ref().to_string(), Json::Number(v)))
+            .collect(),
+    )
 }
 
-fn gauge_entries(gauges: &[(String, i64)]) -> String {
-    let entries: Vec<String> = gauges
-        .iter()
-        .map(|(name, v)| format!("\"{}\":{v}", escape(name)))
-        .collect();
-    entries.join(",")
-}
-
-/// The deterministic section as one compact JSON object (no trailing
-/// newline): fixed counters, named counters, histograms, gauges and
-/// windowed time series. **Byte-identical across pool widths** for a
-/// deterministic workload — this is the object the CI metrics gate diffs.
-pub fn deterministic_json(snap: &Snapshot) -> String {
-    let counters: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|(name, v)| format!("\"{}\":{v}", escape(name)))
-        .collect();
-    let named: Vec<String> = snap
-        .named_counters
-        .iter()
-        .map(|(name, v)| format!("\"{}\":{v}", escape(name)))
-        .collect();
-    let hists: Vec<String> = snap
+/// The deterministic section: fixed counters, named counters, histograms,
+/// gauges and windowed time series. **Byte-identical across pool widths**
+/// once rendered, for a deterministic workload — this is the object the
+/// CI metrics gate diffs and every serve `done` event carries.
+pub fn deterministic_json(snap: &Snapshot) -> Json {
+    let histograms = snap
         .histograms
         .iter()
         .map(|h| {
-            let buckets: Vec<String> = h
+            let buckets = h
                 .buckets
                 .iter()
-                .map(|&(b, n)| format!("{{\"bucket\":{b},\"count\":{n}}}"))
+                .map(|&(b, n)| numbers([("bucket", f64::from(b)), ("count", n as f64)]))
                 .collect();
-            format!(
-                "{{\"name\":\"{}\",\"count\":{},\"total\":{},\"buckets\":[{}]}}",
-                escape(h.name),
-                h.count,
-                h.total,
-                buckets.join(",")
-            )
+            Json::object([
+                ("buckets", Json::Array(buckets)),
+                ("count", Json::Number(h.count as f64)),
+                ("name", Json::String(h.name.into())),
+                ("total", Json::Number(h.total as f64)),
+            ])
         })
         .collect();
-    let series: Vec<String> = snap
+    let series = snap
         .series
         .iter()
         .map(|s| {
-            let points: Vec<String> = s
+            let points = s
                 .points
                 .iter()
-                .map(|&(tick, v)| format!("[{tick},{v}]"))
+                .map(|&(tick, v)| {
+                    Json::Array(vec![Json::Number(tick as f64), Json::Number(v as f64)])
+                })
                 .collect();
-            format!(
-                "{{\"name\":\"{}\",\"capacity\":{},\"points\":[{}]}}",
-                escape(&s.name),
-                s.capacity,
-                points.join(",")
-            )
+            Json::object([
+                ("capacity", Json::Number(s.capacity as f64)),
+                ("name", Json::String(s.name.clone())),
+                ("points", Json::Array(points)),
+            ])
         })
         .collect();
-    format!(
-        "{{\"counters\":{{{}}},\"named_counters\":{{{}}},\"histograms\":[{}],\"gauges\":{{{}}},\"series\":[{}]}}",
-        counters.join(","),
-        named.join(","),
-        hists.join(","),
-        gauge_entries(&snap.gauges),
-        series.join(",")
-    )
+    Json::object([
+        (
+            "counters",
+            numbers(snap.counters.iter().map(|&(name, v)| (name, v as f64))),
+        ),
+        (
+            "gauges",
+            numbers(snap.gauges.iter().map(|(name, v)| (name, *v as f64))),
+        ),
+        ("histograms", Json::Array(histograms)),
+        (
+            "named_counters",
+            numbers(
+                snap.named_counters
+                    .iter()
+                    .map(|(name, v)| (name, *v as f64)),
+            ),
+        ),
+        ("series", Json::Array(series)),
+    ])
 }
 
-/// The nondeterministic section as one compact JSON object (no trailing
-/// newline): span wall-clock aggregates, per-worker busy stats and
-/// scheduling counters. Never diffed — wall clock and scheduling shape
-/// vary run to run and with pool width.
-pub fn nondeterministic_json(snap: &Snapshot) -> String {
-    let spans: Vec<String> = snap
+/// The nondeterministic section: span wall-clock aggregates, per-worker
+/// busy stats, scheduling counters and sampled gauges. Never diffed —
+/// wall clock and scheduling shape vary run to run and with pool width.
+pub fn nondeterministic_json(snap: &Snapshot) -> Json {
+    let spans = snap
         .spans
         .iter()
         .map(|s| {
-            format!(
-                "{{\"name\":\"{}\",\"count\":{},\"total_ms\":{},\"max_ms\":{}}}",
-                escape(s.name),
-                s.count,
-                ms(s.total_ns),
-                ms(s.max_ns)
-            )
+            Json::object([
+                ("count", Json::Number(s.count as f64)),
+                ("max_ms", Json::Number(ms(s.max_ns))),
+                ("name", Json::String(s.name.into())),
+                ("total_ms", Json::Number(ms(s.total_ns))),
+            ])
         })
         .collect();
-    let workers: Vec<String> = snap
+    let workers = snap
         .workers
         .iter()
         .map(|w| {
-            format!(
-                "{{\"pool\":\"{}\",\"worker\":{},\"runs\":{},\"jobs\":{},\"busy_ms\":{}}}",
-                escape(w.pool),
-                w.worker,
-                w.runs,
-                w.jobs,
-                ms(w.busy_ns)
-            )
+            Json::object([
+                ("busy_ms", Json::Number(ms(w.busy_ns))),
+                ("jobs", Json::Number(w.jobs as f64)),
+                ("pool", Json::String(w.pool.into())),
+                ("runs", Json::Number(w.runs as f64)),
+                ("worker", Json::Number(w.worker as f64)),
+            ])
         })
         .collect();
-    let sched: Vec<String> = snap
-        .sched
-        .iter()
-        .map(|(name, v)| format!("\"{}\":{v}", escape(name)))
-        .collect();
-    format!(
-        "{{\"spans\":[{}],\"workers\":[{}],\"sched\":{{{}}},\"gauges\":{{{}}}}}",
-        spans.join(","),
-        workers.join(","),
-        sched.join(","),
-        gauge_entries(&snap.nondet_gauges)
-    )
+    Json::object([
+        (
+            "gauges",
+            numbers(snap.nondet_gauges.iter().map(|(name, v)| (name, *v as f64))),
+        ),
+        (
+            "sched",
+            numbers(snap.sched.iter().map(|(name, v)| (name, *v as f64))),
+        ),
+        ("spans", Json::Array(spans)),
+        ("workers", Json::Array(workers)),
+    ])
 }
 
 /// The full metrics document: both sections, explicitly labelled, with a
 /// trailing newline.
 pub fn full_json(snap: &Snapshot) -> String {
-    format!(
-        "{{\"deterministic\":{},\"nondeterministic\":{}}}\n",
-        deterministic_json(snap),
-        nondeterministic_json(snap)
-    )
+    let doc = Json::object([
+        ("deterministic", deterministic_json(snap)),
+        ("nondeterministic", nondeterministic_json(snap)),
+    ]);
+    render(&doc) + "\n"
 }
 
 /// The deterministic section as a standalone document (trailing newline) —
-/// what `--metrics-det-json` writes and `scripts/ci.sh` diffs across
-/// `FLH_THREADS` settings.
+/// what `--metrics-det-json` writes and `scripts/ci.sh` diffs against the
+/// goldens across `FLH_THREADS` settings.
 pub fn det_document(snap: &Snapshot) -> String {
-    let mut doc = deterministic_json(snap);
-    doc.push('\n');
-    doc
+    render(&deterministic_json(snap)) + "\n"
 }
 
 /// Human-readable report: deterministic counters and histograms first,
@@ -208,7 +187,7 @@ pub fn render_text(snap: &Snapshot) -> String {
     for s in &snap.spans {
         let _ = writeln!(
             out,
-            "  {:<36} x{:<6} total {} ms, max {} ms",
+            "  {:<36} x{:<6} total {:.3} ms, max {:.3} ms",
             s.name,
             s.count,
             ms(s.total_ns),
@@ -218,7 +197,7 @@ pub fn render_text(snap: &Snapshot) -> String {
     for w in &snap.workers {
         let _ = writeln!(
             out,
-            "  {}[{}]: {} run(s), {} job(s), busy {} ms",
+            "  {}[{}]: {} run(s), {} job(s), busy {:.3} ms",
             w.pool,
             w.worker,
             w.runs,
@@ -233,15 +212,4 @@ pub fn render_text(snap: &Snapshot) -> String {
         let _ = writeln!(out, "  {name:<36} {v} (gauge)");
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::escape;
-
-    #[test]
-    fn escaping_handles_quotes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 }

@@ -4,12 +4,12 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
+use crate::json::{render, Json};
 use crate::registry::SpanSnapshot;
 use crate::{enabled, tracing};
 
@@ -144,30 +144,35 @@ pub(crate) fn trace_events() -> Vec<TraceEvent> {
 }
 
 /// Writes the buffered trace events as a Chrome trace-event JSON file
-/// (load in `chrome://tracing` or Perfetto). Each span becomes one
-/// complete event (`ph:"X"`) with its nesting depth under `args`.
+/// (load in `chrome://tracing` or Perfetto), rendered through
+/// [`crate::json::render`]. Each span becomes one complete event
+/// (`ph:"X"`) with its nesting depth under `args`.
 ///
 /// # Errors
 ///
 /// Propagates file-creation and write errors.
 pub fn write_trace(path: impl AsRef<Path>) -> std::io::Result<()> {
-    let events = lock(&TRACE).clone();
-    let mut out = Vec::with_capacity(events.len() * 96 + 64);
-    out.extend_from_slice(b"{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"flh\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}}}}}",
-            crate::report::escape(e.name),
-            e.tid,
-            e.ts_us,
-            e.dur_us,
-            e.depth
-        )?;
-    }
-    out.extend_from_slice(b"],\"displayTimeUnit\":\"ms\"}\n");
-    std::fs::write(path, out)
+    let events = lock(&TRACE)
+        .iter()
+        .map(|e| {
+            Json::object([
+                (
+                    "args",
+                    Json::object([("depth", Json::Number(e.depth.into()))]),
+                ),
+                ("cat", Json::String("flh".into())),
+                ("dur", Json::Number(e.dur_us as f64)),
+                ("name", Json::String(e.name.into())),
+                ("ph", Json::String("X".into())),
+                ("pid", Json::Number(1.0)),
+                ("tid", Json::Number(e.tid as f64)),
+                ("ts", Json::Number(e.ts_us as f64)),
+            ])
+        })
+        .collect();
+    let doc = Json::object([
+        ("displayTimeUnit", Json::String("ms".into())),
+        ("traceEvents", Json::Array(events)),
+    ]);
+    std::fs::write(path, render(&doc) + "\n")
 }

@@ -283,7 +283,7 @@ impl JobEngine {
                 flh_obs::Hist::ServeJobReplayEvents,
                 counter("replay.events"),
             );
-            flh_obs::det_document(&delta)
+            flh_obs::deterministic_json(&delta)
         });
         emit(JobEvent::Done {
             job,

@@ -9,6 +9,7 @@
 
 use flh_atpg::{ApplicationStyle, CampaignResult};
 use flh_core::{DftStyle, EvalConfig, StyleEvaluation};
+use flh_obs::Json;
 
 use crate::cache::CacheLookup;
 use crate::source::CircuitSource;
@@ -255,9 +256,10 @@ pub enum JobEvent {
         job: JobId,
         /// Number of batches streamed.
         batches: usize,
-        /// Per-job deterministic metrics document (flh-obs det-delta
-        /// JSON), when the recorder is installed.
-        metrics: Option<String>,
+        /// Per-job deterministic metrics (the flh-obs deterministic
+        /// section of the job's `det_delta`), when the recorder is
+        /// installed.
+        metrics: Option<Json>,
     },
     /// The job could not run to completion.
     Failed {
@@ -305,8 +307,8 @@ pub struct JobOutcome {
     pub batches: Vec<BatchPayload>,
     /// How the compiled-circuit cache served the lookup.
     pub cache: CacheLookup,
-    /// Per-job deterministic metrics document, when recording.
-    pub metrics: Option<String>,
+    /// Per-job deterministic metrics, when recording.
+    pub metrics: Option<Json>,
 }
 
 #[cfg(test)]

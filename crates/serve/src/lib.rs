@@ -22,7 +22,10 @@
 //! * [`serve_lines`] — the line-delimited JSON protocol (`submit` /
 //!   `status` / `cancel` / `wait` / `shutdown`) behind `flh serve`, over
 //!   stdin/stdout or a Unix socket. Transcripts are byte-identical at
-//!   every `FLH_THREADS` width.
+//!   every `FLH_THREADS` width. Lines are parsed and rendered by
+//!   `flh_obs::json`, the workspace's one JSON implementation, whose
+//!   [`Json`], [`parse_json`] and [`render`] this crate re-exports; job
+//!   metrics travel as [`Json`] values and are embedded in replies as is.
 //!
 //! The determinism contract of the rest of the workspace extends here:
 //! results, event order and protocol transcripts are pure functions of
@@ -34,7 +37,6 @@
 pub mod cache;
 pub mod engine;
 pub mod job;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod session;
@@ -42,11 +44,11 @@ pub mod source;
 
 pub use cache::{CacheLookup, CacheStats, CircuitCache, CompiledEntry, DEFAULT_CACHE_CAPACITY};
 pub use engine::JobEngine;
+pub use flh_obs::{parse_json, render, Json, JsonError};
 pub use job::{
     parse_application_styles, parse_dft_style, BatchPayload, JobEvent, JobId, JobKind, JobOutcome,
     JobSpec, ProgressTiming, ALL_APPLICATION_STYLES,
 };
-pub use json::{parse_json, render, Json, JsonError};
 pub use proto::{parse_request, render_request, Request};
 #[cfg(unix)]
 pub use server::serve_unix_socket;

@@ -1,11 +1,13 @@
 //! The serve wire protocol: line-delimited JSON requests and responses.
 //!
 //! One request per input line, one JSON object per output line. Responses
-//! are rendered through [`crate::json::render`], so key order is sorted
-//! and byte-stable; together with the session layer's barrier-drained
-//! event stream this makes a transcript a pure function of the request
-//! script (the `flh serve` CI gate byte-diffs transcripts across
-//! `FLH_THREADS` widths).
+//! are rendered through [`flh_obs::render`], so key order is sorted,
+//! control characters are escaped and the bytes are stable; together with
+//! the session layer's barrier-drained event stream this makes a
+//! transcript a pure function of the request script (the `flh serve` CI
+//! gate byte-diffs transcripts across `FLH_THREADS` widths and against
+//! `tests/golden/serve_smoke.jsonl`). Requests may use every JSON string
+//! escape, `\uXXXX` included.
 //!
 //! Requests (fields beyond `op` shown with their defaults):
 //!
@@ -49,12 +51,12 @@
 //! latency ledger — never diffed, never deterministic.
 
 use flh_core::{DftStyle, EvalConfig};
+use flh_obs::{parse_json, render, Json};
 
 use crate::cache::CacheStats;
 use crate::job::{
     parse_application_styles, parse_dft_style, BatchPayload, JobEvent, JobId, JobKind, JobSpec,
 };
-use crate::json::{parse_json, render, Json};
 use crate::session::{JobLatency, SessionStats, SessionSummary};
 use crate::source::CircuitSource;
 
@@ -431,14 +433,8 @@ pub fn render_event(event: &JobEvent) -> String {
                 ("event", Json::String("done".into())),
                 job_kv(*job),
             ];
-            if let Some(doc) = metrics {
-                // The det-delta document is this workspace's own JSON; on
-                // the off chance it ever fails to reparse, ship it as a
-                // string rather than dropping it.
-                kv.push((
-                    "metrics",
-                    parse_json(doc.trim()).unwrap_or_else(|_| Json::String(doc.clone())),
-                ));
+            if let Some(metrics) = metrics {
+                kv.push(("metrics", metrics.clone()));
             }
             Json::object(kv)
         }
@@ -497,23 +493,23 @@ pub fn render_status(stats: &SessionStats) -> String {
 }
 
 /// The nondeterministic payload attached to a `stats --full` reply.
-pub struct StatsFull<'a> {
+pub struct StatsFull {
     /// The flh-obs nondeterministic section
     /// (`flh_obs::nondeterministic_json`).
-    pub nondet: &'a str,
+    pub nondet: Json,
     /// The session's per-job wall/exec latency ledger.
-    pub latency: &'a [JobLatency],
+    pub latency: Vec<JobLatency>,
 }
 
 /// `stats` reply: the session ledger, cache totals and the deterministic
-/// metrics document (`None` → `"metrics":null` when no recorder is
+/// metrics section (`None` → `"metrics":null` when no recorder is
 /// installed). With `full`, also the nondeterministic section and the
 /// wall-clock latency ledger.
 pub fn render_stats(
     stats: &SessionStats,
     cache: CacheStats,
-    metrics: Option<&str>,
-    full: Option<StatsFull<'_>>,
+    metrics: Option<Json>,
+    full: Option<StatsFull>,
 ) -> String {
     let mut kv: Vec<(&'static str, Json)> = vec![
         ("cache", cache_json(cache)),
@@ -521,16 +517,7 @@ pub fn render_stats(
         ("completed", Json::Number(stats.completed as f64)),
         ("event", Json::String("stats".into())),
         ("in_flight", Json::Number(stats.in_flight as f64)),
-        (
-            "metrics",
-            match metrics {
-                // The det document is this workspace's own JSON; ship it
-                // as a string rather than dropping it if it ever fails to
-                // reparse (same policy as the done event).
-                Some(doc) => parse_json(doc.trim()).unwrap_or_else(|_| Json::String(doc.into())),
-                None => Json::Null,
-            },
-        ),
+        ("metrics", metrics.unwrap_or(Json::Null)),
         ("rejected", Json::Number(stats.rejected as f64)),
         ("submitted", Json::Number(stats.submitted as f64)),
     ];
@@ -547,10 +534,7 @@ pub fn render_stats(
             })
             .collect();
         kv.push(("latency", Json::Array(latency)));
-        kv.push((
-            "nondeterministic",
-            parse_json(full.nondet).unwrap_or_else(|_| Json::String(full.nondet.into())),
-        ));
+        kv.push(("nondeterministic", full.nondet));
     }
     render(&Json::object(kv))
 }

@@ -81,27 +81,17 @@ pub fn serve_lines(
                 // step — deterministically for a scripted session.
                 session.publish_gauges();
                 let metrics =
-                    flh_obs::enabled().then(|| flh_obs::det_document(&flh_obs::snapshot()));
-                let line = if full {
-                    let nondet = flh_obs::nondeterministic_json(&flh_obs::snapshot());
-                    let latency = session.latency();
-                    render_stats(
-                        &session.stats(),
-                        session.engine().cache_stats(),
-                        metrics.as_deref(),
-                        Some(StatsFull {
-                            nondet: &nondet,
-                            latency: &latency,
-                        }),
-                    )
-                } else {
-                    render_stats(
-                        &session.stats(),
-                        session.engine().cache_stats(),
-                        metrics.as_deref(),
-                        None,
-                    )
-                };
+                    flh_obs::enabled().then(|| flh_obs::deterministic_json(&flh_obs::snapshot()));
+                let full = full.then(|| StatsFull {
+                    nondet: flh_obs::nondeterministic_json(&flh_obs::snapshot()),
+                    latency: session.latency(),
+                });
+                let line = render_stats(
+                    &session.stats(),
+                    session.engine().cache_stats(),
+                    metrics,
+                    full,
+                );
                 emit(output, &line)?;
             }
             Ok(Request::Cancel(job)) => {

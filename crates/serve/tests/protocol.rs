@@ -146,6 +146,44 @@ fn one_deeply_nested_line_gets_one_error_and_the_session_goes_on() {
     );
 }
 
+#[test]
+fn a_control_character_in_a_request_is_escaped_in_the_error_reply() {
+    let lines = transcript("{\"op\":\"submit\",\"circuit\":\"s29\u{1}8\"}\n", 1);
+    let error = &lines[0];
+    assert!(
+        error.bytes().all(|b| b >= 0x20),
+        "raw control byte in {error:?}"
+    );
+    let reason = field(error, "error").expect("an error reply");
+    assert!(
+        reason.as_str().is_some_and(|r| r.contains('\u{1}')),
+        "{error}"
+    );
+}
+
+#[test]
+fn unicode_escapes_in_requests_decode() {
+    // Standard encoders may write any character as a `\uXXXX` escape.
+    let script = concat!(
+        "{\"op\":\"submit\",\"circuit\":\"s29\\u0038\",\"pairs\":8,\"seed\":7}\n",
+        "{\"op\":\"wait\"}\n",
+    );
+    let lines = transcript(script, 1);
+    assert_eq!(
+        lines[0], r#"{"event":"accepted","job":"job-1"}"#,
+        "{lines:#?}"
+    );
+    let started = lines
+        .iter()
+        .find(|l| l.contains(r#""event":"started""#))
+        .expect("the job starts");
+    assert_eq!(
+        field(started, "circuit"),
+        Some(Json::String("s298".into())),
+        "{started}"
+    );
+}
+
 /// The scripted session the cache and width tests share: two distinct
 /// circuits plus an exact duplicate of the first submission.
 const CACHE_SCRIPT: &str = concat!(

@@ -222,28 +222,20 @@ for entry in "${flowbench_reference_s[@]}"; do
     fi
 done
 
-echo "== serve smoke (scripted session, cache hit, FLH_THREADS=1 vs 4) =="
+echo "== serve smoke (scripted session vs golden transcript, FLH_THREADS=1 and 4) =="
 # Three jobs — the third an exact duplicate of the first — through the
-# line protocol. The duplicate must be served from the compiled-circuit
-# cache, and the whole transcript must be byte-identical at both widths.
-cat > "$bench_tmp/serve_script.jsonl" <<'EOF'
-{"op":"submit","circuit":"s298","pairs":96,"seed":7}
-{"op":"submit","circuit":"s420","pairs":96,"seed":7}
-{"op":"submit","circuit":"s298","pairs":96,"seed":7}
-{"op":"status"}
-{"op":"stats"}
-{"op":"wait"}
-{"op":"stats"}
-{"op":"shutdown"}
-EOF
-FLH_THREADS=1 cargo run -q --release --offline --bin flh -- serve \
-    < "$bench_tmp/serve_script.jsonl" > "$bench_tmp/serve_w1.jsonl"
-FLH_THREADS=4 cargo run -q --release --offline --bin flh -- serve \
-    < "$bench_tmp/serve_script.jsonl" > "$bench_tmp/serve_w4.jsonl"
-if ! diff "$bench_tmp/serve_w1.jsonl" "$bench_tmp/serve_w4.jsonl"; then
-    echo "SERVE GATE FAILED: protocol transcript depends on FLH_THREADS" >&2
-    exit 1
-fi
+# line protocol (tests/golden/serve_smoke.requests.jsonl). The duplicate
+# must be served from the compiled-circuit cache, and the whole transcript,
+# the metrics inside its done and stats replies included, must equal
+# tests/golden/serve_smoke.jsonl byte for byte at both widths.
+for w in 1 4; do
+    FLH_THREADS=$w cargo run -q --release --offline --bin flh -- serve \
+        < tests/golden/serve_smoke.requests.jsonl > "$bench_tmp/serve_w$w.jsonl"
+    if ! diff tests/golden/serve_smoke.jsonl "$bench_tmp/serve_w$w.jsonl"; then
+        echo "SERVE GATE FAILED: protocol transcript at FLH_THREADS=$w differs from the golden" >&2
+        exit 1
+    fi
+done
 if ! grep -q '"cache":"hit"' "$bench_tmp/serve_w1.jsonl"; then
     echo "SERVE GATE FAILED: duplicate submission missed the compiled-circuit cache" >&2
     exit 1
@@ -281,7 +273,7 @@ if ! grep -q 'serve.queue.depth' "$bench_tmp/stats_w1.jsonl" \
     echo "SERVE GATE FAILED: stats document lacks the queue/cache gauges or latency histograms" >&2
     exit 1
 fi
-echo "identical serve transcript (incl. stats documents) at both pool widths; duplicate job hit the cache"
+echo "golden serve transcript (incl. stats documents) at both pool widths; duplicate job hit the cache"
 
 echo "== serve memory gate (a 10^8-pair campaign under a 4 GB address-space limit) =="
 # A campaign's shards stream their pair blocks, so memory does not grow

@@ -239,7 +239,8 @@ fn det_metrics(args: &[&str], threads: &str, out: &std::path::Path) -> Vec<u8> {
 /// the check needs no tolerance. `analyze --check-sim` is the one golden
 /// flow that runs stuck-at fault simulation. The campaign and analyze
 /// documents must also not depend on the pool width. A change that moves
-/// a count regenerates the golden with the same command.
+/// a count regenerates the golden with the same command. Each golden is
+/// in canonical form: the render of its own parse.
 #[test]
 fn deterministic_metrics_match_the_goldens() {
     let dir = std::env::temp_dir().join(format!("flh_cli_golden_{}", std::process::id()));
@@ -263,6 +264,13 @@ fn deterministic_metrics_match_the_goldens() {
             env!("CARGO_MANIFEST_DIR")
         );
         let golden = std::fs::read(&golden_path).expect("golden document present");
+        let text = String::from_utf8(golden.clone()).expect("golden is UTF-8");
+        let value = flh_obs::parse_json(&text).expect("golden parses");
+        assert_eq!(
+            flh_obs::render(&value) + "\n",
+            text,
+            "{golden_path} is not canonical"
+        );
         for &threads in widths {
             let got = det_metrics(args, threads, &dir.join(format!("{name}_{threads}.json")));
             assert!(
@@ -273,4 +281,38 @@ fn deterministic_metrics_match_the_goldens() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pinned serve protocol bytes: the scripted `flh serve` session of
+/// `tests/golden/serve_smoke.requests.jsonl` (three campaign jobs, one a
+/// cache hit, with `status` and two `stats` probes) must reproduce
+/// `tests/golden/serve_smoke.jsonl` byte for byte at every pool width,
+/// the metrics inside its `done` and `stats` replies included.
+#[test]
+fn serve_transcript_matches_the_golden() {
+    let golden_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let script =
+        std::fs::read(format!("{golden_dir}/serve_smoke.requests.jsonl")).expect("script present");
+    let golden = std::fs::read(format!("{golden_dir}/serve_smoke.jsonl")).expect("golden present");
+    for threads in ["1", "2"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_flh"))
+            .arg("serve")
+            .env("FLH_THREADS", threads)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        {
+            use std::io::Write;
+            let mut stdin = child.stdin.take().expect("stdin piped");
+            stdin.write_all(&script).expect("script written");
+        }
+        let out = child.wait_with_output().expect("session ends");
+        assert!(out.status.success());
+        assert!(
+            out.stdout == golden,
+            "serve transcript at FLH_THREADS={threads} differs from the golden:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
 }
