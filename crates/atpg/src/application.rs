@@ -13,14 +13,16 @@
 //!   cost): V1 and V2 are independent — best possible coverage.
 //!
 //! [`random_transition_campaign`] quantifies this with seeded random
-//! pattern-pair campaigns under each constraint.
+//! pattern-pair campaigns under each constraint. A campaign's pairs are a
+//! block source of the `fsim` module's shard loop: every shard draws the
+//! same seeded stream, so no pair list is ever materialized.
 
-use flh_exec::{gather, ThreadPool};
+use flh_exec::ThreadPool;
 use flh_netlist::{LaneWord, Netlist, Packed256, PatternWord};
 use flh_rng::Rng;
 
-use crate::fsim::PATTERN_BLOCK;
-use crate::region::deal_regions;
+use crate::fsim::{simulate_pooled, simulate_shard, BlockSource, PATTERN_BLOCK};
+use crate::prune::StaticFilter;
 use crate::transition::{enumerate_transition_faults, TransitionFault, TransitionSimulator};
 use crate::tview::{Observation, TestView};
 
@@ -103,43 +105,36 @@ pub fn random_transition_campaign_pooled(
 ) -> flh_netlist::Result<CampaignResult> {
     let view = TestView::new(netlist)?;
     let faults = enumerate_transition_faults(netlist);
-    Ok(transition_campaign_with_view(
-        &view, &faults, style, pairs, seed, pool,
+    let filter = StaticFilter::from_view(&view);
+    Ok(transition_campaign_filtered(
+        &view,
+        &faults,
+        style,
+        pairs,
+        seed,
+        pool,
+        Some(&filter),
     ))
 }
 
 /// Campaign core over a prebuilt [`TestView`] and fault list — the entry
-/// point for callers that cache compiled circuits: a repeat campaign pays
-/// neither parse, compile nor fault enumeration. Semantics and results are
-/// exactly those of [`random_transition_campaign_pooled`] on the same
-/// netlist. It builds the prune filter on every call; a caller running
-/// several styles on one view (the `flh-serve` `JobEngine`) builds it once
-/// and calls [`transition_campaign_filtered`].
-pub fn transition_campaign_with_view(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    style: ApplicationStyle,
-    pairs: usize,
-    seed: u64,
-    pool: &ThreadPool,
-) -> CampaignResult {
-    let filter = crate::prune::StaticFilter::from_view(view);
-    transition_campaign_filtered(view, faults, style, pairs, seed, pool, Some(&filter))
-}
-
-/// [`transition_campaign_with_view`] with an explicit prune filter (`None`
-/// disables pruning). Statically untestable faults are dropped before
-/// sharding — the simulator never touches them — while `total_faults`
-/// still counts the full universe. On a sound filter the pruned faults are
-/// exactly faults no pattern pair ever detects, so the aggregate counts
-/// are identical in both modes; the bench suite asserts that equality.
+/// point for callers that cache compiled circuits (the `flh-serve`
+/// `JobEngine` builds the prune filter once per job and runs every style
+/// on one view). `filter` statically prunes faults (`None` disables
+/// pruning): pruned faults are dropped before sharding — the simulator
+/// never touches them — while `total_faults` still counts the full
+/// universe. On a sound filter the pruned faults are exactly faults no
+/// pattern pair ever detects, so the aggregate counts are identical in
+/// both modes; the bench suite asserts that equality. With the view's own
+/// filter, the result is exactly that of
+/// [`random_transition_campaign_pooled`] on the same netlist.
 ///
-/// The kept faults are sorted region-major (`RegionMap::sort`) and dealt
-/// in chunks of whole fanout-free regions, so each stem replay a region
-/// asks for happens on one shard and the deterministic counters do not
-/// depend on the pool width. Each shard then streams the pair blocks
-/// itself from its own copy of the seeded RNG: memory per shard is a few
-/// words per assignable, not per pair, whatever `pairs` is.
+/// The kept faults are dealt in chunks of whole fanout-free regions, so
+/// each stem replay a region asks for happens on one shard and the
+/// deterministic counters do not depend on the pool width. Each shard
+/// streams the pair blocks itself from its own copy of the seeded RNG:
+/// memory per shard is a few words per assignable, not per pair, whatever
+/// `pairs` is.
 #[allow(clippy::too_many_arguments)]
 pub fn transition_campaign_filtered(
     view: &TestView<'_>,
@@ -148,59 +143,23 @@ pub fn transition_campaign_filtered(
     pairs: usize,
     seed: u64,
     pool: &ThreadPool,
-    filter: Option<&crate::prune::StaticFilter>,
+    filter: Option<&StaticFilter>,
 ) -> CampaignResult {
-    // Static prune, then region-major order. The campaign result is
-    // aggregate counts, so neither the permutation nor the removal of
-    // provably undetectable faults is visible to callers.
-    let mut ordered = match filter {
+    // The campaign result is aggregate counts, so removing provably
+    // undetectable faults is invisible to callers.
+    let kept = match filter {
         Some(f) => f.prune_transition(faults).kept,
         None => faults.to_vec(),
     };
-    let regions = view.regions();
-    regions.sort(view.compiled(), &mut ordered);
-    let parts = deal_regions(pool, regions, &ordered, |shard| {
-        stream_shard(view, style, pairs, seed, gather(&ordered, shard))
+    let flags = simulate_pooled::<TransitionSimulator, _>(view, &kept, pool, || {
+        PairStream::new(view, style, pairs, seed, None)
     });
-    let detected: usize = parts.iter().map(|(_, found)| found).sum();
-    if flh_obs::enabled() {
-        flh_obs::add(flh_obs::Counter::FaultsDropped, detected as u64);
-    }
-
     CampaignResult {
         style,
         total_faults: faults.len(),
-        detected,
+        detected: flags.into_iter().filter(|&d| d).count(),
         pairs,
     }
-}
-
-/// One shard of a pooled campaign: streams `pairs` pairs in 256-lane
-/// blocks from its own `Rng::seed_from_u64(seed)` and simulates its `live`
-/// faults on its own simulator, dropping each fault at its first detecting
-/// block and stopping once none is left. Returns the detections.
-fn stream_shard(
-    view: &TestView<'_>,
-    style: ApplicationStyle,
-    pairs: usize,
-    seed: u64,
-    mut live: Vec<TransitionFault>,
-) -> usize {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut sim = TransitionSimulator::new(view);
-    let n = view.assignable().len();
-    let (mut v1, mut v2) = (vec![Packed256::bot(); n], vec![Packed256::bot(); n]);
-    let mut found = 0;
-    let mut remaining = pairs;
-    while remaining > 0 && !live.is_empty() {
-        let lanes = remaining.min(PATTERN_BLOCK);
-        let mask = fill_pair_block(view, style, &mut rng, lanes, &mut v1, &mut v2);
-        let launch =
-            |good1: &[Packed256], v2: &mut [Packed256]| launch_state(view, style, good1, v2);
-        found += sim.run_block_live(&v1, &mut v2, launch, mask, &mut live);
-        remaining -= lanes;
-    }
-    found
 }
 
 /// Runs batches of random pairs until `target_pct` coverage is reached or
@@ -218,9 +177,98 @@ pub fn pairs_to_reach_coverage(
     max_pairs: usize,
     seed: u64,
 ) -> flh_netlist::Result<CampaignResult> {
-    campaign_impl(netlist, style, max_pairs, seed, |_, detected, total| {
-        100.0 * detected as f64 / total.max(1) as f64 >= target_pct
+    let view = TestView::new(netlist)?;
+    let faults = enumerate_transition_faults(netlist);
+    // One shard: the stop reads the coverage of the whole list.
+    let order = view.regions().order(view.compiled(), &faults);
+    let ordered: Vec<TransitionFault> = order.into_iter().map(|i| faults[i]).collect();
+    let target = Some((target_pct, faults.len()));
+    let mut stream = PairStream::new(&view, style, max_pairs, seed, target);
+    let left = simulate_shard::<TransitionSimulator>(&view, ordered, &mut stream);
+    let detected = faults.len() - left.len();
+    // A run that misses the target spends the whole budget, even once no
+    // fault is left to detect.
+    let pairs = if stream.reached(detected) {
+        stream.drawn
+    } else {
+        max_pairs
+    };
+    Ok(CampaignResult {
+        style,
+        total_faults: faults.len(),
+        detected,
+        pairs,
     })
+}
+
+/// The seeded pair stream of a campaign as a block source: `pairs` random
+/// (V1, V2) pairs under `style`, drawn from `Rng::seed_from_u64(seed)` in
+/// 256-lane blocks. With a coverage target (`pairs_to_reach_coverage`) it
+/// draws one-limb blocks instead and ends once a block leaves the shard at
+/// or above the target, so the stop sees coverage every 64 pairs.
+struct PairStream<'v, 'a> {
+    view: &'v TestView<'a>,
+    style: ApplicationStyle,
+    rng: Rng,
+    pairs: usize,
+    /// Pairs drawn so far.
+    drawn: usize,
+    /// The coverage target: a percentage, and the fault count it is of.
+    target: Option<(f64, usize)>,
+}
+
+impl<'v, 'a> PairStream<'v, 'a> {
+    fn new(
+        view: &'v TestView<'a>,
+        style: ApplicationStyle,
+        pairs: usize,
+        seed: u64,
+        target: Option<(f64, usize)>,
+    ) -> Self {
+        PairStream {
+            view,
+            style,
+            rng: Rng::seed_from_u64(seed),
+            pairs,
+            drawn: 0,
+            target,
+        }
+    }
+
+    /// Whether `detected` faults meet the coverage target.
+    fn reached(&self, detected: usize) -> bool {
+        self.target
+            .is_some_and(|(pct, total)| 100.0 * detected as f64 / total.max(1) as f64 >= pct)
+    }
+}
+
+impl BlockSource for PairStream<'_, '_> {
+    fn next_block(&mut self, detected: usize, frames: &mut [Vec<Packed256>]) -> Option<Packed256> {
+        // The target is checked after each block, never before the first.
+        if self.drawn == self.pairs || (self.drawn > 0 && self.reached(detected)) {
+            return None;
+        }
+        let block = if self.target.is_some() {
+            64
+        } else {
+            PATTERN_BLOCK
+        };
+        let lanes = (self.pairs - self.drawn).min(block);
+        self.drawn += lanes;
+        let (v1, v2) = frames.split_at_mut(1);
+        Some(fill_pair_block(
+            self.view,
+            self.style,
+            &mut self.rng,
+            lanes,
+            &mut v1[0],
+            &mut v2[0],
+        ))
+    }
+
+    fn launch(&self, good1: &[Packed256], v2: &mut [Packed256]) {
+        launch_state(self.view, self.style, good1, v2);
+    }
 }
 
 /// Fills one block of `lanes` random (V1, V2) pairs under `style` into
@@ -228,8 +276,8 @@ pub fn pairs_to_reach_coverage(
 /// mask. Limb `j` holds 64-lane sub-batch `j`, and each limb draws its
 /// words in a fixed order — all V1 words, the V2 primary-input words, then
 /// the style's state fill. That order is the determinism anchor shared by
-/// the one-limb blocks of [`campaign_impl`] and the 256-lane blocks of
-/// [`stream_shard`]: the pair stream does not depend on the block width.
+/// the one-limb and the 256-lane blocks of [`PairStream`]: the pair stream
+/// does not depend on the block width.
 ///
 /// The broadside state part of V2 draws nothing and is left for
 /// [`launch_state`], which fills it from the V1 good machine the simulator
@@ -299,54 +347,6 @@ fn launch_state(
         }
     }
     debug_assert_eq!(ff_idx, v2.len() - n_pi);
-}
-
-/// Streaming campaign core: generates and simulates one batch at a time so
-/// `stop` can end the run on cumulative coverage — the path
-/// [`pairs_to_reach_coverage`] needs, which cannot be fault-partitioned
-/// without changing where the early stop lands.
-fn campaign_impl(
-    netlist: &Netlist,
-    style: ApplicationStyle,
-    pairs: usize,
-    seed: u64,
-    mut stop: impl FnMut(usize, usize, usize) -> bool,
-) -> flh_netlist::Result<CampaignResult> {
-    let view = TestView::new(netlist)?;
-    let faults = enumerate_transition_faults(netlist);
-    let mut sim = TransitionSimulator::new(&view);
-    let mut live = faults.clone();
-    let mut rng = Rng::seed_from_u64(seed);
-
-    let n = view.assignable().len();
-
-    let mut applied = 0usize;
-    let mut detected_count = 0usize;
-    let mut remaining = pairs;
-    let mut v1 = vec![Packed256::bot(); n];
-    let mut v2 = vec![Packed256::bot(); n];
-    while remaining > 0 {
-        // One-limb blocks: the stop predicate still sees coverage every 64
-        // pairs, so early-stop points (and the RNG stream) are identical
-        // to the historical 64-lane streaming path.
-        let lanes = remaining.min(64);
-        let mask = fill_pair_block(&view, style, &mut rng, lanes, &mut v1, &mut v2);
-        let launch =
-            |good1: &[Packed256], v2: &mut [Packed256]| launch_state(&view, style, good1, v2);
-        detected_count += sim.run_block_live(&v1, &mut v2, launch, mask, &mut live);
-        remaining -= lanes;
-        applied += lanes;
-        if stop(applied, detected_count, faults.len()) {
-            break;
-        }
-    }
-
-    Ok(CampaignResult {
-        style,
-        total_faults: faults.len(),
-        detected: detected_count,
-        pairs: applied,
-    })
 }
 
 /// Tester clock cycles to apply one two-pattern test under a style, with a
@@ -478,6 +478,26 @@ mod tests {
         );
         // Identical seed => the partial run is a prefix of the full run.
         assert!(partial.detected <= full.detected);
+    }
+
+    #[test]
+    fn pairs_to_reach_coverage_is_pinned() {
+        // Target 64%, a 2000-pair budget, seed 21: arbitrary pairs stop
+        // after 17 one-limb blocks, skewed-load after 8, and broadside
+        // never gets there and spends the budget, a partial block last.
+        let n = circuit();
+        let pins = [
+            (ApplicationStyle::ArbitraryTwoPattern, 1088, 137),
+            (ApplicationStyle::Broadside, 2000, 93),
+            (ApplicationStyle::SkewedLoad, 512, 136),
+        ];
+        for (style, pairs, detected) in pins {
+            let r = pairs_to_reach_coverage(&n, style, 64.0, 2000, 21).unwrap();
+            assert_eq!(
+                (r.pairs, r.detected, r.total_faults),
+                (pairs, detected, 212)
+            );
+        }
     }
 
     #[test]

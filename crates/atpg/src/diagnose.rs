@@ -38,16 +38,7 @@ impl DiagnosisCandidate {
 /// Golden (fault-free) responses for a pattern set, one observation vector
 /// per pattern, in [`TestView::observations`] order.
 pub fn golden_responses(view: &TestView<'_>, patterns: &[Vec<bool>]) -> Vec<Vec<bool>> {
-    patterns
-        .iter()
-        .map(|p| {
-            let words: Vec<u64> = p.iter().map(|&b| if b { !0 } else { 0 }).collect();
-            view.observe64(&view.eval64(&words, None))
-                .iter()
-                .map(|&w| w & 1 == 1)
-                .collect()
-        })
-        .collect()
+    responses(view, None, patterns)
 }
 
 /// Responses of the circuit with `fault` injected.
@@ -56,16 +47,32 @@ pub fn faulty_responses(
     fault: &Fault,
     patterns: &[Vec<bool>],
 ) -> Vec<Vec<bool>> {
-    patterns
-        .iter()
-        .map(|p| {
-            let words: Vec<u64> = p.iter().map(|&b| if b { !0 } else { 0 }).collect();
-            view.observe64(&view.eval64(&words, Some(fault)))
-                .iter()
-                .map(|&w| w & 1 == 1)
-                .collect()
-        })
-        .collect()
+    responses(view, Some(fault), patterns)
+}
+
+/// Responses with `fault` injected, if any: 64 patterns per
+/// [`TestView::eval64`] call, pattern `k` of each chunk in lane `k`.
+///
+/// # Panics
+///
+/// Panics if a pattern's length differs from the assignable count.
+fn responses(view: &TestView<'_>, fault: Option<&Fault>, patterns: &[Vec<bool>]) -> Vec<Vec<bool>> {
+    let mut words = vec![0u64; view.assignable().len()];
+    let mut out = Vec::with_capacity(patterns.len());
+    for chunk in patterns.chunks(64) {
+        words.fill(0);
+        for (lane, p) in chunk.iter().enumerate() {
+            assert_eq!(p.len(), words.len(), "pattern length mismatch");
+            for (w, &b) in words.iter_mut().zip(p) {
+                *w |= u64::from(b) << lane;
+            }
+        }
+        let observed = view.observe64(&view.eval64(&words, fault));
+        out.extend(
+            (0..chunk.len()).map(|lane| observed.iter().map(|&w| w >> lane & 1 == 1).collect()),
+        );
+    }
+    out
 }
 
 /// Ranks every candidate in `faults` against the observed responses.

@@ -1,6 +1,6 @@
 //! Parallel-pattern fault simulation with fault dropping: the stuck-at
-//! front of the stem-region engine, and the pack / shard / scatter path
-//! both fault models share.
+//! front of the stem-region engine, and the shard loop both fault models
+//! run through.
 //!
 //! There is one fault simulator, the stem-region core in the `region`
 //! module: per 256-pattern block it evaluates the good machine once (one
@@ -14,23 +14,31 @@
 //! [`flh_netlist::Program::eval_cell_pinned`] — `g` with pin `p` read as
 //! its driver's complement — differs from `g`'s good value.
 //!
+//! Every multi-block simulation — a pattern list here or in the
+//! `transition` module, a seeded pair stream in the `application` module —
+//! runs through one shard loop (`simulate_shard`): one shard's faults in
+//! region-major order, a [`BlockSource`] of pattern blocks, and a live
+//! fault list compacted after every block, so a fault is dropped at its
+//! first detecting block. `simulate_pooled` deals a fault list over the
+//! pool in whole fanout-free regions and runs the loop on every shard.
+//!
 //! A final partial block is handled by **masking**: the block's lane mask
 //! has only the populated lanes set, and every activation word is
 //! intersected with it, so padding lanes never touch detection flags or
 //! coverage counts.
 
-use flh_exec::{gather, DropMask, ThreadPool};
+use flh_exec::{gather, ThreadPool};
 use flh_netlist::{LaneWord, Packed256, PatternWord};
 
 use crate::fault::{Fault, FaultSite};
 use crate::region::{deal_regions, RegionFault, RegionSim};
 use crate::tview::TestView;
 
-/// Faults per dealt chunk of a partitioned campaign: a list of fewer than
-/// two chunks runs as one shard, because the per-shard cost (a fresh
-/// simulator, a good-machine evaluation per batch) would outweigh any
+/// Faults per dealt chunk of a pooled simulation: a list of fewer than two
+/// chunks runs as one shard, because the per-shard cost (a fresh
+/// simulator, a good-machine evaluation per block) would outweigh any
 /// parallelism. Chunks end at region boundaries (`deal_regions`), and
-/// shard boundaries never affect results — stats are scattered back by
+/// shard boundaries never affect results — flags are scattered back by
 /// fault id — so this is purely a throughput knob.
 pub(crate) const MIN_FAULTS_PER_SHARD: usize = 64;
 
@@ -63,10 +71,27 @@ impl<'v, 'a> StuckSimulator<'v, 'a> {
         detected: &mut [bool],
     ) -> usize {
         self.core.load(words);
+        let live = faults.iter().zip(detected.iter()).filter(|(_, &d)| !d);
+        self.replay_regions(active_mask, live.map(|(f, _)| f));
+        let mut new_hits = 0;
+        for (fault, d) in faults.iter().zip(detected.iter_mut()) {
+            if !*d && self.detects(fault, active_mask) {
+                *d = true;
+                new_hits += 1;
+            }
+        }
+        flush_detections(new_hits);
+        new_hits
+    }
+
+    /// Passes 1 and 2 of a block over the good machine already loaded:
+    /// requests the stem of every `live` fault with activated lanes, then
+    /// replays each requested stem once.
+    fn replay_regions<'f>(&mut self, mask: Packed256, live: impl Iterator<Item = &'f Fault>) {
         let mut activation_skips = 0u64;
         let mut evals = 0u64;
-        for (fault, _) in faults.iter().zip(detected.iter()).filter(|(_, &d)| !d) {
-            let act = self.activation_lanes(fault).and(active_mask);
+        for fault in live {
+            let act = self.activation_lanes(fault).and(mask);
             if !act.any() {
                 activation_skips += 1;
                 continue;
@@ -77,28 +102,25 @@ impl<'v, 'a> StuckSimulator<'v, 'a> {
             }
         }
         self.core.replay_requests(false);
-        let mut new_hits = 0;
-        for (fault, d) in faults.iter().zip(detected.iter_mut()) {
-            let observed = self.core.observed(fault.entry());
-            if *d || !observed.any() {
-                continue;
-            }
-            let act = self.activation_lanes(fault).and(active_mask);
-            if self.flip_lanes(fault, act).and(observed).any() {
-                *d = true;
-                new_hits += 1;
-            }
-        }
         if flh_obs::enabled() {
-            // Per-fault quantities only (skips, detections): invariant
-            // under fault-list sharding, so safe as deterministic metrics.
-            // The per-shard good-machine evaluation above is width-
-            // dependent and is deliberately not counted; the region walk's
-            // `evals` has no stuck-at counter.
+            // Per-fault quantities only: invariant under fault-list
+            // sharding, so safe as a deterministic metric. The per-shard
+            // good-machine evaluation above is width-dependent and is
+            // deliberately not counted; the region walk's `evals` has no
+            // stuck-at counter.
             flh_obs::add(flh_obs::Counter::StuckActivationSkips, activation_skips);
-            flh_obs::add(flh_obs::Counter::StuckDetections, new_hits as u64);
         }
-        new_hits
+    }
+
+    /// Pass 3 for one fault: whether a lane of this block detects it.
+    /// Valid after [`Self::replay_regions`] saw the fault.
+    fn detects(&mut self, fault: &Fault, mask: Packed256) -> bool {
+        let observed = self.core.observed(fault.entry());
+        if !observed.any() {
+            return false;
+        }
+        let act = self.activation_lanes(fault).and(mask);
+        self.flip_lanes(fault, act).and(observed).any()
     }
 
     /// Lanes where the faulted line's good value opposes the stuck value.
@@ -124,17 +146,12 @@ impl<'v, 'a> StuckSimulator<'v, 'a> {
     }
 }
 
-/// Per-fault outcome of a partitioned campaign: the detection flag plus the
-/// index of the 256-pattern block that first caught the fault. Block
-/// indices are global over the pattern set, so they are identical no
-/// matter how the fault list is partitioned.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// The fault was detected by at least one pattern.
-    pub detected: bool,
-    /// Index of the first detecting 256-pattern block (`None` if
-    /// undetected).
-    pub first_batch: Option<u32>,
+/// Flushes a block's new stuck-at detections, a per-fault quantity and so
+/// a deterministic metric.
+fn flush_detections(new_hits: usize) {
+    if flh_obs::enabled() {
+        flh_obs::add(flh_obs::Counter::StuckDetections, new_hits as u64);
+    }
 }
 
 /// Packs up to [`PATTERN_BLOCK`] frame rows (one bit per assignable) into
@@ -157,166 +174,153 @@ pub(crate) fn pack_block<'p>(words: &mut [Packed256], rows: impl Iterator<Item =
     }
 }
 
-/// A fault-simulation front over the stem-region core, as the shared
-/// partitioned path drives it: a fresh simulator per shard, and patterns of
-/// `FRAMES` rows (one bit per assignable) packed one block at a time.
-pub(crate) trait BlockSim<'v, 'a>: Sized {
+/// A fault-simulation front over the stem-region core, as the shard loop
+/// drives it: a fresh simulator per shard, one block at a time.
+pub(crate) trait BlockSim<'v, 'a> {
     /// The fault model.
-    type Fault: RegionFault;
-    /// The pattern type.
-    type Pattern: Sync;
+    type Fault: RegionFault + PartialEq;
     /// Frames per pattern: one for a stuck-at pattern, two for a pair.
     const FRAMES: usize;
-    /// Frame `f`'s row of `pattern`.
-    fn frame(pattern: &Self::Pattern, f: usize) -> &[bool];
     /// A simulator over `view`.
     fn new(view: &'v TestView<'a>) -> Self;
-    /// Simulates one block (`frames[f]` packed from frame `f` of every
-    /// pattern, lanes outside `mask` padding) against `faults`, setting
-    /// `detected` flags. Returns new detections.
-    fn run_frames(
+    /// Simulates one block (`frames[f]` holds frame `f` of every pattern,
+    /// lanes outside `mask` are padding) against `live`, and removes the
+    /// faults it detects with one order-preserving `retain`. `launch`
+    /// completes the second frame from the good machine of the first once
+    /// the front has evaluated it; a one-frame front never calls it.
+    fn run_block_live(
         &mut self,
-        frames: &[Vec<Packed256>],
+        frames: &mut [Vec<Packed256>],
+        launch: impl FnOnce(&[Packed256], &mut [Packed256]),
         mask: Packed256,
-        faults: &[Self::Fault],
-        detected: &mut [bool],
-    ) -> usize;
+        live: &mut Vec<Self::Fault>,
+    );
 }
 
 impl<'v, 'a> BlockSim<'v, 'a> for StuckSimulator<'v, 'a> {
     type Fault = Fault;
-    type Pattern = Vec<bool>;
     const FRAMES: usize = 1;
-    fn frame(pattern: &Vec<bool>, _: usize) -> &[bool] {
-        pattern
-    }
     fn new(view: &'v TestView<'a>) -> Self {
         StuckSimulator::new(view)
     }
-    fn run_frames(
+    fn run_block_live(
         &mut self,
-        frames: &[Vec<Packed256>],
+        frames: &mut [Vec<Packed256>],
+        _launch: impl FnOnce(&[Packed256], &mut [Packed256]),
         mask: Packed256,
-        faults: &[Fault],
-        detected: &mut [bool],
-    ) -> usize {
-        self.run_batch(&frames[0], mask, faults, detected)
+        live: &mut Vec<Fault>,
+    ) {
+        self.core.load(&frames[0]);
+        self.replay_regions(mask, live.iter());
+        let before = live.len();
+        live.retain(|fault| !self.detects(fault, mask));
+        flush_detections(before - live.len());
     }
 }
 
-/// One worker's share of a partitioned campaign: a fresh simulator over the
-/// shared view, the full pattern set, the faults of one dealt shard (whole
-/// regions). Faults flagged in `dropped` were detected by an earlier call
-/// and are never simulated again; the shard's updated flags are merged
-/// back by the caller.
-fn stats_shard<'v, 'a, S: BlockSim<'v, 'a>>(
-    view: &'v TestView<'a>,
-    faults: &[S::Fault],
-    patterns: &[S::Pattern],
-    mut dropped: Vec<bool>,
-) -> (Vec<FaultStats>, Vec<bool>) {
-    let mut sim = S::new(view);
-    let mut stats = vec![FaultStats::default(); faults.len()];
-    let already: Vec<bool> = dropped.clone();
-    let n = view.assignable().len();
-    let mut frames = vec![vec![Packed256::bot(); n]; S::FRAMES];
-    for (batch, chunk) in patterns.chunks(PATTERN_BLOCK).enumerate() {
+/// Where a shard's pattern blocks come from: the rows of a pattern list
+/// ([`Rows`]) or a seeded pair stream (the `application` module's).
+pub(crate) trait BlockSource {
+    /// Fills the next block into `frames` (frame `f` of the pattern in lane
+    /// `k` goes to lane `k` of `frames[f]`) and returns its lane mask, or
+    /// `None` once the source is spent. `detected` is the shard's detection
+    /// count so far, for a source that ends on coverage.
+    fn next_block(&mut self, detected: usize, frames: &mut [Vec<Packed256>]) -> Option<Packed256>;
+
+    /// Completes the second frame from the good machine of the first: the
+    /// broadside launch. Nothing by default.
+    fn launch(&self, _good1: &[Packed256], _v2: &mut [Packed256]) {}
+}
+
+/// A pattern as [`Rows`] packs it: one row of one bit per assignable per
+/// frame.
+pub(crate) trait Frames: Sync {
+    /// Frame `f`'s row.
+    fn frame(&self, f: usize) -> &[bool];
+}
+
+impl Frames for Vec<bool> {
+    fn frame(&self, _: usize) -> &[bool] {
+        self
+    }
+}
+
+/// A pattern list as a block source: [`PATTERN_BLOCK`] patterns per block,
+/// each frame packed by [`pack_block`], the last block masked.
+pub(crate) struct Rows<'p, P>(std::slice::Chunks<'p, P>);
+
+impl<'p, P> Rows<'p, P> {
+    pub(crate) fn new(patterns: &'p [P]) -> Self {
+        Rows(patterns.chunks(PATTERN_BLOCK))
+    }
+}
+
+impl<P: Frames> BlockSource for Rows<'_, P> {
+    fn next_block(&mut self, _: usize, frames: &mut [Vec<Packed256>]) -> Option<Packed256> {
+        let chunk = self.0.next()?;
         for (f, words) in frames.iter_mut().enumerate() {
-            pack_block(words, chunk.iter().map(|p| S::frame(p, f)));
+            pack_block(words, chunk.iter().map(|p| p.frame(f)));
         }
-        let mask = Packed256::mask_lanes(chunk.len());
-        let new_hits = sim.run_frames(&frames, mask, faults, &mut dropped);
-        if new_hits > 0 {
-            for ((s, &d), &pre) in stats.iter_mut().zip(&dropped).zip(&already) {
-                if d && !pre && !s.detected {
-                    s.detected = true;
-                    s.first_batch = Some(batch as u32);
-                }
-            }
-        }
+        Some(Packed256::mask_lanes(chunk.len()))
     }
-    (stats, dropped)
 }
 
-/// The partitioned campaign both fronts share: faults sorted region-major
-/// and dealt out to the pool workers in chunks of whole fanout-free
-/// regions (see the `region` module), each shard on its own simulator,
-/// per-fault stats scattered back **by fault id** — never in completion
-/// order. Faults already in `drops` are skipped by every shard and batch,
-/// and this call's detections are merged back into it. Bit-identical at
-/// any pool size, deterministic counters included.
-pub(crate) fn simulate_partitioned<'v, 'a, S: BlockSim<'v, 'a>>(
+/// The shard loop: simulates one shard's faults, `live` (region-major, see
+/// the `region` module), on a fresh simulator over the blocks of `source`,
+/// drops each fault at its first detecting block, and stops when the
+/// source or the live list is empty. Returns the faults left undetected,
+/// in their order in `live`.
+pub(crate) fn simulate_shard<'v, 'a, S: BlockSim<'v, 'a>>(
+    view: &'v TestView<'a>,
+    mut live: Vec<S::Fault>,
+    source: &mut impl BlockSource,
+) -> Vec<S::Fault> {
+    let total = live.len();
+    let mut sim = S::new(view);
+    let mut frames = vec![vec![Packed256::bot(); view.assignable().len()]; S::FRAMES];
+    while !live.is_empty() {
+        let Some(mask) = source.next_block(total - live.len(), &mut frames) else {
+            break;
+        };
+        sim.run_block_live(
+            &mut frames,
+            |good1, v2| source.launch(good1, v2),
+            mask,
+            &mut live,
+        );
+    }
+    live
+}
+
+/// The pooled simulation behind every public entry point: `faults` sorted
+/// region-major and dealt over `pool` in chunks of whole fanout-free
+/// regions (`deal_regions`), each shard through [`simulate_shard`] with a
+/// block source of its own from `source`. Returns detection flags,
+/// scattered back **by fault id**, never in completion order, so the
+/// result — deterministic counters included — is bit-identical at any
+/// pool width.
+pub(crate) fn simulate_pooled<'v, 'a, S: BlockSim<'v, 'a>, B: BlockSource>(
     view: &'v TestView<'a>,
     faults: &[S::Fault],
-    patterns: &[S::Pattern],
     pool: &ThreadPool,
-    drops: &mut DropMask,
-) -> Vec<FaultStats> {
-    assert_eq!(drops.len(), faults.len(), "drop mask length mismatch");
-    // Position `p` of the region-major list holds input fault `order[p]`;
-    // the shards work on positions and everything is scattered back
-    // through `order`.
+    source: impl Fn() -> B + Sync,
+) -> Vec<bool> {
+    // Position `p` of the region-major list holds input fault `order[p]`.
     let order = view.regions().order(view.compiled(), faults);
     let ordered: Vec<S::Fault> = order.iter().map(|&i| faults[i]).collect();
-    let mut ordered_drops = DropMask::new(faults.len());
-    for (p, &i) in order.iter().enumerate() {
-        if drops.is_dropped(i) {
-            ordered_drops.drop_fault(p);
-        }
-    }
     let parts = deal_regions(pool, view.regions(), &ordered, |shard| {
-        stats_shard::<S>(
-            view,
-            &gather(&ordered, shard),
-            patterns,
-            ordered_drops.shard(shard),
-        )
+        simulate_shard::<S>(view, gather(&ordered, shard), &mut source())
     });
-    let mut stats = vec![FaultStats::default(); faults.len()];
-    for (shard, (shard_stats, flags)) in parts {
-        for (p, s) in shard.iter().flat_map(|r| r.clone()).zip(shard_stats) {
-            stats[order[p]] = s;
-        }
-        ordered_drops.merge_shard(&shard, &flags);
-    }
-    for (p, &i) in order.iter().enumerate() {
-        if ordered_drops.is_dropped(p) {
-            drops.drop_fault(i);
+    let mut detected = vec![false; faults.len()];
+    for (shard, left) in parts {
+        // `retain` keeps order, so the faults left are a subsequence of
+        // the shard's: one walk over both marks the rest detected.
+        let mut left = left.iter().peekable();
+        for p in shard.iter().flat_map(|r| r.clone()) {
+            detected[order[p]] = left.next_if_eq(&&ordered[p]).is_none();
         }
     }
-    stats
-}
-
-impl StuckSimulator<'_, '_> {
-    /// Partitioned stuck-at campaign: faults dealt out to the pool workers
-    /// in chunks of whole fanout-free regions, each shard on its own
-    /// simulator, per-fault stats scattered back **by fault id** —
-    /// completion order never matters. Bit-identical at any pool size.
-    pub fn simulate_partitioned(
-        view: &TestView<'_>,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        pool: &ThreadPool,
-    ) -> Vec<FaultStats> {
-        let mut drops = DropMask::new(faults.len());
-        Self::simulate_partitioned_dropping(view, faults, patterns, pool, &mut drops)
-    }
-
-    /// [`StuckSimulator::simulate_partitioned`] with a persistent
-    /// [`DropMask`]: faults already dropped are skipped by every shard, and
-    /// this call's detections are merged back into `drops`, so a sequence
-    /// of calls (incremental pattern blocks) never re-simulates a detected
-    /// fault. Stats describe **this call only** — a fault dropped by an
-    /// earlier call reports `FaultStats::default()`.
-    pub fn simulate_partitioned_dropping(
-        view: &TestView<'_>,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        pool: &ThreadPool,
-        drops: &mut DropMask,
-    ) -> Vec<FaultStats> {
-        simulate_partitioned::<StuckSimulator>(view, faults, patterns, pool, drops)
-    }
+    detected
 }
 
 /// Simulates a fully-specified pattern set against a stuck-at fault list,
@@ -337,10 +341,7 @@ pub fn stuck_coverage_partitioned(
     patterns: &[Vec<bool>],
     pool: &ThreadPool,
 ) -> Vec<bool> {
-    StuckSimulator::simulate_partitioned(view, faults, patterns, pool)
-        .into_iter()
-        .map(|s| s.detected)
-        .collect()
+    simulate_pooled::<StuckSimulator, _>(view, faults, pool, || Rows::new(patterns))
 }
 
 /// Reference stuck-at detection for one fault and one 64-pattern word:
@@ -551,7 +552,9 @@ mod tests {
         let faults = enumerate_stuck_faults(&n);
         let na = view.assignable().len();
         let mut rng = Rng::seed_from_u64(10);
-        let patterns: Vec<Vec<bool>> = (0..200)
+        // Three blocks, the last one partial: every shard drops faults
+        // across blocks.
+        let patterns: Vec<Vec<bool>> = (0..600)
             .map(|_| (0..na).map(|_| rng.gen()).collect())
             .collect();
         let serial = stuck_coverage(&view, &faults, &patterns);
@@ -560,77 +563,6 @@ mod tests {
             let parallel = stuck_coverage_partitioned(&view, &faults, &patterns, &pool);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn partitioned_stats_merge_by_fault_id() {
-        let n = circuit();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_stuck_faults(&n);
-        let na = view.assignable().len();
-        let mut rng = Rng::seed_from_u64(12);
-        let patterns: Vec<Vec<bool>> = (0..600)
-            .map(|_| (0..na).map(|_| rng.gen()).collect())
-            .collect();
-        let serial =
-            StuckSimulator::simulate_partitioned(&view, &faults, &patterns, &ThreadPool::serial());
-        let flags = stuck_coverage(&view, &faults, &patterns);
-        for (s, &d) in serial.iter().zip(&flags) {
-            assert_eq!(s.detected, d);
-            assert_eq!(s.first_batch.is_some(), d);
-            if let Some(b) = s.first_batch {
-                assert!((b as usize) < patterns.len().div_ceil(PATTERN_BLOCK));
-            }
-        }
-        for workers in [2, 3, 8] {
-            let pooled = StuckSimulator::simulate_partitioned(
-                &view,
-                &faults,
-                &patterns,
-                &ThreadPool::new(workers),
-            );
-            assert_eq!(pooled, serial, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn dropped_faults_are_skipped_and_merged_across_calls() {
-        let n = circuit();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_stuck_faults(&n);
-        let na = view.assignable().len();
-        let mut rng = Rng::seed_from_u64(14);
-        let patterns: Vec<Vec<bool>> = (0..768)
-            .map(|_| (0..na).map(|_| rng.gen()).collect())
-            .collect();
-        // One shot over the whole set...
-        let whole = stuck_coverage(&view, &faults, &patterns);
-        // ...equals two incremental halves through a shared drop mask
-        // (split off a block boundary, so partial-block masking is in
-        // play on both halves).
-        let mut drops = DropMask::new(faults.len());
-        for half in patterns.chunks(384) {
-            StuckSimulator::simulate_partitioned_dropping(
-                &view,
-                &faults,
-                half,
-                &ThreadPool::new(3),
-                &mut drops,
-            );
-        }
-        assert_eq!(drops.flags(), whole.as_slice());
-        // A third call over already-covered patterns reports nothing new.
-        let again = StuckSimulator::simulate_partitioned_dropping(
-            &view,
-            &faults,
-            &patterns,
-            &ThreadPool::serial(),
-            &mut drops,
-        );
-        for (s, &d) in again.iter().zip(&whole) {
-            assert!(!s.detected || !d, "dropped fault was re-detected");
-        }
-        assert_eq!(drops.flags(), whole.as_slice());
     }
 
     #[test]

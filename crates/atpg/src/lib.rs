@@ -17,8 +17,9 @@
 //!   backtracking) for stuck-at faults, plus justification-only mode;
 //! * [`fsim`] — the one fault simulator: stem-region simulation
 //!   (`region`), which replays one stem per fanout-free region per block,
-//!   behind a one-frame stuck-at front and the shared pack / shard /
-//!   scatter path;
+//!   behind a one-frame stuck-at front, and the one shard loop every
+//!   multi-block simulation runs through (a pattern list or a seeded pair
+//!   stream, the live fault list compacted after every block);
 //! * [`replay`] — the deviation-replay engine the stem replays run on:
 //!   event-driven in-place faulty resimulation (per-level bucket queue,
 //!   undo log, observed-driver miscompare, early exit on detection);
@@ -49,8 +50,8 @@ pub mod tview;
 
 pub use application::{
     cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign,
-    random_transition_campaign_pooled, transition_campaign_filtered, transition_campaign_with_view,
-    ApplicationStyle, CampaignResult,
+    random_transition_campaign_pooled, transition_campaign_filtered, ApplicationStyle,
+    CampaignResult,
 };
 pub use broadside::{broadside_transition_atpg, BroadsideAtpgResult, BroadsidePattern};
 pub use diagnose::{diagnose, faulty_responses, golden_responses, DiagnosisCandidate};
@@ -58,8 +59,8 @@ pub use fault::{
     collapse_faults, enumerate_stuck_faults, inject_fault, Fault, FaultSite, StuckValue,
 };
 pub use fsim::{
-    stuck_coverage, stuck_coverage_partitioned, stuck_detects_reference, FaultStats,
-    StuckSimulator, PATTERN_BLOCK,
+    stuck_coverage, stuck_coverage_partitioned, stuck_detects_reference, StuckSimulator,
+    PATTERN_BLOCK,
 };
 pub use path::{
     generate_path_test, generate_robust_path_test, longest_paths, longest_sensitizable_path,
@@ -72,10 +73,9 @@ pub use prune::{PruneOutcome, RedundantTransitions, StaticFilter};
 pub use replay::DeviationReplay;
 pub use transition::{
     collapse_transition_faults, compact_transition_patterns, enumerate_transition_faults,
-    simulate_transition_patterns, simulate_transition_patterns_dropping,
-    simulate_transition_patterns_partitioned, transition_atpg, transition_atpg_ndetect,
-    transition_atpg_with_filter, transition_collapse_justifier, transition_detects_reference,
-    NDetectResult, TransitionAtpgResult, TransitionFault, TransitionKind, TransitionPattern,
-    TransitionSimulator,
+    simulate_transition_patterns, simulate_transition_patterns_partitioned, transition_atpg,
+    transition_atpg_ndetect, transition_atpg_with_filter, transition_collapse_justifier,
+    transition_detects_reference, NDetectResult, TransitionAtpgResult, TransitionFault,
+    TransitionKind, TransitionPattern, TransitionSimulator,
 };
 pub use tview::TestView;

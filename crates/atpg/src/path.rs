@@ -65,31 +65,11 @@ impl StructuralPath {
     pub fn inverts(&self, netlist: &Netlist) -> bool {
         self.cells[1..]
             .iter()
-            .filter(|&&c| kind_inverts(netlist.cell(c).kind()))
+            .filter(|&&c| netlist.cell(c).kind().inverts())
             .count()
             % 2
             == 1
     }
-}
-
-fn kind_inverts(kind: CellKind) -> bool {
-    use CellKind::*;
-    matches!(
-        kind,
-        Inv | Nand2
-            | Nand3
-            | Nand4
-            | Nor2
-            | Nor3
-            | Nor4
-            | Xnor2
-            | Aoi21
-            | Aoi22
-            | Oai21
-            | Oai22
-            | NandN(_)
-            | NorN(_)
-    )
 }
 
 /// A path-delay fault: a path plus the launch polarity at its source.

@@ -695,7 +695,7 @@ impl<'v, 'a> Podem<'v, 'a> {
                 .iter()
                 .copied()
                 .find(|&f| !imp.good(f).is_known())?;
-            if inverts(kind) {
+            if kind.inverts() {
                 value = !value;
             }
             cell = next;
@@ -741,27 +741,6 @@ fn backtrack(
         return true;
     }
     false
-}
-
-/// Whether a backtrace through this cell flips the objective value.
-fn inverts(kind: CellKind) -> bool {
-    use CellKind::*;
-    matches!(
-        kind,
-        Inv | Nand2
-            | Nand3
-            | Nand4
-            | Nor2
-            | Nor3
-            | Nor4
-            | Xnor2
-            | Aoi21
-            | Aoi22
-            | Oai21
-            | Oai22
-            | NandN(_)
-            | NorN(_)
-    )
 }
 
 /// Heuristic non-controlling value per gate kind and pin, used for

@@ -136,25 +136,19 @@ impl RegionMap {
         faults: &[F],
     ) -> Vec<usize> {
         let mut order: Vec<usize> = (0..faults.len()).collect();
-        order.sort_by_key(|&i| self.key(compiled, &faults[i]));
+        // One key per fault: a comparison sort would compute two per
+        // comparison, each through the permutation.
+        order.sort_by_cached_key(|&i| {
+            let entry = faults[i].entry();
+            let stem = self.stem(entry);
+            (
+                compiled.level_of(stem),
+                stem,
+                compiled.level_of(entry),
+                entry,
+            )
+        });
         order
-    }
-
-    /// Sorts `faults` region-major in place, in the order of
-    /// [`RegionMap::order`].
-    pub(crate) fn sort<F: RegionFault>(&self, compiled: &CompiledCircuit, faults: &mut [F]) {
-        faults.sort_by_key(|f| self.key(compiled, f));
-    }
-
-    fn key<F: RegionFault>(&self, compiled: &CompiledCircuit, fault: &F) -> (u32, u32, u32, u32) {
-        let entry = fault.entry();
-        let stem = self.stem(entry);
-        (
-            compiled.level_of(stem),
-            stem,
-            compiled.level_of(entry),
-            entry,
-        )
     }
 }
 

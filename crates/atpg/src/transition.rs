@@ -13,15 +13,15 @@
 //! simulator: the stem-region core (the `region` module), which traces
 //! each fault to its fanout-free region's stem inside the good V2 machine
 //! and replays each stem once per block, instead of replaying every fault.
-//! [`crate::fsim::StuckSimulator`] is its one-frame front; both share one
-//! pack / shard / scatter path.
+//! [`crate::fsim::StuckSimulator`] is its one-frame front; both run a
+//! pattern list through the `fsim` module's shard loop.
 
-use flh_exec::{DropMask, ThreadPool};
+use flh_exec::ThreadPool;
 use flh_netlist::{analysis, CellId, CellKind, LaneWord, Netlist, Packed256, PatternWord};
 use flh_rng::Rng;
 
 use crate::fault::{Fault, StuckValue};
-use crate::fsim::{pack_block, simulate_partitioned, BlockSim, FaultStats};
+use crate::fsim::{pack_block, simulate_pooled, BlockSim, Frames, Rows};
 use crate::podem::{Podem, PodemConfig};
 use crate::region::{RegionFault, RegionSim};
 use crate::tview::TestView;
@@ -300,33 +300,6 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         new_hits
     }
 
-    /// The campaign's block: evaluates the good V1 machine, lets `launch`
-    /// complete V2 from it (the broadside launch fills V2's state part from
-    /// V1's flip-flop D values), evaluates V2, simulates every fault in
-    /// `live` and removes the detected ones. Returns how many it removed.
-    pub(crate) fn run_block_live(
-        &mut self,
-        v1_words: &[Packed256],
-        v2_words: &mut [Packed256],
-        launch: impl FnOnce(&[Packed256], &mut [Packed256]),
-        active_mask: Packed256,
-        live: &mut Vec<TransitionFault>,
-    ) -> usize {
-        self.core
-            .view()
-            .eval_lanes_into(v1_words, &mut self.values1);
-        launch(&self.values1, v2_words);
-        self.core.load(v2_words);
-        self.replay_regions(active_mask, live.iter(), false);
-        let before = live.len();
-        live.retain(|fault| !self.detection_lanes(fault, active_mask).any());
-        let new_hits = before - live.len();
-        if flh_obs::enabled() {
-            flh_obs::add(flh_obs::Counter::TransitionDetections, new_hits as u64);
-        }
-        new_hits
-    }
-
     /// Like [`TransitionSimulator::run_batch`], but counts *how many*
     /// distinct pattern lanes detect each fault (saturating at `target`),
     /// for N-detect test generation. Returns the number of faults that
@@ -419,60 +392,42 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
 
 impl<'v, 'a> BlockSim<'v, 'a> for TransitionSimulator<'v, 'a> {
     type Fault = TransitionFault;
-    type Pattern = TransitionPattern;
     const FRAMES: usize = 2;
-    fn frame(pattern: &TransitionPattern, f: usize) -> &[bool] {
-        if f == 0 {
-            &pattern.v1
-        } else {
-            &pattern.v2
-        }
-    }
     fn new(view: &'v TestView<'a>) -> Self {
         TransitionSimulator::new(view)
     }
-    fn run_frames(
+    /// Evaluates the good V1 machine, lets `launch` complete V2 from it
+    /// (the broadside launch fills V2's state part from V1's flip-flop D
+    /// values), evaluates V2, simulates every fault in `live` and removes
+    /// the detected ones.
+    fn run_block_live(
         &mut self,
-        frames: &[Vec<Packed256>],
+        frames: &mut [Vec<Packed256>],
+        launch: impl FnOnce(&[Packed256], &mut [Packed256]),
         mask: Packed256,
-        faults: &[TransitionFault],
-        detected: &mut [bool],
-    ) -> usize {
-        self.run_batch(&frames[0], &frames[1], mask, faults, detected)
+        live: &mut Vec<TransitionFault>,
+    ) {
+        let (v1, v2) = frames.split_at_mut(1);
+        self.core.view().eval_lanes_into(&v1[0], &mut self.values1);
+        launch(&self.values1, &mut v2[0]);
+        self.core.load(&v2[0]);
+        self.replay_regions(mask, live.iter(), false);
+        let before = live.len();
+        live.retain(|fault| !self.detection_lanes(fault, mask).any());
+        if flh_obs::enabled() {
+            let new_hits = (before - live.len()) as u64;
+            flh_obs::add(flh_obs::Counter::TransitionDetections, new_hits);
+        }
     }
 }
 
-impl TransitionSimulator<'_, '_> {
-    /// Partitioned pattern-pair campaign: faults sorted region-major and
-    /// dealt out to the pool workers in chunks of whole fanout-free regions
-    /// (see the `region` module), each shard on its own simulator,
-    /// per-fault stats scattered back **by fault id** — never in completion
-    /// order. Bit-identical at any pool size, deterministic counters
-    /// included.
-    pub fn simulate_partitioned(
-        view: &TestView<'_>,
-        faults: &[TransitionFault],
-        patterns: &[TransitionPattern],
-        pool: &ThreadPool,
-    ) -> Vec<FaultStats> {
-        let mut drops = DropMask::new(faults.len());
-        Self::simulate_partitioned_dropping(view, faults, patterns, pool, &mut drops)
-    }
-
-    /// [`TransitionSimulator::simulate_partitioned`] with a persistent
-    /// [`DropMask`]: faults already dropped are skipped by every shard and
-    /// batch, and this call's detections are merged back into `drops`, so
-    /// a staged campaign (incremental pair blocks) never re-simulates a
-    /// detected fault. Stats describe **this call only** — a fault dropped
-    /// by an earlier call reports `FaultStats::default()`.
-    pub fn simulate_partitioned_dropping(
-        view: &TestView<'_>,
-        faults: &[TransitionFault],
-        patterns: &[TransitionPattern],
-        pool: &ThreadPool,
-        drops: &mut DropMask,
-    ) -> Vec<FaultStats> {
-        simulate_partitioned::<TransitionSimulator>(view, faults, patterns, pool, drops)
+impl Frames for TransitionPattern {
+    fn frame(&self, f: usize) -> &[bool] {
+        if f == 0 {
+            &self.v1
+        } else {
+            &self.v2
+        }
     }
 }
 
@@ -524,33 +479,17 @@ pub fn simulate_transition_patterns(
     simulate_transition_patterns_partitioned(view, faults, patterns, &ThreadPool::serial())
 }
 
-/// Pooled [`simulate_transition_patterns`]: faults sharded over the pool,
-/// detection flags merged in fault-id order, identical at any pool size.
+/// Pooled [`simulate_transition_patterns`]: the fault list is dealt over
+/// the pool's workers in whole fanout-free regions, each shard on its own
+/// simulator. Detection flags are merged in fault-id order and are
+/// identical at any pool size.
 pub fn simulate_transition_patterns_partitioned(
     view: &TestView<'_>,
     faults: &[TransitionFault],
     patterns: &[TransitionPattern],
     pool: &ThreadPool,
 ) -> Vec<bool> {
-    TransitionSimulator::simulate_partitioned(view, faults, patterns, pool)
-        .into_iter()
-        .map(|s| s.detected)
-        .collect()
-}
-
-/// Staged [`simulate_transition_patterns_partitioned`]: detections
-/// accumulate in `drops` across calls, already-dropped faults are skipped
-/// by every shard, and the returned flags are the mask's state *after*
-/// this call (cumulative coverage, not per-call novelty).
-pub fn simulate_transition_patterns_dropping(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    patterns: &[TransitionPattern],
-    pool: &ThreadPool,
-    drops: &mut DropMask,
-) -> Vec<bool> {
-    TransitionSimulator::simulate_partitioned_dropping(view, faults, patterns, pool, drops);
-    drops.flags().to_vec()
+    simulate_pooled::<TransitionSimulator, _>(view, faults, pool, || Rows::new(patterns))
 }
 
 /// Result of a deterministic transition ATPG run.
@@ -930,25 +869,17 @@ mod tests {
         let faults = enumerate_transition_faults(&n);
         let mut rng = Rng::seed_from_u64(19);
         let na = view.assignable().len();
-        let patterns: Vec<TransitionPattern> = (0..130)
+        // Three blocks, the last one partial: every shard drops faults
+        // across blocks.
+        let patterns: Vec<TransitionPattern> = (0..600)
             .map(|_| TransitionPattern {
                 v1: (0..na).map(|_| rng.gen()).collect(),
                 v2: (0..na).map(|_| rng.gen()).collect(),
             })
             .collect();
-        let serial = TransitionSimulator::simulate_partitioned(
-            &view,
-            &faults,
-            &patterns,
-            &ThreadPool::serial(),
-        );
-        let flags = simulate_transition_patterns(&view, &faults, &patterns);
-        for (s, &d) in serial.iter().zip(&flags) {
-            assert_eq!(s.detected, d);
-            assert_eq!(s.first_batch.is_some(), d);
-        }
+        let serial = simulate_transition_patterns(&view, &faults, &patterns);
         for workers in [2, 4, 8] {
-            let pooled = TransitionSimulator::simulate_partitioned(
+            let pooled = simulate_transition_patterns_partitioned(
                 &view,
                 &faults,
                 &patterns,
@@ -1316,9 +1247,6 @@ mod tests {
         let regions = view.regions();
         let order = regions.order(view.compiled(), &faults);
         let ordered: Vec<TransitionFault> = order.iter().map(|&i| faults[i]).collect();
-        let mut sorted = faults.clone();
-        regions.sort(view.compiled(), &mut sorted);
-        assert_eq!(sorted, ordered);
         // Stems by level, and each region's faults in one contiguous run.
         let stem = |f: &TransitionFault| regions.stem(f.site.index() as u32);
         let level = |f: &TransitionFault| view.compiled().level_of(stem(f));
@@ -1494,45 +1422,6 @@ mod tests {
             if cur != *f && by_fault[&cur] {
                 assert!(by_fault[f], "{f:?} not covered though {cur:?} is");
             }
-        }
-    }
-
-    #[test]
-    fn dropping_across_calls_matches_one_shot_simulation() {
-        let n = small();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_transition_faults(&n);
-        let mut rng = Rng::seed_from_u64(55);
-        let na = view.assignable().len();
-        let patterns: Vec<TransitionPattern> = (0..192)
-            .map(|_| TransitionPattern {
-                v1: (0..na).map(|_| rng.gen()).collect(),
-                v2: (0..na).map(|_| rng.gen()).collect(),
-            })
-            .collect();
-        let whole = simulate_transition_patterns(&view, &faults, &patterns);
-        let mut drops = flh_exec::DropMask::new(faults.len());
-        let mut staged = Vec::new();
-        for block in patterns.chunks(80) {
-            staged = simulate_transition_patterns_dropping(
-                &view,
-                &faults,
-                block,
-                &ThreadPool::new(3),
-                &mut drops,
-            );
-        }
-        assert_eq!(staged, whole);
-        // Replaying covered patterns reports no new detections.
-        let again = TransitionSimulator::simulate_partitioned_dropping(
-            &view,
-            &faults,
-            &patterns,
-            &ThreadPool::serial(),
-            &mut drops,
-        );
-        for (s, &d) in again.iter().zip(&whole) {
-            assert!(!s.detected || !d, "dropped fault was re-detected");
         }
     }
 

@@ -6,9 +6,8 @@
 //! function of its inputs only — never of the worker count. This test
 //! holds the contract to its word on all three batch surfaces:
 //!
-//! * stuck-at detection maps and per-fault stats
-//!   ([`flh_atpg::stuck_coverage_partitioned`] /
-//!   [`StuckSimulator::simulate_partitioned`]);
+//! * stuck-at detection maps
+//!   ([`flh_atpg::stuck_coverage_partitioned`]);
 //! * transition-fault coverage
 //!   ([`flh_atpg::simulate_transition_patterns_partitioned`]);
 //! * power toggle counts ([`flh_power::random_activity_sharded`]);
@@ -20,7 +19,7 @@
 use flh_atpg::transition::{enumerate_transition_faults, TransitionPattern};
 use flh_atpg::{
     enumerate_stuck_faults, simulate_transition_patterns_partitioned, stuck_coverage_partitioned,
-    StuckSimulator, TestView, TransitionSimulator,
+    TestView,
 };
 use flh_bench::build_circuit;
 use flh_core::{apply_style, DftStyle};
@@ -55,30 +54,19 @@ fn pooled_campaigns_match_serial_on_large_circuits_and_all_styles() {
             let na = view.assignable().len();
             let mut rng = Rng::seed_from_u64(0xE9 + si as u64);
 
-            // Stuck-at detection maps and per-fault stats.
+            // Stuck-at detection maps.
             let stuck = subsample(&enumerate_stuck_faults(n), MAX_FAULTS);
             let patterns: Vec<Vec<bool>> = (0..PATTERNS)
                 .map(|_| (0..na).map(|_| rng.gen()).collect())
                 .collect();
             let stuck_serial =
                 stuck_coverage_partitioned(&view, &stuck, &patterns, &ThreadPool::serial());
-            let stats_serial = StuckSimulator::simulate_partitioned(
-                &view,
-                &stuck,
-                &patterns,
-                &ThreadPool::serial(),
-            );
             for &workers in &POOLS {
                 let pool = ThreadPool::new(workers);
                 assert_eq!(
                     stuck_coverage_partitioned(&view, &stuck, &patterns, &pool),
                     stuck_serial,
                     "{circuit_name} / {style}: stuck detection map diverged at {workers} workers"
-                );
-                assert_eq!(
-                    StuckSimulator::simulate_partitioned(&view, &stuck, &patterns, &pool),
-                    stats_serial,
-                    "{circuit_name} / {style}: stuck fault stats diverged at {workers} workers"
                 );
             }
 
@@ -96,23 +84,12 @@ fn pooled_campaigns_match_serial_on_large_circuits_and_all_styles() {
                 &pairs,
                 &ThreadPool::serial(),
             );
-            let transition_stats = TransitionSimulator::simulate_partitioned(
-                &view,
-                &transition,
-                &pairs,
-                &ThreadPool::serial(),
-            );
             for &workers in &POOLS {
                 let pool = ThreadPool::new(workers);
                 assert_eq!(
                     simulate_transition_patterns_partitioned(&view, &transition, &pairs, &pool),
                     transition_serial,
                     "{circuit_name} / {style}: transition coverage diverged at {workers} workers"
-                );
-                assert_eq!(
-                    TransitionSimulator::simulate_partitioned(&view, &transition, &pairs, &pool),
-                    transition_stats,
-                    "{circuit_name} / {style}: transition stats diverged at {workers} workers"
                 );
             }
 

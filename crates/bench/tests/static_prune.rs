@@ -26,9 +26,9 @@
 //!   pattern-for-pattern and count-for-count.
 
 use flh_atpg::{
-    enumerate_stuck_faults, enumerate_transition_faults, simulate_transition_patterns,
-    stuck_coverage, transition_atpg, transition_atpg_with_filter, transition_campaign_filtered,
-    transition_campaign_with_view, ApplicationStyle, PodemConfig, StaticFilter, TestView,
+    enumerate_stuck_faults, enumerate_transition_faults, random_transition_campaign_pooled,
+    simulate_transition_patterns, stuck_coverage, transition_atpg, transition_atpg_with_filter,
+    transition_campaign_filtered, ApplicationStyle, PodemConfig, StaticFilter, TestView,
     TransitionFault, TransitionPattern,
 };
 use flh_bench::build_circuit;
@@ -292,8 +292,8 @@ fn pruned_campaign_is_identical_to_unpruned() {
                 transition_campaign_filtered(&view, &faults, style, PAIRS, 7, &pool, None);
             let filtered =
                 transition_campaign_filtered(&view, &faults, style, PAIRS, 7, &pool, Some(&filter));
-            let default_path =
-                transition_campaign_with_view(&view, &faults, style, PAIRS, 7, &pool);
+            let default_path = random_transition_campaign_pooled(&netlist, style, PAIRS, 7, &pool)
+                .expect("campaign");
             assert_eq!(unfiltered, filtered, "{name}/{style:?}");
             assert_eq!(default_path, filtered, "{name}/{style:?}");
         }

@@ -1,5 +1,6 @@
 //! Execution layer: a dependency-free, deterministic scoped thread pool
-//! the batch APIs of the workspace are built on.
+//! the batch APIs of the workspace are built on, and the bounded queue the
+//! session layer feeds its executor through.
 //!
 //! The paper's evaluation is embarrassingly parallel at two granularities
 //! — across circuit × holding-style cells, and across fault/vector
@@ -31,17 +32,14 @@
 //! results); the OS threads actually spawned are clamped to the host's
 //! available parallelism ([`ThreadPool::dispatch`]), so an oversubscribed
 //! pool on a small host degrades to fewer threads — or a plain serial loop
-//! — with bit-identical output. Staged campaigns persist detected-fault
-//! flags across calls and shards through [`DropMask`]. Long-running
-//! front ends (the `flh-serve` session layer) feed work to a single
-//! executor through the bounded, back-pressured [`BoundedQueue`].
+//! — with bit-identical output. Long-running front ends (the `flh-serve`
+//! session layer) feed work to a single executor through the bounded,
+//! back-pressured [`BoundedQueue`].
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod drops;
 pub mod pool;
 pub mod queue;
 
-pub use drops::DropMask;
 pub use pool::{gather, ThreadPool, THREADS_ENV};
 pub use queue::{BoundedQueue, PushError};

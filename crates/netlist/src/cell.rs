@@ -260,6 +260,31 @@ impl CellKind {
         )
     }
 
+    /// True for the inverting kinds, whose output is 1 when every input is
+    /// 0: `Inv`, `Nand*`, `Nor*`, `Xnor2`, `Aoi*` and `Oai*`. A backtrace
+    /// through one flips its objective, and a path through an odd number of
+    /// them inverts.
+    #[inline]
+    pub fn inverts(self) -> bool {
+        use CellKind::*;
+        matches!(
+            self,
+            Inv | Nand2
+                | Nand3
+                | Nand4
+                | Nor2
+                | Nor3
+                | Nor4
+                | Xnor2
+                | Aoi21
+                | Aoi22
+                | Oai21
+                | Oai22
+                | NandN(_)
+                | NorN(_)
+        )
+    }
+
     /// Evaluates the cell function over 64 two-valued patterns in parallel
     /// (one pattern per bit). Sequential and boundary cells behave as
     /// buffers of their single fanin; constants ignore `inputs`.
@@ -442,6 +467,23 @@ mod tests {
         // OAI22 = !((a|b)&(c|d))
         assert!(CellKind::Oai22.eval_bool(&[false, false, true, true]));
         assert!(!CellKind::Oai22.eval_bool(&[true, false, false, true]));
+    }
+
+    #[test]
+    fn inverting_kinds_output_one_on_all_zero_inputs() {
+        use CellKind::*;
+        let fixed = [
+            Input, Output, Const0, Const1, Buf, Inv, Dff, ScanDff, HoldLatch, HoldMux, And2, And3,
+            And4, Nand2, Nand3, Nand4, Or2, Or3, Or4, Nor2, Nor3, Nor4, Xor2, Xnor2, Aoi21, Aoi22,
+            Oai21, Oai22, Mux2,
+        ];
+        let generic = (2..=16).flat_map(|n| [AndN(n), NandN(n), OrN(n), NorN(n), XorN(n)]);
+        for kind in fixed.into_iter().chain(generic) {
+            if kind.arity() >= 1 {
+                let zeros = vec![false; kind.arity()];
+                assert_eq!(kind.inverts(), kind.eval_bool(&zeros), "{kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -244,7 +244,7 @@ mod tests {
         assert!(a.starts_with("{\"deterministic\":{\"counters\":{"));
         assert!(a.contains("\"nondeterministic\":{"));
         // Zero-valued fixed counters stay in the schema.
-        assert!(a.contains("\"drops.faults_dropped\":0"));
+        assert!(a.contains("\"podem.aborts\":0"));
         let det = det_document(&snap);
         assert!(det.ends_with('\n'));
         assert!(!det.contains("nondeterministic"));

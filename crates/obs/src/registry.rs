@@ -51,10 +51,6 @@ pub enum Counter {
     /// Activated transition faults whose flip never reaches their
     /// region's stem in the block, so they ask for no replay.
     TransitionRegionMasked,
-    /// Fault flags newly flipped `false → true` by `DropMask::merge_shard`,
-    /// plus the faults a transition campaign's shards drop from their live
-    /// lists.
-    FaultsDropped,
     /// PODEM decision backtracks.
     PodemBacktracks,
     /// PODEM decisions: assignments a backtrace pushed on the decision
@@ -81,7 +77,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in the fixed report order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 22] = [
         Counter::ReplayCalls,
         Counter::ReplayEvents,
         Counter::ReplayDedupHits,
@@ -95,7 +91,6 @@ impl Counter {
         Counter::TransitionDetections,
         Counter::TransitionRegionEvals,
         Counter::TransitionRegionMasked,
-        Counter::FaultsDropped,
         Counter::PodemBacktracks,
         Counter::PodemDecisions,
         Counter::PodemAborts,
@@ -123,7 +118,6 @@ impl Counter {
             Counter::TransitionDetections => "fsim.transition.detections",
             Counter::TransitionRegionEvals => "fsim.transition.region_evals",
             Counter::TransitionRegionMasked => "fsim.transition.region_masked",
-            Counter::FaultsDropped => "drops.faults_dropped",
             Counter::PodemBacktracks => "podem.backtracks",
             Counter::PodemDecisions => "podem.decisions",
             Counter::PodemAborts => "podem.aborts",

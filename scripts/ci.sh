@@ -163,7 +163,17 @@ if [ "$hash" != 6343ac2adb30cb58 ]; then
     echo "ATPG GATE FAILED: s9234 pattern file hash $hash, pinned 6343ac2adb30cb58" >&2
     exit 1
 fi
-echo "pinned pattern files and golden deterministic metrics on both runs"
+# Re-simulating the pinned file through the pooled pattern-list path must
+# reproduce the coverage `flh atpg s9234` reports, at any pool width.
+for w in 1 4; do
+    fsim="$(FLH_THREADS=$w cargo run -q --release --offline --bin flh -- \
+        fsim s9234 "$bench_tmp/atpg_s9234.txt")"
+    if [ "$fsim" != "872 pattern pairs detect 7706/11688 transition faults (65.93%)" ]; then
+        echo "ATPG GATE FAILED: flh fsim s9234 at FLH_THREADS=$w printed: $fsim" >&2
+        exit 1
+    fi
+done
+echo "pinned pattern files, golden deterministic metrics on both runs, s9234 re-simulated at widths 1 and 4"
 
 echo "== flowbench helper tests =="
 # The end-to-end benchmark is a package of its own, outside the workspace;

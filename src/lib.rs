@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`netlist`] | `flh-netlist` | gate-level netlist, `.bench` I/O, generator, mapper |
-//! | [`exec`] | `flh-exec` | deterministic scoped thread pool, campaign fan-out (`FLH_THREADS`) |
+//! | [`exec`] | `flh-exec` | deterministic scoped thread pool (`FLH_THREADS`), bounded work queue |
 //! | [`tech`] | `flh-tech` | 70 nm device model and transistor-level cell library |
 //! | [`sim`] | `flh-sim` | event-driven logic simulation, scan machinery |
 //! | [`analog`] | `flh-analog` | transient circuit simulation (Fig. 2 / Fig. 4) |
