@@ -2,16 +2,27 @@
 //! view, plus justification-only mode (used for the V1 half of two-pattern
 //! transition tests).
 //!
-//! Implication is event-driven. A search keeps one [`Dual8`] per cell from
-//! one decision to the next — lane 0 the good machine, lane 1 the faulty
-//! one — and after each decision or backtrack re-evaluates only the
-//! readers of the assignables that changed, level by level through the
-//! lowered [`Program`]. The fault is an overlay at its site: a stem fault
-//! forces the site's faulty lane, a branch fault re-evaluates its gate with
-//! [`Program::eval_cell_pinned`], the faulted pin's faulty lane forced. The
-//! D-frontier and X-path scans walk only the site's fanout cone in
-//! ascending cell id, so every decision is the one a whole-circuit scan
-//! would take.
+//! Implication is event-driven and computes only what a search reads. A
+//! search keeps one [`Dual8`] per cell from one decision to the next —
+//! lane 0 the good machine, lane 1 the faulty one:
+//!
+//! * **Region.** Every value a search step reads lies in the fault site's
+//!   fanout cone, in the goal cells, or in their transitive fanin. That
+//!   set is marked once per search, and no cell outside it is evaluated.
+//! * **Queue.** A decision re-evaluates only the region readers of the
+//!   assignable it set, through the lowered [`Program`]. Pending cells are
+//!   one bitset over [`CompiledCircuit::order`] positions, drained in
+//!   ascending position. Positions are level-major, so each cell is
+//!   evaluated once, after all of its changed inputs.
+//! * **Trail.** Every word change is logged with the old word. A backtrack
+//!   restores the words changed since the flipped decision instead of
+//!   re-implying the undone assignables.
+//!
+//! The fault is an overlay at its site: a stem fault forces the site's
+//! faulty lane, a branch fault re-evaluates its gate with
+//! [`Program::eval_cell_pinned`], the faulted pin's faulty lane forced.
+//! The D-frontier and X-path scans walk only the cone in ascending cell
+//! id, so every decision is the one a whole-circuit scan would take.
 
 use flh_netlist::{CellId, CellKind, CompiledCircuit, Dual8, Program};
 use flh_rng::Rng;
@@ -102,6 +113,15 @@ impl TestCube {
     }
 }
 
+/// Why a search ended without a cube.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum NoCube {
+    /// The decision tree is exhausted: no cube exists.
+    Exhausted,
+    /// The backtrack budget ran out first; a cube may still exist.
+    Aborted,
+}
+
 enum Status {
     Detected,
     Conflict,
@@ -136,6 +156,12 @@ fn force(w: Dual8, lanes: u8, value: bool) -> Dual8 {
     }
 }
 
+/// Word and bit of position `pos` in a bitset over order positions.
+#[inline]
+fn bit(pos: u32) -> (usize, u64) {
+    (pos as usize / 64, 1 << (pos % 64))
+}
+
 /// Where a search's fault is overlaid on the faulty lane.
 #[derive(Clone, Copy)]
 enum Overlay {
@@ -148,49 +174,58 @@ enum Overlay {
     Branch { gate: u32, pin: usize, stuck: bool },
 }
 
+/// One entry of a search's decision stack.
+struct Decision {
+    input: usize,
+    value: bool,
+    /// The other value has been tried already.
+    flipped: bool,
+    /// Trail length before the decision: undoing to it restores every word
+    /// this decision and the later ones changed.
+    mark: usize,
+}
+
 /// One search's implication state, kept from one decision to the next.
 ///
-/// Each cell holds a [`Dual8`]: lane [`GOOD`] is the good machine and lane
-/// [`FAULTY`] the faulty one, exactly what [`TestView::eval3`] computes
-/// without and with the fault for the current assignment. A decision or
-/// backtrack changes a few assignables; [`Implication::update`] re-evaluates
-/// only their readers, level by level through [`Program::eval_cell`], until
-/// the change dies out — the bucket-and-stamp scheme of
-/// [`crate::replay::DeviationReplay`].
+/// Each cell of the region holds a [`Dual8`]: lane [`GOOD`] is the good
+/// machine and lane [`FAULTY`] the faulty one, exactly what
+/// [`TestView::eval3`] computes without and with the fault for the
+/// current assignment. Cells outside the region keep their all-X word;
+/// no step reads them.
 struct Implication<'p> {
-    view: &'p TestView<'p>,
+    podem: &'p Podem<'p, 'p>,
     compiled: &'p CompiledCircuit,
     program: &'p Program,
     overlay: Overlay,
     /// The cube under construction, in assignable order.
     assignment: Vec<Logic>,
     values: Vec<Dual8>,
-    /// Per-cell generation stamps: a cell joins the level buckets at most
-    /// once per update (`queued == gen`)...
-    queued: Vec<u64>,
-    gen: u64,
-    /// ...and a walk over the circuit visits it at most once
+    /// `(cell, old word)` for every word change, oldest first.
+    trail: Vec<(u32, Dual8)>,
+    /// Cells waiting to be re-evaluated, one bit per order position.
+    pending: Vec<u64>,
+    /// The search's region, one bit per order position: the cone and the
+    /// goal cells with their transitive fanin. Sources are always current
+    /// and carry no bit.
+    region: Vec<u64>,
+    /// Per-cell walk stamps: a walk visits a cell at most once
     /// (`visited == walk`).
-    visited: Vec<u64>,
-    walk: u64,
-    /// Update queue, one bucket per logic level; `lo..=hi` spans the
-    /// non-empty ones.
-    buckets: Vec<Vec<u32>>,
-    lo: usize,
-    hi: usize,
+    visited: Vec<u32>,
+    walk: u32,
     scratch: Vec<Dual8>,
     /// The fault site and every evaluable cell downstream of it, in
     /// ascending id: the only cells where the two lanes can differ.
     cone: Vec<u32>,
     /// The cone cells that observation points read.
     observed: Vec<u32>,
-    /// X-path walk stack, reused across decisions.
+    /// Walk stack, reused across walks.
     stack: Vec<u32>,
 }
 
 impl<'p> Implication<'p> {
-    /// All assignables X, the fault overlaid at its site.
-    fn new(podem: &Podem<'p, '_>, fault: Option<&Fault>) -> Self {
+    /// All assignables X, the fault overlaid at its site, the region
+    /// marked for the fault's cone and `goals`.
+    fn new(podem: &'p Podem<'p, 'p>, fault: Option<&Fault>, goals: &[(CellId, bool)]) -> Self {
         let view = podem.view;
         let compiled = view.compiled();
         let overlay = match fault.map(|f| (f.site, f.stuck.as_bool())) {
@@ -205,38 +240,42 @@ impl<'p> Implication<'p> {
                 stuck,
             },
         };
+        let words = compiled.order().len().div_ceil(64);
         let mut imp = Implication {
-            view,
+            podem,
             compiled,
             program: view.program(),
             overlay,
             assignment: vec![Logic::X; view.assignable().len()],
             values: podem.unassigned.clone(),
-            queued: vec![0; compiled.cell_count()],
-            gen: 1,
+            trail: Vec::new(),
+            pending: vec![0; words],
+            region: vec![0; words],
             visited: vec![0; compiled.cell_count()],
             walk: 0,
-            buckets: vec![Vec::new(); compiled.levels() + 1],
-            lo: usize::MAX,
-            hi: 0,
             scratch: vec![Dual8::all_x(); view.program().scratch_words()],
             cone: Vec::new(),
             observed: Vec::new(),
             stack: Vec::new(),
         };
         let site = match overlay {
-            Overlay::None => return imp,
-            Overlay::Stem { cell, .. } => cell,
-            Overlay::Branch { gate, .. } => gate,
+            Overlay::None => None,
+            Overlay::Stem { cell, .. } => Some(cell),
+            Overlay::Branch { gate, .. } => Some(gate),
         };
-        imp.collect_cone(site);
+        if let Some(site) = site {
+            imp.collect_cone(site);
+        }
+        imp.mark_region(goals);
+        let Some(site) = site else {
+            return imp;
+        };
         if compiled.level_of(site) > 0 {
-            imp.queue(site);
+            imp.queue(compiled.topo_pos(site));
         } else if let Overlay::Stem { cell, stuck } = overlay {
             // An assignable stem: force its faulty lane directly. (A branch
             // into a flip-flop's D pin never reaches the frame's logic.)
-            imp.values[cell as usize] = force(imp.values[cell as usize], FAULTY, stuck);
-            imp.queue_readers(cell);
+            imp.store(cell, force(imp.values[cell as usize], FAULTY, stuck));
         }
         imp.update();
         imp
@@ -260,7 +299,7 @@ impl<'p> Implication<'p> {
             }
         }
         self.cone.sort_unstable();
-        let flags = self.view.observed_drivers();
+        let flags = self.podem.view.observed_drivers();
         self.observed = self
             .cone
             .iter()
@@ -269,18 +308,64 @@ impl<'p> Implication<'p> {
             .collect();
     }
 
-    fn next_walk(&mut self) -> u64 {
+    /// Marks the region: the cone and the goal cells with their transitive
+    /// fanin. Every value a step reads lies in it — detection reads
+    /// observed cone cells, activation the faulted line (the site or a
+    /// fanin of the branch gate), the X-path walk cone cells and their
+    /// readers (cone cells too, or flip-flops and outputs, whose words it
+    /// does not read), the D-frontier cone cells and their fanins,
+    /// backtrace the fanins of an objective, and the goal checks the goal
+    /// cells. The set is closed under fanin, so each of its words is exact.
+    fn mark_region(&mut self, goals: &[(CellId, bool)]) {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.extend_from_slice(&self.cone);
+        stack.extend(goals.iter().map(|&(cell, _)| cell.index() as u32));
+        while let Some(id) = stack.pop() {
+            let pos = self.compiled.topo_pos(id);
+            if pos == u32::MAX {
+                continue; // a source
+            }
+            let (w, b) = bit(pos);
+            if self.region[w] & b == 0 {
+                self.region[w] |= b;
+                stack.extend_from_slice(self.compiled.fanin(id));
+            }
+        }
+        self.stack = stack;
+    }
+
+    fn next_walk(&mut self) -> u32 {
         self.walk += 1;
         self.walk
     }
 
+    /// Whether a step may read `cell`: a source, or a cell of the region.
+    #[cfg(test)]
+    fn readable(&self, cell: u32) -> bool {
+        let pos = self.compiled.topo_pos(cell);
+        if pos == u32::MAX {
+            return true;
+        }
+        let (w, b) = bit(pos);
+        self.region[w] & b != 0
+    }
+
+    /// The word of `cell`. In tests, a read outside the region fails.
+    #[inline]
+    fn word(&self, cell: u32) -> Dual8 {
+        #[cfg(test)]
+        assert!(self.readable(cell), "cell {cell} read outside the region");
+        self.values[cell as usize]
+    }
+
     fn good(&self, cell: u32) -> Logic {
-        lane(self.values[cell as usize], GOOD)
+        lane(self.word(cell), GOOD)
     }
 
     /// Both machines known and different: the cell carries a D or D̄.
     fn has_d(&self, cell: u32) -> bool {
-        let w = self.values[cell as usize];
+        let w = self.word(cell);
         let (g, f) = (lane(w, GOOD), lane(w, FAULTY));
         g.is_known() && f.is_known() && g != f
     }
@@ -292,7 +377,7 @@ impl<'p> Implication<'p> {
 
     /// Either machine still X.
     fn unresolved(&self, cell: u32) -> bool {
-        let w = self.values[cell as usize];
+        let w = self.word(cell);
         !lane(w, GOOD).is_known() || !lane(w, FAULTY).is_known()
     }
 
@@ -300,62 +385,102 @@ impl<'p> Implication<'p> {
     /// [`Implication::update`] once every change of a step is in.
     fn set(&mut self, input: usize, value: Logic) {
         self.assignment[input] = value;
-        let cell = self.view.assignable()[input].index() as u32;
+        let cell = self.podem.view.assignable()[input].index() as u32;
         let mut w = logic_to_dual8(value);
         if let Overlay::Stem { cell: site, stuck } = self.overlay {
             if site == cell {
                 w = force(w, FAULTY, stuck);
             }
         }
-        if self.values[cell as usize] != w {
-            self.values[cell as usize] = w;
-            self.queue_readers(cell);
-        }
+        self.store(cell, w);
     }
 
-    fn queue(&mut self, cell: u32) {
-        if self.queued[cell as usize] == self.gen {
+    /// Makes `w` the word of `cell`. A change goes on the trail and queues
+    /// the cell's region readers.
+    fn store(&mut self, cell: u32, w: Dual8) {
+        let old = self.values[cell as usize];
+        if old == w {
             return;
         }
-        self.queued[cell as usize] = self.gen;
-        let lvl = self.compiled.level_of(cell) as usize;
-        self.buckets[lvl].push(cell);
-        self.lo = self.lo.min(lvl);
-        self.hi = self.hi.max(lvl);
-    }
-
-    fn queue_readers(&mut self, cell: u32) {
-        for &r in self.compiled.readers(cell) {
-            // Level-0 readers are flip-flops: their D pin is an observation
-            // point, their Q an assignable of its own.
-            if self.compiled.level_of(r) > 0 {
-                self.queue(r);
-            }
+        self.trail.push((cell, old));
+        self.values[cell as usize] = w;
+        let podem = self.podem;
+        let span =
+            podem.reader_off[cell as usize] as usize..podem.reader_off[cell as usize + 1] as usize;
+        for &pos in &podem.reader_pos[span] {
+            self.queue(pos);
         }
     }
 
-    /// Drains the level buckets: re-evaluates every queued cell and queues
-    /// the readers of those whose word changed. A reader sits at a strictly
-    /// higher level than its drivers, so each cell is evaluated once, after
-    /// all of its changed inputs.
+    /// Queues the cell at order position `pos`, if it lies in the region.
+    #[inline]
+    fn queue(&mut self, pos: u32) {
+        let (w, b) = bit(pos);
+        self.pending[w] |= self.region[w] & b;
+    }
+
+    /// Drains the pending bitset in ascending position: re-evaluates every
+    /// queued cell and queues the readers of those whose word changed. A
+    /// reader sits at a higher position than its drivers, so each cell is
+    /// evaluated once, after all of its changed inputs.
     fn update(&mut self) {
-        let mut lvl = self.lo;
-        while lvl <= self.hi {
-            let mut bucket = std::mem::take(&mut self.buckets[lvl]);
-            for &id in &bucket {
+        let order = self.compiled.order();
+        for w in 0..self.pending.len() {
+            while self.pending[w] != 0 {
+                let bits = self.pending[w];
+                self.pending[w] = bits & (bits - 1);
+                let id = order[w * 64 + bits.trailing_zeros() as usize];
                 let new = self.eval(id);
-                if new != self.values[id as usize] {
-                    self.values[id as usize] = new;
-                    self.queue_readers(id);
-                }
+                self.store(id, new);
             }
-            bucket.clear();
-            self.buckets[lvl] = bucket;
-            lvl += 1;
         }
-        self.lo = usize::MAX;
-        self.hi = 0;
-        self.gen += 1;
+    }
+
+    /// Restores every word changed since the trail held `mark` entries.
+    fn undo(&mut self, mark: usize) {
+        for (cell, old) in self.trail.drain(mark..).rev() {
+            self.values[cell as usize] = old;
+        }
+    }
+
+    /// Pushes the decision `input = value` and implies it.
+    fn decide(&mut self, stack: &mut Vec<Decision>, input: usize, value: bool, flipped: bool) {
+        stack.push(Decision {
+            input,
+            value,
+            flipped,
+            mark: self.trail.len(),
+        });
+        self.set(input, Logic::from_bool(value));
+        self.update();
+    }
+
+    /// Pops decisions back to the newest one whose other value is untried
+    /// and returns it, with the popped assignables reset to X and every
+    /// word back to its value before that decision. Kleene evaluation is
+    /// monotone, so the words are a function of the cube: the restored
+    /// words are what re-implying the reset assignables would compute.
+    /// `None` once the decision tree is exhausted.
+    fn retreat(&mut self, stack: &mut Vec<Decision>) -> Option<Decision> {
+        while let Some(d) = stack.pop() {
+            self.assignment[d.input] = Logic::X;
+            if !d.flipped {
+                self.undo(d.mark);
+                return Some(d);
+            }
+        }
+        None
+    }
+
+    /// Retreats to the newest untried decision and flips it. `false` once
+    /// the decision tree is exhausted.
+    fn backtrack(&mut self, stack: &mut Vec<Decision>, backtracks: &mut usize) -> bool {
+        let Some(d) = self.retreat(stack) else {
+            return false;
+        };
+        *backtracks += 1;
+        self.decide(stack, d.input, !d.value, true);
+        true
     }
 
     /// One cell's word from its inputs, with the fault overlay applied.
@@ -380,16 +505,17 @@ impl<'p> Implication<'p> {
     }
 
     /// Forward reachability from the fault effect through unresolved cells
-    /// to any observation point, once the faulted line `driver` is
-    /// activated. Without such a path the branch is hopeless — this is what
-    /// keeps redundant faults cheap to prove.
-    fn x_path_exists(&mut self, driver: u32) -> bool {
+    /// to any observation point, once the fault is activated. Without such
+    /// a path the branch is hopeless — this is what keeps redundant faults
+    /// cheap to prove.
+    fn x_path_exists(&mut self) -> bool {
         let walk = self.next_walk();
         let mut stack = std::mem::take(&mut self.stack);
         stack.clear();
-        // Seeds: every cell carrying the effect (all inside the cone), the
-        // branch gate itself (its injected pin carries a D the cell words
-        // cannot show) and the faulted line.
+        // Seeds: every cell carrying the effect (all inside the cone; an
+        // activated stem site is one) and the branch gate itself (its
+        // faulted pin carries a D the cell words cannot show). The branch's
+        // driver is no seed: its other readers never see the effect.
         stack.extend(self.cone.iter().copied().filter(|&c| self.has_d(c)));
         if let Overlay::Branch { gate, .. } = self.overlay {
             if self.unresolved(gate) {
@@ -397,7 +523,6 @@ impl<'p> Implication<'p> {
                 stack.push(gate);
             }
         }
-        stack.push(driver);
         let mut found = false;
         'walk: while let Some(id) = stack.pop() {
             for &r in self.compiled.readers(id) {
@@ -455,13 +580,18 @@ impl<'p> Implication<'p> {
         None
     }
 
-    /// Differential check against the oracle: both lanes of every cell
-    /// equal [`TestView::eval3`] without and with the fault.
+    /// Differential check against the oracle: both lanes of every source
+    /// and region cell equal [`TestView::eval3`] without and with the
+    /// fault. Cells outside the region are never read (see
+    /// [`Implication::word`]).
     #[cfg(test)]
     fn assert_matches_eval3(&self, fault: Option<&Fault>) {
-        let good = self.view.eval3(&self.assignment, None);
-        let faulty = self.view.eval3(&self.assignment, fault);
+        let good = self.podem.view.eval3(&self.assignment, None);
+        let faulty = self.podem.view.eval3(&self.assignment, fault);
         for (id, &w) in self.values.iter().enumerate() {
+            if !self.readable(id as u32) {
+                continue;
+            }
             assert_eq!(
                 lane(w, GOOD),
                 good[id],
@@ -483,6 +613,13 @@ pub struct Podem<'v, 'a> {
     /// Every cell's word with all assignables X and no fault: the state
     /// each search starts from.
     unassigned: Vec<Dual8>,
+    /// Each cell's combinational readers as [`CompiledCircuit::order`]
+    /// positions, ascending and each once: those of cell `i` are
+    /// `reader_pos[reader_off[i]..reader_off[i + 1]]`. Flip-flop readers
+    /// are left out: their D pin is an observation point, their Q an
+    /// assignable of its own.
+    reader_off: Vec<u32>,
+    reader_pos: Vec<u32>,
 }
 
 impl<'v, 'a> Podem<'v, 'a> {
@@ -492,10 +629,31 @@ impl<'v, 'a> Podem<'v, 'a> {
         let mut unassigned = vec![Dual8::all_x(); program.cell_words()];
         let mut scratch = vec![Dual8::all_x(); program.scratch_words()];
         program.execute(&mut unassigned, &mut scratch);
+        let compiled = view.compiled();
+        let mut reader_off = Vec::with_capacity(compiled.cell_count() + 1);
+        let mut reader_pos = Vec::new();
+        let mut cell_readers = Vec::new();
+        reader_off.push(0);
+        for id in 0..compiled.cell_count() as u32 {
+            cell_readers.clear();
+            cell_readers.extend(
+                compiled
+                    .readers(id)
+                    .iter()
+                    .filter(|&&r| compiled.level_of(r) > 0)
+                    .map(|&r| compiled.topo_pos(r)),
+            );
+            cell_readers.sort_unstable();
+            cell_readers.dedup();
+            reader_pos.extend_from_slice(&cell_readers);
+            reader_off.push(reader_pos.len() as u32);
+        }
         Podem {
             view,
             config,
             unassigned,
+            reader_off,
+            reader_pos,
         }
     }
 
@@ -503,7 +661,7 @@ impl<'v, 'a> Podem<'v, 'a> {
     /// given line goals — the workhorse of constrained (e.g. broadside)
     /// test generation, where the extra goals encode launch conditions.
     pub fn generate_with_goals(&self, fault: &Fault, goals: &[(CellId, bool)]) -> Option<TestCube> {
-        self.search(Some(fault), goals)
+        self.search(Some(fault), goals).ok()
     }
 
     /// Generates a test cube detecting `fault`, or `None` if the fault is
@@ -530,13 +688,13 @@ impl<'v, 'a> Podem<'v, 'a> {
     /// # }
     /// ```
     pub fn generate(&self, fault: &Fault) -> Option<TestCube> {
-        self.search(Some(fault), &[])
+        self.search(Some(fault), &[]).ok()
     }
 
     /// Finds an assignment that justifies `cell = value` in the fault-free
     /// circuit, or `None` if impossible within the budget.
     pub fn justify(&self, cell: CellId, value: bool) -> Option<TestCube> {
-        self.search(None, &[(cell, value)])
+        self.search(None, &[(cell, value)]).ok()
     }
 
     /// Finds an assignment satisfying *all* the given line objectives
@@ -548,11 +706,18 @@ impl<'v, 'a> Podem<'v, 'a> {
                 assignment: vec![Logic::X; self.view.assignable().len()],
             });
         }
-        self.search(None, goals)
+        self.search(None, goals).ok()
     }
 
-    fn search(&self, fault: Option<&Fault>, goals: &[(CellId, bool)]) -> Option<TestCube> {
-        let mut imp = Implication::new(self, fault);
+    /// One PODEM search: a cube detecting `fault` (or, without a fault,
+    /// justifying the goals alone) that also satisfies `goals`, or why
+    /// there is none.
+    pub(crate) fn search(
+        &self,
+        fault: Option<&Fault>,
+        goals: &[(CellId, bool)],
+    ) -> Result<TestCube, NoCube> {
+        let mut imp = Implication::new(self, fault, goals);
         // The faulted line and the good value that activates the fault.
         let target = fault.map(|f| {
             (
@@ -560,58 +725,52 @@ impl<'v, 'a> Podem<'v, 'a> {
                 !f.stuck.as_bool(),
             )
         });
-        // Decision stack: (assignable index, current value, other tried).
-        let mut stack: Vec<(usize, bool, bool)> = Vec::new();
+        let mut stack: Vec<Decision> = Vec::new();
         // Deterministic work counters, accumulated as plain locals and
         // flushed once per search. The search shape depends only on the
         // view, fault and goals — deterministic at any pool width.
         let mut backtracks = 0usize;
         let mut decisions = 0u64;
-        let mut aborted = false;
 
-        let cube = loop {
+        let outcome = loop {
             #[cfg(test)]
             imp.assert_matches_eval3(fault);
             let status = match target {
                 Some((driver, want)) => self.fault_status(&mut imp, goals, driver, want),
                 None => justify_status(&imp, goals),
             };
-            match status {
+            let progressed = match status {
                 Status::Detected => {
-                    break Some(TestCube {
+                    break Ok(TestCube {
                         assignment: imp.assignment,
                     })
                 }
-                Status::Conflict => {
-                    if !backtrack(&mut imp, &mut stack, &mut backtracks) {
-                        break None;
-                    }
-                }
+                Status::Conflict => imp.backtrack(&mut stack, &mut backtracks),
                 Status::Objective(cell, value) => match self.backtrace(cell, value, &imp) {
                     Some((input, v)) => {
                         decisions += 1;
-                        stack.push((input, v, false));
-                        imp.set(input, Logic::from_bool(v));
-                        imp.update();
+                        imp.decide(&mut stack, input, v, false);
+                        true
                     }
-                    None => {
-                        if !backtrack(&mut imp, &mut stack, &mut backtracks) {
-                            break None;
-                        }
-                    }
+                    None => imp.backtrack(&mut stack, &mut backtracks),
                 },
+            };
+            if !progressed {
+                break Err(NoCube::Exhausted);
             }
             if backtracks > self.config.max_backtracks {
-                aborted = true;
-                break None;
+                break Err(NoCube::Aborted);
             }
         };
         if flh_obs::enabled() {
             flh_obs::add(flh_obs::Counter::PodemBacktracks, backtracks as u64);
             flh_obs::add(flh_obs::Counter::PodemDecisions, decisions);
-            flh_obs::add(flh_obs::Counter::PodemAborts, u64::from(aborted));
+            flh_obs::add(
+                flh_obs::Counter::PodemAborts,
+                u64::from(outcome == Err(NoCube::Aborted)),
+            );
         }
-        cube
+        outcome
     }
 
     /// Determines success / failure / next objective for a fault goal.
@@ -656,7 +815,7 @@ impl<'v, 'a> Podem<'v, 'a> {
 
         // Propagation: with an X-path to an observation point, pick an X
         // input of the D-frontier to set to a non-controlling value.
-        if !imp.x_path_exists(driver) {
+        if !imp.x_path_exists() {
             return Status::Conflict;
         }
         match imp.frontier_objective(want) {
@@ -720,27 +879,6 @@ fn justify_status(imp: &Implication<'_>, goals: &[(CellId, bool)]) -> Status {
         }
     }
     status
-}
-
-/// Undoes decisions back to the newest one whose other value is untried,
-/// flips it and re-implies. `false` once the decision tree is exhausted.
-fn backtrack(
-    imp: &mut Implication<'_>,
-    stack: &mut Vec<(usize, bool, bool)>,
-    backtracks: &mut usize,
-) -> bool {
-    while let Some((input, value, tried_other)) = stack.pop() {
-        if tried_other {
-            imp.set(input, Logic::X);
-            continue;
-        }
-        *backtracks += 1;
-        stack.push((input, !value, true));
-        imp.set(input, Logic::from_bool(!value));
-        imp.update();
-        return true;
-    }
-    false
 }
 
 /// Heuristic non-controlling value per gate kind and pin, used for
@@ -985,7 +1123,11 @@ mod tests {
     }
 
     /// Arbitrary assign / unassign walks, not just the ones a search takes,
-    /// keep both lanes equal to the oracle after every update.
+    /// keep both lanes of the sources and the region equal to the oracle
+    /// after every update. Then random decide / backtrack sequences: each
+    /// backtrack must restore every word to its value before the flipped
+    /// decision, bit for bit, and the region must match the oracle after
+    /// the undo and after the flip.
     #[test]
     fn implication_tracks_random_assignment_walks() {
         let mut rng = Rng::seed_from_u64(29);
@@ -995,7 +1137,12 @@ mod tests {
             let faults = enumerate_stuck_faults(&n);
             let na = view.assignable().len();
             for fault in faults.iter().step_by(3) {
-                let mut imp = Implication::new(&podem, Some(fault));
+                // A random goal widens the region beyond the fault's cone.
+                let goal = (
+                    CellId::from_index(rng.gen_range(0..n.cell_count())),
+                    rng.gen::<bool>(),
+                );
+                let mut imp = Implication::new(&podem, Some(fault), &[goal]);
                 imp.assert_matches_eval3(Some(fault));
                 for _ in 0..24 {
                     for _ in 0..rng.gen_range(1usize..4) {
@@ -1006,6 +1153,31 @@ mod tests {
                         imp.set(rng.gen_range(0..na), value);
                     }
                     imp.update();
+                    imp.assert_matches_eval3(Some(fault));
+                }
+                let mut stack = Vec::new();
+                // The words before each decision on the stack.
+                let mut before: Vec<Vec<Dual8>> = Vec::new();
+                for _ in 0..48 {
+                    let free: Vec<usize> =
+                        (0..na).filter(|&i| !imp.assignment[i].is_known()).collect();
+                    if !free.is_empty() && (stack.is_empty() || rng.gen_bool(0.6)) {
+                        before.push(imp.values.clone());
+                        let input = free[rng.gen_range(0..free.len())];
+                        imp.decide(&mut stack, input, rng.gen(), false);
+                    } else {
+                        let Some(d) = imp.retreat(&mut stack) else {
+                            break;
+                        };
+                        before.truncate(stack.len() + 1);
+                        assert!(
+                            before.pop().as_ref() == Some(&imp.values),
+                            "undo did not restore the words before the decision under {fault:?}"
+                        );
+                        imp.assert_matches_eval3(Some(fault));
+                        before.push(imp.values.clone());
+                        imp.decide(&mut stack, d.input, !d.value, true);
+                    }
                     imp.assert_matches_eval3(Some(fault));
                 }
             }
@@ -1046,8 +1218,9 @@ mod tests {
         let fault = Fault::branch(g1, 0, StuckValue::Zero);
         let cube = podem.generate(&fault).unwrap();
         assert_eq!(cube.assignment, vec![Logic::One]);
+        // The goal on g2 puts it in the region, so its word is evaluated.
         let imp = {
-            let mut imp = Implication::new(&podem, Some(&fault));
+            let mut imp = Implication::new(&podem, Some(&fault), &[(g2, true)]);
             imp.set(0, Logic::One);
             imp.update();
             imp
@@ -1055,6 +1228,39 @@ mod tests {
         assert!(imp.has_d(g1.index() as u32));
         assert!(!imp.has_d(g2.index() as u32));
         assert!(!imp.has_d(a.index() as u32));
+    }
+
+    #[test]
+    fn branch_x_path_ignores_the_drivers_other_readers() {
+        // a fans out to g1 = AND(a, b) and g2 = AND(a, c); h = AND(g1, d).
+        // The branch a -> g1 s-a-0 is activated by a = 1 and reaches g1
+        // with b = 1, but d = 0 blocks h. g2 still has an X path to y2,
+        // yet it never carries the effect, so no X-path exists. (g2 lies
+        // outside the region: reading it would fail the read guard.)
+        let mut n = Netlist::new("branch_x_path");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let d = n.add_input("d");
+        let g1 = n.add_cell("g1", CellKind::And2, vec![a, b]);
+        let g2 = n.add_cell("g2", CellKind::And2, vec![a, c]);
+        let h = n.add_cell("h", CellKind::And2, vec![g1, d]);
+        n.add_output("y1", h);
+        n.add_output("y2", g2);
+        let view = view_podem(&n);
+        let podem = Podem::new(&view, PodemConfig::paper_default());
+        let fault = Fault::branch(g1, 0, StuckValue::Zero);
+        let mut imp = Implication::new(&podem, Some(&fault), &[]);
+        for (input, value) in [(0, Logic::One), (1, Logic::One), (3, Logic::Zero)] {
+            imp.set(input, value);
+        }
+        imp.update();
+        assert!(imp.has_d(g1.index() as u32));
+        assert!(!imp.x_path_exists());
+        // With d = X the effect has its X path through h.
+        imp.set(3, Logic::X);
+        imp.update();
+        assert!(imp.x_path_exists());
     }
 
     #[test]

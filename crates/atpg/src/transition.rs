@@ -22,7 +22,7 @@ use flh_rng::Rng;
 
 use crate::fault::{Fault, StuckValue};
 use crate::fsim::{pack_block, simulate_pooled, BlockSim, Frames, Rows};
-use crate::podem::{Podem, PodemConfig};
+use crate::podem::{NoCube, Podem, PodemConfig};
 use crate::region::{RegionFault, RegionSim};
 use crate::tview::TestView;
 
@@ -499,8 +499,12 @@ pub struct TransitionAtpgResult {
     pub patterns: Vec<TransitionPattern>,
     /// Per-fault detection flags (aligned with the input fault list).
     pub detected: Vec<bool>,
-    /// Faults proven or declared untestable / aborted by PODEM.
+    /// Faults counted untestable: pruned by the static filter or the
+    /// redundancy pass, proven by an exhausted PODEM search, or aborted.
     pub untestable: usize,
+    /// The `untestable` faults given up because a PODEM search hit the
+    /// backtrack budget. A pair generated later may still detect one.
+    pub aborted: usize,
 }
 
 impl TransitionAtpgResult {
@@ -518,12 +522,15 @@ impl TransitionAtpgResult {
         }
     }
 
-    /// Fault efficiency in percent ((detected + untestable) / total).
+    /// Fault efficiency in percent: (detected + untestable − aborted) /
+    /// total. Pruned and proven faults can never be detected, so this is
+    /// at most 100%.
     pub fn efficiency_pct(&self) -> f64 {
         if self.detected.is_empty() {
             100.0
         } else {
-            100.0 * (self.detected_count() + self.untestable) as f64 / self.detected.len() as f64
+            let settled = self.detected_count() + self.untestable - self.aborted;
+            100.0 * settled as f64 / self.detected.len() as f64
         }
     }
 }
@@ -574,6 +581,7 @@ pub fn transition_atpg_with_filter(
     let mut rng = Rng::seed_from_u64(seed);
     let mut detected = vec![false; faults.len()];
     let mut untestable = 0usize;
+    let mut aborted = 0usize;
     let mut pruned = 0u64;
     let mut patterns = Vec::new();
     let mut sim = TransitionSimulator::new(view);
@@ -594,17 +602,20 @@ pub fn transition_atpg_with_filter(
             pruned += 1;
             continue;
         }
-        let v2_cube = match podem.generate(&fault.stuck_equivalent()) {
-            Some(c) => c,
-            None => {
+        // V2 detects the site stuck at its initial value; V1 justifies
+        // that value.
+        let cubes = podem
+            .search(Some(&fault.stuck_equivalent()), &[])
+            .and_then(|v2| {
+                podem
+                    .search(None, &[(fault.site, fault.initial_value())])
+                    .map(|v1| (v1, v2))
+            });
+        let (v1_cube, v2_cube) = match cubes {
+            Ok(cubes) => cubes,
+            Err(end) => {
                 untestable += 1;
-                continue;
-            }
-        };
-        let v1_cube = match podem.justify(fault.site, fault.initial_value()) {
-            Some(c) => c,
-            None => {
-                untestable += 1;
+                aborted += usize::from(end == NoCube::Aborted);
                 continue;
             }
         };
@@ -635,6 +646,7 @@ pub fn transition_atpg_with_filter(
         patterns,
         detected,
         untestable,
+        aborted,
     }
 }
 

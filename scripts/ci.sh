@@ -126,7 +126,7 @@ for w in 1 2 3 4; do
 done
 echo "golden deterministic metrics at pool widths 1, 2, 3 and 4"
 
-echo "== ATPG gate (flh atpg s1196 + s9234: pinned pattern files, golden metrics) =="
+echo "== ATPG gate (flh atpg s1196, s9234, s13207: pinned pattern files, golden metrics, PODEM steps) =="
 # PODEM's decisions are pinned: every decision, backtrack and frontier
 # choice shows in the pattern file, whose FNV-1a hash (as
 # flh_serve::fnv1a computes it) must stay the recorded value. Each run
@@ -155,14 +155,30 @@ for run in 1 2; do
         exit 1
     fi
 done
-# s9234 is where the redundancy pass prunes the most faults (2315): a pass
-# that pruned a testable fault would change this file.
-cargo run -q --release --offline --bin flh -- atpg s9234 --out "$bench_tmp/atpg_s9234.txt"
-hash="$(fnv1a "$bench_tmp/atpg_s9234.txt")"
-if [ "$hash" != 6343ac2adb30cb58 ]; then
-    echo "ATPG GATE FAILED: s9234 pattern file hash $hash, pinned 6343ac2adb30cb58" >&2
-    exit 1
-fi
+# The two large circuits: s9234 is where the redundancy pass prunes the
+# most faults (2315), so a pass that pruned a testable fault would change
+# its file. A pattern hash alone does not prove that PODEM took the same
+# steps to reach the same cubes, so each run must also report the pinned
+# podem.aborts, .backtracks and .decisions.
+for pin in s9234:6343ac2adb30cb58:1501:502888:643590 \
+    s13207:298ad92551cb8882:1426:451805:645789; do
+    IFS=: read -r circuit pinned aborts backtracks decisions <<<"$pin"
+    cargo run -q --release --offline --bin flh -- atpg "$circuit" \
+        --out "$bench_tmp/atpg_$circuit.txt" \
+        --metrics-det-json "$bench_tmp/atpg_metrics_$circuit.json"
+    hash="$(fnv1a "$bench_tmp/atpg_$circuit.txt")"
+    if [ "$hash" != "$pinned" ]; then
+        echo "ATPG GATE FAILED: $circuit pattern file hash $hash, pinned $pinned" >&2
+        exit 1
+    fi
+    for count in "podem.aborts\":$aborts," "podem.backtracks\":$backtracks," \
+        "podem.decisions\":$decisions,"; do
+        if ! grep -qF "\"$count" "$bench_tmp/atpg_metrics_$circuit.json"; then
+            echo "ATPG GATE FAILED: $circuit deterministic metrics lack \"$count" >&2
+            exit 1
+        fi
+    done
+done
 # Re-simulating the pinned file through the pooled pattern-list path must
 # reproduce the coverage `flh atpg s9234` reports, at any pool width.
 for w in 1 4; do
@@ -173,7 +189,7 @@ for w in 1 4; do
         exit 1
     fi
 done
-echo "pinned pattern files, golden deterministic metrics on both runs, s9234 re-simulated at widths 1 and 4"
+echo "pinned pattern files and PODEM steps, golden deterministic metrics on both s1196 runs, s9234 re-simulated at widths 1 and 4"
 
 echo "== flowbench helper tests =="
 # The end-to-end benchmark is a package of its own, outside the workspace;
@@ -183,11 +199,11 @@ cargo test -q --release --offline --manifest-path flowbench/Cargo.toml
 
 echo "== flowbench collapse gate (atpg, campaign: wall_s within 2x of the reference) =="
 # A short end-to-end run of the two flows the paper's Section IV rests on
-# (flowbench/README.md). The references are the slowest of five such runs
-# on a 2-vCPU x86-64 host whose speed drifts about 2x between phases, and
-# the bound is 2x of them: the gate catches a flow that collapses, not
-# noise. The golden metrics above gate the counts exactly.
-flowbench_reference_s=(atpg:0.395 campaign:0.509)
+# (flowbench/README.md). The references are the slowest of at least five
+# such runs on a 2-vCPU x86-64 host whose speed drifts about 2x between
+# phases, and the bound is 2x of them: the gate catches a flow that
+# collapses, not noise. The golden metrics above gate the counts exactly.
+flowbench_reference_s=(atpg:0.165 campaign:0.509)
 
 # Checks one flowbench result line: correct, no failed operation, and
 # wall_s at most twice the reference. Says why and returns 1 otherwise.

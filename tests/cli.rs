@@ -76,6 +76,20 @@ fn atpg_then_fsim_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Efficiency is (detected + untestable - aborted) / total: of s1196's
+/// 1122 faults 827 are detected and 302 untestable, 71 of those aborted
+/// searches. A fault PODEM gave up on that a later pair detects counts
+/// once, so the figure cannot exceed 100%.
+#[test]
+fn atpg_s1196_efficiency_counts_aborted_faults_once() {
+    let (ok, _, stderr) = flh(&["atpg", "s1196"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(
+        stderr,
+        "1122 transition faults: 73.71% coverage, 94.30% efficiency, 138 pattern pairs\n"
+    );
+}
+
 #[test]
 fn bench_file_input_works() {
     let dir = std::env::temp_dir().join(format!("flh_cli_bench_{}", std::process::id()));
