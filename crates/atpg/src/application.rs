@@ -72,7 +72,9 @@ impl CampaignResult {
 }
 
 /// Runs a seeded random transition-fault campaign of `pairs` pattern pairs
-/// under the given application style.
+/// under the given application style: [`transition_campaign_filtered`] on
+/// the serial pool, with the netlist's own view, full fault list and prune
+/// filter.
 ///
 /// # Errors
 ///
@@ -83,26 +85,6 @@ pub fn random_transition_campaign(
     pairs: usize,
     seed: u64,
 ) -> flh_netlist::Result<CampaignResult> {
-    random_transition_campaign_pooled(netlist, style, pairs, seed, &ThreadPool::serial())
-}
-
-/// Pooled [`random_transition_campaign`]: the fault list is dealt out over
-/// the pool in whole fanout-free regions, and every shard streams the full
-/// pair sequence from its own copy of the seeded RNG — the stream never
-/// depends on detection, so every shard sees the same pairs. Detection
-/// counts add up across the disjoint shards, so the result is
-/// bit-identical at any pool size.
-///
-/// # Errors
-///
-/// Fails on combinationally cyclic netlists.
-pub fn random_transition_campaign_pooled(
-    netlist: &Netlist,
-    style: ApplicationStyle,
-    pairs: usize,
-    seed: u64,
-    pool: &ThreadPool,
-) -> flh_netlist::Result<CampaignResult> {
     let view = TestView::new(netlist)?;
     let faults = enumerate_transition_faults(netlist);
     let filter = StaticFilter::from_view(&view);
@@ -112,29 +94,30 @@ pub fn random_transition_campaign_pooled(
         style,
         pairs,
         seed,
-        pool,
+        &ThreadPool::serial(),
         Some(&filter),
     ))
 }
 
-/// Campaign core over a prebuilt [`TestView`] and fault list — the entry
-/// point for callers that cache compiled circuits (the `flh-serve`
-/// `JobEngine` builds the prune filter once per job and runs every style
-/// on one view). `filter` statically prunes faults (`None` disables
-/// pruning): pruned faults are dropped before sharding — the simulator
-/// never touches them — while `total_faults` still counts the full
-/// universe. On a sound filter the pruned faults are exactly faults no
-/// pattern pair ever detects, so the aggregate counts are identical in
-/// both modes; the bench suite asserts that equality. With the view's own
-/// filter, the result is exactly that of
-/// [`random_transition_campaign_pooled`] on the same netlist.
+/// Campaign core over a prebuilt [`TestView`] and fault list, and the one
+/// pooled entry point of this crate: `flh campaign` and the `flh-serve`
+/// `JobEngine` (which builds the prune filter once per job and runs every
+/// style on one view) call it with their `FLH_THREADS` pool. `filter`
+/// statically prunes faults (`None` disables pruning): pruned faults are
+/// dropped before sharding — the simulator never touches them — while
+/// `total_faults` still counts the full universe. On a sound filter the
+/// pruned faults are exactly faults no pattern pair ever detects, so the
+/// aggregate counts are identical in both modes; the bench suite asserts
+/// that equality. With the view's own filter on the serial pool, this is
+/// [`random_transition_campaign`].
 ///
 /// The kept faults are dealt in chunks of whole fanout-free regions, so
 /// each stem replay a region asks for happens on one shard and the
-/// deterministic counters do not depend on the pool width. Each shard
-/// streams the pair blocks itself from its own copy of the seeded RNG:
-/// memory per shard is a few words per assignable, not per pair, whatever
-/// `pairs` is.
+/// result — deterministic counters included — does not depend on the pool
+/// width. Every shard streams the full pair sequence from its own copy of
+/// the seeded RNG (the stream never depends on detection, so every shard
+/// sees the same pairs): memory per shard is a few words per assignable,
+/// not per pair, whatever `pairs` is.
 #[allow(clippy::too_many_arguments)]
 pub fn transition_campaign_filtered(
     view: &TestView<'_>,
@@ -435,6 +418,9 @@ mod tests {
     #[test]
     fn pooled_campaign_matches_serial_at_any_width() {
         let n = circuit();
+        let view = TestView::new(&n).unwrap();
+        let faults = enumerate_transition_faults(&n);
+        let filter = StaticFilter::from_view(&view);
         for style in [
             ApplicationStyle::ArbitraryTwoPattern,
             ApplicationStyle::Broadside,
@@ -442,14 +428,16 @@ mod tests {
         ] {
             let serial = random_transition_campaign(&n, style, 300, 13).unwrap();
             for workers in [2, 4, 8] {
-                let pooled = random_transition_campaign_pooled(
-                    &n,
+                let pool = ThreadPool::new(workers);
+                let pooled = transition_campaign_filtered(
+                    &view,
+                    &faults,
                     style,
                     300,
                     13,
-                    &ThreadPool::new(workers),
-                )
-                .unwrap();
+                    &pool,
+                    Some(&filter),
+                );
                 assert_eq!(pooled, serial, "{style}, workers = {workers}");
             }
         }

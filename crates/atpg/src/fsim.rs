@@ -20,14 +20,18 @@
 //! region-major order, a [`BlockSource`] of pattern blocks, and a live
 //! fault list compacted after every block, so a fault is dropped at its
 //! first detecting block. `simulate_pooled` deals a fault list over the
-//! pool in whole fanout-free regions and runs the loop on every shard.
+//! pool in whole fanout-free regions and runs the loop on every shard;
+//! the pattern-list entry points ([`stuck_coverage`] here,
+//! [`crate::transition::simulate_transition_patterns`]) run it on the
+//! serial pool, and the seeded campaigns
+//! ([`crate::application::transition_campaign_filtered`]) on the caller's.
 //!
 //! A final partial block is handled by **masking**: the block's lane mask
 //! has only the populated lanes set, and every activation word is
 //! intersected with it, so padding lanes never touch detection flags or
 //! coverage counts.
 
-use flh_exec::{gather, ThreadPool};
+use flh_exec::ThreadPool;
 use flh_netlist::{LaneWord, Packed256, PatternWord};
 
 use crate::fault::{Fault, FaultSite};
@@ -294,8 +298,9 @@ pub(crate) fn simulate_shard<'v, 'a, S: BlockSim<'v, 'a>>(
 
 /// The pooled simulation behind every public entry point: `faults` sorted
 /// region-major and dealt over `pool` in chunks of whole fanout-free
-/// regions (`deal_regions`), each shard through [`simulate_shard`] with a
-/// block source of its own from `source`. Returns detection flags,
+/// regions (`deal_regions`), each shard's faults gathered in shard order
+/// and run through [`simulate_shard`] with a block source of its own from
+/// `source`. Returns detection flags,
 /// scattered back **by fault id**, never in completion order, so the
 /// result — deterministic counters included — is bit-identical at any
 /// pool width.
@@ -309,7 +314,10 @@ pub(crate) fn simulate_pooled<'v, 'a, S: BlockSim<'v, 'a>, B: BlockSource>(
     let order = view.regions().order(view.compiled(), faults);
     let ordered: Vec<S::Fault> = order.iter().map(|&i| faults[i]).collect();
     let parts = deal_regions(pool, view.regions(), &ordered, |shard| {
-        simulate_shard::<S>(view, gather(&ordered, shard), &mut source())
+        let live = shard
+            .iter()
+            .flat_map(|r| ordered[r.clone()].iter().copied());
+        simulate_shard::<S>(view, live.collect(), &mut source())
     });
     let mut detected = vec![false; faults.len()];
     for (shard, left) in parts {
@@ -325,23 +333,12 @@ pub(crate) fn simulate_pooled<'v, 'a, S: BlockSim<'v, 'a>, B: BlockSource>(
 
 /// Simulates a fully-specified pattern set against a stuck-at fault list,
 /// returning per-fault detection flags. Patterns are bit vectors in
-/// [`TestView::assignable`] order. Serial ([`ThreadPool::serial`]) case of
-/// [`stuck_coverage_partitioned`].
+/// [`TestView::assignable`] order. Runs on the serial pool: region-major,
+/// one shard, one simulator.
 pub fn stuck_coverage(view: &TestView<'_>, faults: &[Fault], patterns: &[Vec<bool>]) -> Vec<bool> {
-    stuck_coverage_partitioned(view, faults, patterns, &ThreadPool::serial())
-}
-
-/// Pooled [`stuck_coverage`]: the fault list is dealt over the pool's
-/// workers in whole fanout-free regions, each shard on its own simulator.
-/// Detection flags are merged in fault-id order and are identical at any
-/// pool size.
-pub fn stuck_coverage_partitioned(
-    view: &TestView<'_>,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-    pool: &ThreadPool,
-) -> Vec<bool> {
-    simulate_pooled::<StuckSimulator, _>(view, faults, pool, || Rows::new(patterns))
+    simulate_pooled::<StuckSimulator, _>(view, faults, &ThreadPool::serial(), || {
+        Rows::new(patterns)
+    })
 }
 
 /// Reference stuck-at detection for one fault and one 64-pattern word:
@@ -560,7 +557,9 @@ mod tests {
         let serial = stuck_coverage(&view, &faults, &patterns);
         for threads in [1, 2, 3, 8, 1000] {
             let pool = ThreadPool::new(threads);
-            let parallel = stuck_coverage_partitioned(&view, &faults, &patterns, &pool);
+            let parallel = simulate_pooled::<StuckSimulator, _>(&view, &faults, &pool, || {
+                Rows::new(&patterns)
+            });
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }

@@ -50,18 +50,14 @@ pub mod tview;
 
 pub use application::{
     cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign,
-    random_transition_campaign_pooled, transition_campaign_filtered, ApplicationStyle,
-    CampaignResult,
+    transition_campaign_filtered, ApplicationStyle, CampaignResult,
 };
 pub use broadside::{broadside_transition_atpg, BroadsideAtpgResult, BroadsidePattern};
 pub use diagnose::{diagnose, faulty_responses, golden_responses, DiagnosisCandidate};
 pub use fault::{
     collapse_faults, enumerate_stuck_faults, inject_fault, Fault, FaultSite, StuckValue,
 };
-pub use fsim::{
-    stuck_coverage, stuck_coverage_partitioned, stuck_detects_reference, StuckSimulator,
-    PATTERN_BLOCK,
-};
+pub use fsim::{stuck_coverage, stuck_detects_reference, StuckSimulator, PATTERN_BLOCK};
 pub use path::{
     generate_path_test, generate_robust_path_test, longest_paths, longest_sensitizable_path,
     path_delay_atpg, verify_non_robust, verify_robust, PathDelayFault, PathDelayReport,
@@ -73,9 +69,9 @@ pub use prune::{PruneOutcome, RedundantTransitions, StaticFilter};
 pub use replay::DeviationReplay;
 pub use transition::{
     collapse_transition_faults, compact_transition_patterns, enumerate_transition_faults,
-    simulate_transition_patterns, simulate_transition_patterns_partitioned, transition_atpg,
-    transition_atpg_ndetect, transition_atpg_with_filter, transition_collapse_justifier,
-    transition_detects_reference, NDetectResult, TransitionAtpgResult, TransitionFault,
-    TransitionKind, TransitionPattern, TransitionSimulator,
+    simulate_transition_patterns, transition_atpg, transition_atpg_ndetect,
+    transition_atpg_with_filter, transition_collapse_justifier, transition_detects_reference,
+    NDetectResult, TransitionAtpgResult, TransitionFault, TransitionKind, TransitionPattern,
+    TransitionSimulator,
 };
 pub use tview::TestView;

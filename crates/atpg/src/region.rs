@@ -25,11 +25,11 @@
 //! fault at its site on V2. Per block it traces each fault's lanes to its
 //! region's stem in the good machine and replays each requested stem once.
 //!
-//! The map also fixes how a fault list is cut for the pool. Faults sorted
+//! The map also fixes how a fault list is cut for the pool, and
+//! `deal_regions` is the one place a fault list meets it. Faults sorted
 //! region-major ([`RegionMap::order`]) and dealt in chunks of whole regions
-//! (`deal_regions`) keep each region on one shard, so the stem replays a
-//! region asks for — and every counter they flush — do not depend on the
-//! pool width.
+//! keep each region on one shard, so the stem replays a region asks for —
+//! and every counter they flush — do not depend on the pool width.
 
 use std::ops::Range;
 
@@ -153,11 +153,14 @@ impl RegionMap {
 }
 
 /// Deals a region-major fault list (see [`RegionMap::order`]) over `pool`
-/// in chunks of whole regions, each of at least [`MIN_FAULTS_PER_SHARD`]
-/// faults, and runs `f` on each shard's fault ranges. Chunks go round-robin
-/// through [`ThreadPool::run_partitioned_min`], so every shard takes a
-/// slice of every level band; a list too short for two chunks runs as one
-/// shard. Returns `(fault ranges, result)` per shard, in shard order.
+/// and runs `f` on each shard's fault ranges, one [`ThreadPool::run`] job
+/// per shard. The list is cut into chunks of whole regions, each of at
+/// least [`MIN_FAULTS_PER_SHARD`] faults (only the last may be shorter),
+/// and chunk `k` goes to shard `k mod shards`, `shards = min(pool size,
+/// chunks)`, so every shard takes a slice of every level band in list
+/// order. A list of fewer than two chunks runs as one shard holding the
+/// whole list. The deal depends on the list and the pool's logical width
+/// alone. Returns `(fault ranges, result)` per shard, in shard order.
 pub(crate) fn deal_regions<R, T, F>(
     pool: &ThreadPool,
     regions: &RegionMap,
@@ -183,16 +186,25 @@ where
         bounds.push(faults.len());
     }
     let chunks = bounds.len() - 1;
-    let to_faults = |shard: &[Range<usize>]| -> Vec<Range<usize>> {
-        shard
-            .iter()
-            .map(|r| bounds[r.start]..bounds[r.end])
-            .collect()
+    let parts = pool.size().min(chunks);
+    let shards: Vec<Vec<Range<usize>>> = if parts <= 1 {
+        vec![vec![0..faults.len()]]
+    } else {
+        let mut dealt = vec![Vec::with_capacity(chunks.div_ceil(parts)); parts];
+        for k in 0..chunks {
+            dealt[k % parts].push(bounds[k]..bounds[k + 1]);
+        }
+        dealt
     };
-    pool.run_partitioned_min(chunks, 1, |shard| f(&to_faults(shard)))
-        .into_iter()
-        .map(|(shard, result)| (to_faults(&shard), result))
-        .collect()
+    if flh_obs::enabled() {
+        // The deal follows the pool width: nondeterministic (sched)
+        // section only, never a deterministic counter.
+        flh_obs::sched_add("pool.partition.calls", 1);
+        flh_obs::sched_add("pool.partition.shards", shards.len() as u64);
+        flh_obs::sched_add("pool.partition.items", chunks as u64);
+    }
+    let results = pool.run(shards.len(), |i| f(&shards[i]));
+    shards.into_iter().zip(results).collect()
 }
 
 /// The stem-region simulation core over the good machine of one frame,
@@ -456,6 +468,130 @@ mod tests {
         assert_eq!(map.stem(id(h)), id(k));
         assert_eq!(map.stem(id(ff)), id(k));
         assert_eq!(map.reader(id(k)), None, "observed driver");
+    }
+
+    /// A fault entering at a given cell.
+    #[derive(Clone, Copy)]
+    struct Entry(u32);
+
+    impl RegionFault for Entry {
+        fn entry(&self) -> u32 {
+            self.0
+        }
+    }
+
+    /// A region-major fault list of `sizes.len()` regions, region `r`
+    /// holding `sizes[r]` faults, and a map naming each region's stem.
+    fn regions_of(sizes: &[usize]) -> (RegionMap, Vec<Entry>) {
+        let stem: Vec<u32> = sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &n)| std::iter::repeat_n(r as u32, n))
+            .collect();
+        let faults = (0..stem.len() as u32).map(Entry).collect();
+        let reader = vec![STEM; stem.len()];
+        (RegionMap { stem, reader }, faults)
+    }
+
+    /// The shard ranges `deal_regions` hands out at `width`.
+    fn deal(sizes: &[usize], width: usize) -> Vec<Vec<Range<usize>>> {
+        let (map, faults) = regions_of(sizes);
+        deal_regions(&ThreadPool::new(width), &map, &faults, |_| ())
+            .into_iter()
+            .map(|(shard, ())| shard)
+            .collect()
+    }
+
+    /// Every `(region sizes, width)` shape the deal tests sweep: empty and
+    /// tiny lists, one chunk exactly, a short last chunk, many small
+    /// regions, one region larger than a chunk, mixed sizes, and more
+    /// workers than chunks.
+    fn shapes() -> Vec<(Vec<usize>, usize)> {
+        let mixed = vec![40, 30, 64, 10, 70, 5];
+        vec![
+            (vec![], 4),
+            (vec![1], 4),
+            (vec![64], 2),
+            (vec![64, 36], 2),
+            (vec![5; 224], 2),
+            (vec![5; 224], 3),
+            (vec![5; 224], 8),
+            (vec![300], 4),
+            (mixed.clone(), 2),
+            (mixed.clone(), 3),
+            (mixed, 8),
+            (vec![64, 64, 64], 20),
+        ]
+    }
+
+    #[test]
+    fn dealt_shards_are_disjoint_and_cover_the_list() {
+        for (sizes, width) in shapes() {
+            let len: usize = sizes.iter().sum();
+            let shards = deal(&sizes, width);
+            assert!(!shards.is_empty() && shards.len() <= width);
+            let mut seen = vec![false; len];
+            for r in shards.iter().flatten() {
+                for i in r.clone() {
+                    assert!(!seen[i], "index {i} dealt twice: {shards:?}");
+                    seen[i] = true;
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "{sizes:?} at width {width}");
+        }
+    }
+
+    #[test]
+    fn chunk_k_lands_in_shard_k_mod_parts_in_ascending_order() {
+        for (sizes, width) in shapes() {
+            let shards = deal(&sizes, width);
+            if shards.len() == 1 {
+                continue; // the single-shard case has its own test
+            }
+            let mut chunks: Vec<Range<usize>> = shards.iter().flatten().cloned().collect();
+            chunks.sort_by_key(|r| r.start);
+            assert_eq!(shards.len(), width.min(chunks.len()));
+            for (s, shard) in shards.iter().enumerate() {
+                assert!(shard.windows(2).all(|w| w[0].end < w[1].start));
+                for r in shard {
+                    let k = chunks.iter().position(|c| c == r).expect("a dealt chunk");
+                    assert_eq!(k % shards.len(), s, "{shards:?}");
+                }
+            }
+        }
+        // Spelled out: regions of 40, 30, 64, 10, 70 and 5 faults make the
+        // chunks 0..70, 70..134, 134..214 and 214..219, dealt over two
+        // shards.
+        assert_eq!(
+            deal(&[40, 30, 64, 10, 70, 5], 2),
+            vec![vec![0..70, 134..214], vec![70..134, 214..219]]
+        );
+    }
+
+    #[test]
+    fn one_shard_is_the_whole_range() {
+        assert_eq!(deal(&[5; 224], 1), vec![vec![0..1120]]);
+        // Fewer than two chunks: no deal, whatever the width.
+        assert_eq!(deal(&[64], 4), vec![vec![0..64]]);
+        assert_eq!(deal(&[300], 4), vec![vec![0..300]]);
+        assert_eq!(deal(&[], 4), vec![vec![0..0]]);
+    }
+
+    #[test]
+    fn only_the_last_chunk_is_short() {
+        for (sizes, width) in shapes() {
+            let len: usize = sizes.iter().sum();
+            let shards = deal(&sizes, width);
+            if shards.len() == 1 {
+                continue;
+            }
+            for r in shards.iter().flatten() {
+                assert!(
+                    r.len() >= MIN_FAULTS_PER_SHARD || r.end == len,
+                    "short chunk {r:?} before the end ({sizes:?})"
+                );
+            }
+        }
     }
 
     #[test]

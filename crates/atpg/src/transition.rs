@@ -469,27 +469,16 @@ pub fn transition_detects_reference(
 }
 
 /// Simulates a pattern-pair set against a fault list, returning per-fault
-/// detection flags. Serial ([`ThreadPool::serial`]) case of
-/// [`simulate_transition_patterns_partitioned`].
+/// detection flags. Runs on the serial pool: region-major, one shard, one
+/// simulator.
 pub fn simulate_transition_patterns(
     view: &TestView<'_>,
     faults: &[TransitionFault],
     patterns: &[TransitionPattern],
 ) -> Vec<bool> {
-    simulate_transition_patterns_partitioned(view, faults, patterns, &ThreadPool::serial())
-}
-
-/// Pooled [`simulate_transition_patterns`]: the fault list is dealt over
-/// the pool's workers in whole fanout-free regions, each shard on its own
-/// simulator. Detection flags are merged in fault-id order and are
-/// identical at any pool size.
-pub fn simulate_transition_patterns_partitioned(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    patterns: &[TransitionPattern],
-    pool: &ThreadPool,
-) -> Vec<bool> {
-    simulate_pooled::<TransitionSimulator, _>(view, faults, pool, || Rows::new(patterns))
+    simulate_pooled::<TransitionSimulator, _>(view, faults, &ThreadPool::serial(), || {
+        Rows::new(patterns)
+    })
 }
 
 /// Result of a deterministic transition ATPG run.
@@ -891,12 +880,10 @@ mod tests {
             .collect();
         let serial = simulate_transition_patterns(&view, &faults, &patterns);
         for workers in [2, 4, 8] {
-            let pooled = simulate_transition_patterns_partitioned(
-                &view,
-                &faults,
-                &patterns,
-                &ThreadPool::new(workers),
-            );
+            let pool = ThreadPool::new(workers);
+            let pooled = simulate_pooled::<TransitionSimulator, _>(&view, &faults, &pool, || {
+                Rows::new(&patterns)
+            });
             assert_eq!(pooled, serial, "workers = {workers}");
         }
     }

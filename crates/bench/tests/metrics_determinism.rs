@@ -14,7 +14,10 @@
 //! One `#[test]` only: the flh-obs registry is process-global and this
 //! file is its own test process.
 
-use flh_atpg::{random_transition_campaign_pooled, ApplicationStyle, CampaignResult};
+use flh_atpg::{
+    enumerate_transition_faults, transition_campaign_filtered, ApplicationStyle, CampaignResult,
+    StaticFilter, TestView,
+};
 use flh_bench::build_circuit;
 use flh_exec::ThreadPool;
 use flh_netlist::iscas89_profile;
@@ -27,6 +30,9 @@ fn deterministic_metrics_are_pool_width_invariant() {
     flh_obs::install(false);
     let profile = iscas89_profile("s9234").expect("s9234 profile present");
     let netlist = build_circuit(&profile);
+    let view = TestView::new(&netlist).expect("acyclic benchmark circuit");
+    let faults = enumerate_transition_faults(&netlist);
+    let filter = StaticFilter::from_view(&view);
     let styles = [
         ApplicationStyle::ArbitraryTwoPattern,
         ApplicationStyle::Broadside,
@@ -40,8 +46,15 @@ fn deterministic_metrics_are_pool_width_invariant() {
         let results: Vec<CampaignResult> = styles
             .iter()
             .map(|&style| {
-                random_transition_campaign_pooled(&netlist, style, PAIRS, SEED, &pool)
-                    .expect("acyclic benchmark circuit")
+                transition_campaign_filtered(
+                    &view,
+                    &faults,
+                    style,
+                    PAIRS,
+                    SEED,
+                    &pool,
+                    Some(&filter),
+                )
             })
             .collect();
 

@@ -1,41 +1,38 @@
-//! Bit-for-bit equivalence of the pooled campaign engine against the
-//! serial path, on the two largest ISCAS89 profiles across every holding
-//! style of the paper (enhanced scan, MUX-based, FLH).
+//! Bit-for-bit equivalence of the pooled transition campaign across pool
+//! widths, on the two largest ISCAS89 profiles, every holding style of the
+//! paper (enhanced scan, MUX-based, FLH) and every application style
+//! (arbitrary two-pattern, broadside, skewed-load).
 //!
-//! The `flh-exec` determinism contract says a campaign's result is a
-//! function of its inputs only — never of the worker count. This test
-//! holds the contract to its word on all three batch surfaces:
-//!
-//! * stuck-at detection maps
-//!   ([`flh_atpg::stuck_coverage_partitioned`]);
-//! * transition-fault coverage
-//!   ([`flh_atpg::simulate_transition_patterns_partitioned`]);
-//! * power toggle counts ([`flh_power::random_activity_sharded`]);
-//!
-//! each at pool sizes 1, 2, 4 and 8, compared with `assert_eq` — toggle
-//! counts are integers and detection maps are booleans, so "identical"
-//! means identical, not approximately equal.
+//! The `flh-exec` determinism contract says a result is a function of its
+//! inputs only — never of the worker count. The one production flow on the
+//! pool is [`transition_campaign_filtered`] (`flh campaign`, `flh serve`
+//! campaign jobs), which deals the fault list out in whole fanout-free
+//! regions; this test holds it to the contract at pool sizes 1, 2, 4 and
+//! 8, each compared with width 1 by `assert_eq` — counts are integers, so
+//! "identical" means identical.
 
-use flh_atpg::transition::{enumerate_transition_faults, TransitionPattern};
-use flh_atpg::{
-    enumerate_stuck_faults, simulate_transition_patterns_partitioned, stuck_coverage_partitioned,
-    TestView,
-};
+use flh_atpg::transition::enumerate_transition_faults;
+use flh_atpg::{transition_campaign_filtered, ApplicationStyle, StaticFilter, TestView};
 use flh_bench::build_circuit;
 use flh_core::{apply_style, DftStyle};
 use flh_exec::ThreadPool;
-use flh_netlist::{iscas89_profile, CompiledCircuit};
-use flh_power::random_activity_sharded;
-use flh_rng::Rng;
+use flh_netlist::iscas89_profile;
 
 const CIRCUITS: [&str; 2] = ["s9234", "s13207"];
 const STYLES: [DftStyle; 3] = [DftStyle::EnhancedScan, DftStyle::MuxHold, DftStyle::Flh];
+const APPLICATIONS: [ApplicationStyle; 3] = [
+    ApplicationStyle::ArbitraryTwoPattern,
+    ApplicationStyle::Broadside,
+    ApplicationStyle::SkewedLoad,
+];
 const POOLS: [usize; 4] = [1, 2, 4, 8];
-const PATTERNS: usize = 96;
+/// Three pair blocks, the last one partial: every shard drops faults
+/// across blocks.
+const PAIRS: usize = 600;
 const MAX_FAULTS: usize = 1200;
 
 /// Every k-th element, keeping the debug-build runtime bounded while still
-/// spanning the whole id range (and thus every partition boundary).
+/// spanning the whole id range (and thus every deal boundary).
 fn subsample<T: Clone>(items: &[T], max: usize) -> Vec<T> {
     let step = items.len().div_ceil(max).max(1);
     items.iter().step_by(step).cloned().collect()
@@ -51,73 +48,33 @@ fn pooled_campaigns_match_serial_on_large_circuits_and_all_styles() {
                 .unwrap_or_else(|e| panic!("{circuit_name} / {style}: {e}"));
             let n = &dft.netlist;
             let view = TestView::new(n).expect("acyclic after scan insertion");
-            let na = view.assignable().len();
-            let mut rng = Rng::seed_from_u64(0xE9 + si as u64);
-
-            // Stuck-at detection maps.
-            let stuck = subsample(&enumerate_stuck_faults(n), MAX_FAULTS);
-            let patterns: Vec<Vec<bool>> = (0..PATTERNS)
-                .map(|_| (0..na).map(|_| rng.gen()).collect())
-                .collect();
-            let stuck_serial =
-                stuck_coverage_partitioned(&view, &stuck, &patterns, &ThreadPool::serial());
-            for &workers in &POOLS {
-                let pool = ThreadPool::new(workers);
-                assert_eq!(
-                    stuck_coverage_partitioned(&view, &stuck, &patterns, &pool),
-                    stuck_serial,
-                    "{circuit_name} / {style}: stuck detection map diverged at {workers} workers"
+            let faults = subsample(&enumerate_transition_faults(n), MAX_FAULTS);
+            let filter = StaticFilter::from_view(&view);
+            for application in APPLICATIONS {
+                let seed = 0xE9 + si as u64;
+                let campaign = |pool: &ThreadPool| {
+                    transition_campaign_filtered(
+                        &view,
+                        &faults,
+                        application,
+                        PAIRS,
+                        seed,
+                        pool,
+                        Some(&filter),
+                    )
+                };
+                let serial = campaign(&ThreadPool::serial());
+                assert!(
+                    serial.detected > 0,
+                    "{circuit_name} / {style} / {application}: campaign detected nothing"
                 );
-            }
-
-            // Transition-fault coverage over random pattern pairs.
-            let transition = subsample(&enumerate_transition_faults(n), MAX_FAULTS);
-            let pairs: Vec<TransitionPattern> = (0..PATTERNS)
-                .map(|_| TransitionPattern {
-                    v1: (0..na).map(|_| rng.gen()).collect(),
-                    v2: (0..na).map(|_| rng.gen()).collect(),
-                })
-                .collect();
-            let transition_serial = simulate_transition_patterns_partitioned(
-                &view,
-                &transition,
-                &pairs,
-                &ThreadPool::serial(),
-            );
-            for &workers in &POOLS {
-                let pool = ThreadPool::new(workers);
-                assert_eq!(
-                    simulate_transition_patterns_partitioned(&view, &transition, &pairs, &pool),
-                    transition_serial,
-                    "{circuit_name} / {style}: transition coverage diverged at {workers} workers"
-                );
-            }
-
-            // Power toggle counts under sharded activity collection; FLH
-            // gates the first level exactly as the power flow does.
-            let compiled = CompiledCircuit::compile_shared(n).expect("compiles");
-            let gated = (style == DftStyle::Flh).then_some(dft.gated.as_slice());
-            let activity_serial = random_activity_sharded(
-                &compiled,
-                gated,
-                PATTERNS,
-                0x70661e + si as u64,
-                32,
-                &ThreadPool::serial(),
-            );
-            for &workers in &POOLS {
-                let activity = random_activity_sharded(
-                    &compiled,
-                    gated,
-                    PATTERNS,
-                    0x70661e + si as u64,
-                    32,
-                    &ThreadPool::new(workers),
-                );
-                assert_eq!(
-                    activity, activity_serial,
-                    "{circuit_name} / {style}: toggle counts diverged at {workers} workers"
-                );
+                for &workers in &POOLS {
+                    assert_eq!(
+                        campaign(&ThreadPool::new(workers)),
+                        serial,
+                        "{circuit_name} / {style} / {application}: diverged at {workers} workers"
+                    );
+                }
             }
         }
     }

@@ -22,11 +22,13 @@
 //!   redundant), and random pairs must detect none the pass flags;
 //! * pruned vs. unpruned equivalence: `transition_atpg` (filter and
 //!   redundancy pass on by default) against
-//!   `transition_atpg_with_filter(.., None)`, and the campaign twins,
-//!   pattern-for-pattern and count-for-count.
+//!   `transition_atpg_with_filter(.., None)`, and
+//!   `transition_campaign_filtered` with and without the filter against
+//!   the serial `random_transition_campaign`, pattern-for-pattern and
+//!   count-for-count.
 
 use flh_atpg::{
-    enumerate_stuck_faults, enumerate_transition_faults, random_transition_campaign_pooled,
+    enumerate_stuck_faults, enumerate_transition_faults, random_transition_campaign,
     simulate_transition_patterns, stuck_coverage, transition_atpg, transition_atpg_with_filter,
     transition_campaign_filtered, ApplicationStyle, PodemConfig, StaticFilter, TestView,
     TransitionFault, TransitionPattern,
@@ -292,8 +294,8 @@ fn pruned_campaign_is_identical_to_unpruned() {
                 transition_campaign_filtered(&view, &faults, style, PAIRS, 7, &pool, None);
             let filtered =
                 transition_campaign_filtered(&view, &faults, style, PAIRS, 7, &pool, Some(&filter));
-            let default_path = random_transition_campaign_pooled(&netlist, style, PAIRS, 7, &pool)
-                .expect("campaign");
+            let default_path =
+                random_transition_campaign(&netlist, style, PAIRS, 7).expect("campaign");
             assert_eq!(unfiltered, filtered, "{name}/{style:?}");
             assert_eq!(default_path, filtered, "{name}/{style:?}");
         }

@@ -115,13 +115,7 @@ fn trace_events_roundtrip_and_nest_like_spans() {
     {
         use std::sync::Arc;
         let engine = Arc::new(flh_serve::JobEngine::new(flh_exec::ThreadPool::new(2), 4));
-        let mut session = flh_serve::JobSession::new(
-            engine,
-            flh_serve::SessionConfig {
-                queue_capacity: 8,
-                autostart: false,
-            },
-        );
+        let mut session = flh_serve::JobSession::new(engine, 8);
         let profile = flh_netlist::iscas89_profile("s298").expect("builtin profile");
         let spec = flh_serve::JobSpec::campaign(flh_serve::CircuitSource::profile(profile))
             .with_pairs(8)

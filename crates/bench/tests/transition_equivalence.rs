@@ -1,7 +1,8 @@
 //! Bit-for-bit equivalence of the event-driven transition fault simulator
 //! against the from-scratch reference oracle
-//! ([`transition_detects_reference`]), across ISCAS89 profiles, the
-//! paper's three holding styles, and pool widths 1/2/4 vs serial.
+//! ([`transition_detects_reference`]), across ISCAS89 profiles and the
+//! paper's three holding styles, and of the pooled campaign at widths
+//! 1/2/4 against the serial one.
 //!
 //! The deviation-replay rebuild of [`TransitionSimulator`] changes *how*
 //! the faulty V2 machine is computed (event-driven from the fault site,
@@ -14,13 +15,13 @@
 //! * per-batch detected flags (`run_batch`);
 //! * N-detect hit counts (`run_batch_counting`, whose replay runs to
 //!   quiescence — the early-exit path must not leak into the counts);
-//! * whole-campaign coverage (`simulate_transition_patterns_partitioned`
-//!   at pools 1, 2 and 4, and the end-to-end
-//!   [`random_transition_campaign_pooled`] vs its serial twin).
+//! * whole-set detection flags ([`simulate_transition_patterns`]), and
+//!   the end-to-end pooled campaign ([`transition_campaign_filtered`] at
+//!   pools 1, 2 and 4) against the serial [`random_transition_campaign`].
 
 use flh_atpg::{
-    enumerate_transition_faults, random_transition_campaign, random_transition_campaign_pooled,
-    simulate_transition_patterns_partitioned, transition_detects_reference, ApplicationStyle,
+    enumerate_transition_faults, random_transition_campaign, simulate_transition_patterns,
+    transition_campaign_filtered, transition_detects_reference, ApplicationStyle, StaticFilter,
     TestView, TransitionFault, TransitionPattern, TransitionSimulator,
 };
 use flh_bench::build_circuit;
@@ -108,7 +109,7 @@ fn event_driven_transition_sim_matches_the_reference_oracle() {
                 .collect();
 
             // Whole-set detection: a fault is detected if any word
-            // miscompares, at every pool width.
+            // miscompares.
             let expected: Vec<bool> = oracle
                 .iter()
                 .map(|words| words.iter().any(|&w| w != 0))
@@ -117,14 +118,11 @@ fn event_driven_transition_sim_matches_the_reference_oracle() {
                 expected.iter().any(|&d| d),
                 "{circuit_name} / {style}: campaign detected nothing"
             );
-            for &workers in &POOLS {
-                let pool = ThreadPool::new(workers);
-                assert_eq!(
-                    simulate_transition_patterns_partitioned(&view, &faults, &pairs, &pool),
-                    expected,
-                    "{circuit_name} / {style}: coverage diverged from the oracle at {workers} workers"
-                );
-            }
+            assert_eq!(
+                simulate_transition_patterns(&view, &faults, &pairs),
+                expected,
+                "{circuit_name} / {style}: coverage diverged from the oracle"
+            );
 
             // Single-batch detected flags and N-detect hit counts over the
             // first 64 pairs, widened into the low limb of a superword.
@@ -176,15 +174,19 @@ fn pooled_campaign_coverage_matches_serial() {
         let seed = 0xCA4 + si as u64;
         let serial = random_transition_campaign(n, ApplicationStyle::ArbitraryTwoPattern, 48, seed)
             .expect("campaign runs");
+        let view = TestView::new(n).expect("acyclic after scan insertion");
+        let faults = enumerate_transition_faults(n);
+        let filter = StaticFilter::from_view(&view);
         for &workers in &POOLS {
-            let pooled = random_transition_campaign_pooled(
-                n,
+            let pooled = transition_campaign_filtered(
+                &view,
+                &faults,
                 ApplicationStyle::ArbitraryTwoPattern,
                 48,
                 seed,
                 &ThreadPool::new(workers),
-            )
-            .expect("campaign runs");
+                Some(&filter),
+            );
             assert_eq!(
                 (pooled.detected, pooled.total_faults, pooled.pairs),
                 (serial.detected, serial.total_faults, serial.pairs),

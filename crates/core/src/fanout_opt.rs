@@ -16,6 +16,7 @@
 //! * logic function is unchanged (two cascaded inverters are the
 //!   identity), which the tests verify by simulation.
 
+// det-ok: `seen` and `crit_set` are membership-only; order comes from `FanoutMap`.
 use std::collections::HashSet;
 
 use flh_netlist::{analysis, CellId, CellKind, Netlist};
@@ -91,6 +92,7 @@ fn unique_comb_readers(
     fanouts: &analysis::FanoutMap,
     ff: CellId,
 ) -> Vec<CellId> {
+    // det-ok: membership only; `readers` keeps `FanoutMap` order.
     let mut seen = HashSet::new();
     let mut readers = Vec::new();
     for &r in fanouts.readers(ff) {
@@ -166,6 +168,7 @@ pub fn optimize_fanout(
     for (ff, _) in candidates {
         let fanouts = analysis::FanoutMap::compute(&netlist);
         let readers = unique_comb_readers(&netlist, &fanouts, ff);
+        // det-ok: membership only; `partition` walks `readers` in order.
         let crit_set: HashSet<CellId> = crit_path.iter().copied().collect();
         let (kept, movable): (Vec<CellId>, Vec<CellId>) =
             readers.iter().partition(|r| crit_set.contains(r));

@@ -1,7 +1,6 @@
 //! The Table I/II/III evaluation methodology: per-style area, delay and
 //! normal-mode power, relative to the plain full-scan baseline.
 
-use flh_exec::ThreadPool;
 use flh_netlist::Netlist;
 use flh_power::{random_vector_power, FlhPowerAnnotation, PowerConfig};
 use flh_tech::{CellLibrary, FlhConfig, FlhPhysical, Technology};
@@ -137,43 +136,26 @@ pub fn evaluate_style(
     evaluate_against(&baseline, &apply_style(netlist, style)?, config)
 }
 
-/// Evaluates all four styles, computing the baseline once.
+/// Evaluates all four styles, computing the baseline once: plain scan,
+/// enhanced scan, MUX hold and FLH, in that order.
 ///
 /// # Errors
 ///
-/// Propagates structural/levelization failures.
+/// Propagates structural/levelization failures; the first failing style
+/// in that order ends the evaluation.
 pub fn evaluate_all(
     netlist: &Netlist,
     config: &EvalConfig,
 ) -> flh_netlist::Result<Vec<StyleEvaluation>> {
-    evaluate_all_pooled(netlist, config, &ThreadPool::serial())
-}
-
-/// Pooled [`evaluate_all`]: the plain-scan baseline is measured once, then
-/// each style is transformed and evaluated as an independent cell on the
-/// pool. Per-style metrics are deterministic functions of `(netlist,
-/// style, config)`, and the pool returns cells in style order, so the
-/// result is identical at any pool size.
-///
-/// # Errors
-///
-/// Propagates structural/levelization failures.
-pub fn evaluate_all_pooled(
-    netlist: &Netlist,
-    config: &EvalConfig,
-    pool: &ThreadPool,
-) -> flh_netlist::Result<Vec<StyleEvaluation>> {
     let baseline = measure_baseline(netlist, config)?;
-    let styles = [
+    [
         DftStyle::PlainScan,
         DftStyle::EnhancedScan,
         DftStyle::MuxHold,
         DftStyle::Flh,
-    ];
-    pool.run(styles.len(), |i| {
-        evaluate_against(&baseline, &apply_style(netlist, styles[i])?, config)
-    })
+    ]
     .into_iter()
+    .map(|style| evaluate_against(&baseline, &apply_style(netlist, style)?, config))
     .collect()
 }
 
@@ -393,24 +375,6 @@ mod tests {
             assert_eq!(w[0].base_area_um2, w[1].base_area_um2);
             assert_eq!(w[0].base_delay_ps, w[1].base_delay_ps);
             assert_eq!(w[0].base_power_uw, w[1].base_power_uw);
-        }
-    }
-
-    #[test]
-    fn pooled_evaluation_matches_serial() {
-        let n = test_circuit();
-        let cfg = quick_config();
-        let serial = evaluate_all(&n, &cfg).unwrap();
-        for workers in [2, 4] {
-            let pooled = evaluate_all_pooled(&n, &cfg, &ThreadPool::new(workers)).unwrap();
-            assert_eq!(pooled.len(), serial.len());
-            for (p, s) in pooled.iter().zip(&serial) {
-                assert_eq!(p.style, s.style, "workers = {workers}");
-                assert_eq!(p.area_um2, s.area_um2);
-                assert_eq!(p.delay_ps, s.delay_ps);
-                assert_eq!(p.power_uw, s.power_uw);
-                assert_eq!(p.base_power_uw, s.base_power_uw);
-            }
         }
     }
 

@@ -4,16 +4,16 @@
 //! long-lived threads: each [`ThreadPool::run`] call spawns scoped workers
 //! ([`std::thread::scope`]), so jobs may borrow from the caller's stack —
 //! fault lists, pattern sets, test views — without `Arc`-wrapping or
-//! lifetime erasure. The units of work in this workspace (fault
-//! partitions, vector shards, circuit × style cells) run for milliseconds
-//! to seconds, so the microseconds of spawn cost per call are noise.
+//! lifetime erasure. The units of work handed to it (the fault shards of
+//! one transition campaign) run for milliseconds to seconds, so the
+//! microseconds of spawn cost per call are noise.
 //!
-//! Scheduling is chunk-based and free of timing dependence: workers claim
-//! job indices from an atomic counter, and every job's result is stored in
-//! the slot of its *index*, so the returned `Vec` is ordered by job id
-//! regardless of which worker finished first.
+//! Scheduling is free of timing dependence: workers claim job indices from
+//! an atomic counter, and every job's result is stored in the slot of its
+//! *index*, so the returned `Vec` is ordered by job id regardless of which
+//! worker finished first. How a job list is cut is the caller's decision,
+//! taken from [`ThreadPool::size`] alone.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -53,8 +53,9 @@ impl ThreadPool {
     }
 
     /// The single-worker pool: every `run` degenerates to an in-place
-    /// serial loop in job-id order. Serial APIs across the workspace are
-    /// thin wrappers passing this pool to the partitioned implementation.
+    /// serial loop in job-id order. The serial fault-simulation entry
+    /// points pass it to the one pooled implementation, so serial and
+    /// pooled runs share their code path.
     pub fn serial() -> Self {
         ThreadPool::new(1)
     }
@@ -84,11 +85,6 @@ impl ThreadPool {
     /// results depend only on [`ThreadPool::size`].
     pub fn dispatch(&self) -> usize {
         self.dispatch
-    }
-
-    /// True for the single-worker pool.
-    pub fn is_serial(&self) -> bool {
-        self.workers == 1
     }
 
     /// Runs `jobs` independent jobs, returning their results **in job-id
@@ -166,73 +162,6 @@ impl ThreadPool {
             })
             .collect()
     }
-
-    /// Deals `0..len` out to at most `parts` shards in `min_len`-sized
-    /// chunks, round-robin: chunk `k` (`k·min_len..(k+1)·min_len`, the last
-    /// one clipped at `len`) goes to shard `k mod shards`, where `shards =
-    /// min(parts, chunk count)`. Each shard is an ascending list of
-    /// disjoint ranges, so a shard walks a slice of every region of the
-    /// index space in order. On a list whose per-item cost drifts with the
-    /// index — a level-sorted fault list, where low-level sites propagate
-    /// furthest — every shard then takes a slice of every cost band, and
-    /// the shards carry near-equal work.
-    ///
-    /// With one shard (`parts <= 1`, or fewer than two chunks) the result
-    /// is the single range `0..len`, so a serial run walks the list in its
-    /// own order. Pure arithmetic on the arguments: the decomposition
-    /// depends on the logical width, never on scheduling.
-    pub fn partition_min(len: usize, parts: usize, min_len: usize) -> Vec<Vec<Range<usize>>> {
-        let min_len = min_len.max(1);
-        let chunks = len.div_ceil(min_len);
-        let shards = parts.min(chunks);
-        if shards <= 1 {
-            return vec![vec![0..len]];
-        }
-        let mut dealt = vec![Vec::with_capacity(chunks.div_ceil(shards)); shards];
-        for k in 0..chunks {
-            dealt[k % shards].push(k * min_len..((k + 1) * min_len).min(len));
-        }
-        dealt
-    }
-
-    /// Deals `0..len` over the pool ([`ThreadPool::partition_min`]: chunks
-    /// of `min_len` items, so per-shard setup cost — a fresh simulator, a
-    /// good-machine evaluation per batch — is never paid for a sliver of
-    /// work), runs `f` on each shard's range list, and returns `(shard,
-    /// result)` pairs **in shard order**. The decomposition depends only
-    /// on `(len, size, min_len)`, so results stay bit-identical across
-    /// hosts and dispatch counts.
-    pub fn run_partitioned_min<T, F>(
-        &self,
-        len: usize,
-        min_len: usize,
-        f: F,
-    ) -> Vec<(Vec<Range<usize>>, T)>
-    where
-        T: Send,
-        F: Fn(&[Range<usize>]) -> T + Sync,
-    {
-        let shards = Self::partition_min(len, self.workers, min_len);
-        if flh_obs::enabled() {
-            // Partition shape follows the pool width — nondeterministic
-            // (sched) section only, never a deterministic counter.
-            flh_obs::sched_add("pool.partition.calls", 1);
-            flh_obs::sched_add("pool.partition.shards", shards.len() as u64);
-            flh_obs::sched_add("pool.partition.items", len as u64);
-        }
-        let results = self.run(shards.len(), |i| f(&shards[i]));
-        shards.into_iter().zip(results).collect()
-    }
-}
-
-/// The items of `items` a shard's range list selects, in shard order —
-/// the gather half of a dealt fan-out (the scatter half writes results
-/// back through the same ranges).
-pub fn gather<T: Clone>(items: &[T], shard: &[Range<usize>]) -> Vec<T> {
-    shard
-        .iter()
-        .flat_map(|r| items[r.clone()].iter().cloned())
-        .collect()
 }
 
 impl Default for ThreadPool {
@@ -266,8 +195,7 @@ mod tests {
     #[test]
     fn workers_are_clamped_to_at_least_one() {
         assert_eq!(ThreadPool::new(0).size(), 1);
-        assert!(ThreadPool::serial().is_serial());
-        assert!(!ThreadPool::new(2).is_serial());
+        assert_eq!(ThreadPool::serial(), ThreadPool::new(1));
     }
 
     #[test]
@@ -281,108 +209,6 @@ mod tests {
             assert_eq!(pool.dispatch(), workers.min(cores));
             assert!(pool.dispatch() >= 1);
         }
-    }
-
-    /// Every `(len, parts, min_len)` shape the deal tests sweep: empty and
-    /// tiny lists, exact multiples, a short last chunk, more parts than
-    /// chunks, and degenerate floors.
-    const SHAPES: [(usize, usize, usize); 10] = [
-        (0, 4, 64),
-        (1, 4, 64),
-        (64, 2, 64),
-        (100, 2, 64),
-        (1122, 2, 64),
-        (1122, 3, 64),
-        (1122, 8, 64),
-        (257, 8, 32),
-        (10, 3, 0),
-        (7, 20, 1),
-    ];
-
-    #[test]
-    fn dealt_shards_are_disjoint_and_cover_the_list() {
-        for (len, parts, min) in SHAPES {
-            let shards = ThreadPool::partition_min(len, parts, min);
-            assert!(!shards.is_empty() && shards.len() <= parts.max(1));
-            let mut seen = vec![false; len];
-            for r in shards.iter().flatten() {
-                for i in r.clone() {
-                    assert!(!seen[i], "index {i} dealt twice: {shards:?}");
-                    seen[i] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "len={len} parts={parts} min={min}");
-        }
-    }
-
-    #[test]
-    fn chunk_k_lands_in_shard_k_mod_parts_in_ascending_order() {
-        for (len, parts, min) in SHAPES {
-            let shards = ThreadPool::partition_min(len, parts, min);
-            if shards.len() == 1 {
-                continue; // the single-shard case has its own test
-            }
-            let min = min.max(1);
-            let chunks = len.div_ceil(min);
-            assert_eq!(shards.len(), parts.min(chunks));
-            for (s, shard) in shards.iter().enumerate() {
-                assert!(shard.windows(2).all(|w| w[0].end < w[1].start));
-                for r in shard {
-                    assert_eq!(r.start % min, 0, "ranges start on chunk boundaries");
-                    assert_eq!((r.start / min) % shards.len(), s, "{shards:?}");
-                }
-            }
-        }
-        // Spelled out: 5 chunks of 4 dealt over 2 shards.
-        assert_eq!(
-            ThreadPool::partition_min(18, 2, 4),
-            vec![vec![0..4, 8..12, 16..18], vec![4..8, 12..16]]
-        );
-    }
-
-    #[test]
-    fn one_shard_is_the_whole_range() {
-        assert_eq!(ThreadPool::partition_min(1122, 1, 64), vec![vec![0..1122]]);
-        // Fewer than two chunks: no deal, whatever the width.
-        assert_eq!(ThreadPool::partition_min(64, 4, 64), vec![vec![0..64]]);
-        assert_eq!(ThreadPool::partition_min(0, 4, 64), vec![vec![0..0]]);
-    }
-
-    #[test]
-    fn only_the_last_chunk_is_short() {
-        for (len, parts, min) in SHAPES {
-            let shards = ThreadPool::partition_min(len, parts, min);
-            if shards.len() == 1 {
-                continue;
-            }
-            let min = min.max(1);
-            for r in shards.iter().flatten() {
-                assert!(
-                    r.len() == min || r.end == len,
-                    "short chunk {r:?} before the end (len={len} min={min})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_partitioned_min_returns_shards_in_order() {
-        let data: Vec<u64> = (0..300).collect();
-        let expected: u64 = data.iter().sum();
-        for workers in [1, 2, 3, 8] {
-            let pool = ThreadPool::new(workers);
-            let parts = pool.run_partitioned_min(data.len(), 32, |shard| {
-                gather(&data, shard).iter().sum::<u64>()
-            });
-            assert_eq!(
-                parts.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>(),
-                ThreadPool::partition_min(data.len(), workers, 32)
-            );
-            let total: u64 = parts.iter().map(|(_, s)| s).sum();
-            assert_eq!(total, expected, "workers = {workers}");
-        }
-        let shard = [1..3, 5..6];
-        assert_eq!(gather(&data, &shard), vec![1, 2, 5]);
     }
 
     #[test]

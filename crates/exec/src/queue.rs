@@ -1,20 +1,18 @@
 //! Bounded MPSC job queue with explicit back-pressure.
 //!
 //! [`BoundedQueue`] is the admission-control primitive behind the
-//! `flh-serve` session layer: producers submit work with [`try_push`]
-//! (fails fast with [`PushError::Full`] — the back-pressure signal a
-//! protocol front end turns into a `rejected` reply) or [`push_wait`]
-//! (blocks until a slot frees), and a consumer drains with [`pop_wait`].
-//! Closing the queue wakes every waiter; a closed queue rejects new items
-//! but still hands out what was already enqueued, so shutdown drains
-//! instead of dropping work.
+//! `flh-serve` session layer: producers submit work with [`try_push`],
+//! which fails fast with [`PushError::Full`] — the back-pressure signal a
+//! protocol front end turns into a `rejected` reply — and a consumer
+//! drains with [`pop_wait`]. Closing the queue wakes the waiting consumer;
+//! a closed queue rejects new items but still hands out what was already
+//! enqueued, so shutdown drains instead of dropping work.
 //!
 //! The queue is strictly FIFO. With a single consumer (the job-engine
 //! executor), pop order equals push order — which is what keeps
 //! session-level job execution deterministic.
 //!
 //! [`try_push`]: BoundedQueue::try_push
-//! [`push_wait`]: BoundedQueue::push_wait
 //! [`pop_wait`]: BoundedQueue::pop_wait
 
 use std::collections::VecDeque;
@@ -43,13 +41,12 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// A bounded FIFO queue: blocking pop, fail-fast or blocking push,
-/// drain-on-close semantics.
+/// A bounded FIFO queue: blocking pop, fail-fast push, drain-on-close
+/// semantics.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     capacity: usize,
     not_empty: Condvar,
-    not_full: Condvar,
     /// Metric prefix for [`named`](BoundedQueue::named) queues; depth is
     /// published to the **nondeterministic** gauge bank on every push/pop
     /// (the level observed by a racing producer or consumer is scheduling
@@ -68,7 +65,6 @@ impl<T> BoundedQueue<T> {
             }),
             capacity,
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             stat: None,
         }
     }
@@ -112,11 +108,6 @@ impl<T> BoundedQueue<T> {
         self.lock().items.is_empty()
     }
 
-    /// True once [`close`](BoundedQueue::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Enqueues without blocking.
     ///
     /// # Errors
@@ -139,30 +130,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Enqueues, blocking while the queue is at capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Closed`] if the queue is (or becomes) closed before a
-    /// slot frees.
-    pub fn push_wait(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.lock();
-        loop {
-            if inner.closed {
-                return Err(PushError::Closed(item));
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                let depth = inner.items.len();
-                drop(inner);
-                self.not_empty.notify_one();
-                self.publish_depth(depth);
-                return Ok(());
-            }
-            inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
     /// Dequeues the oldest item, blocking while the queue is empty.
     /// Returns `None` only when the queue is closed **and** drained.
     pub fn pop_wait(&self) -> Option<T> {
@@ -171,7 +138,6 @@ impl<T> BoundedQueue<T> {
             if let Some(item) = inner.items.pop_front() {
                 let depth = inner.items.len();
                 drop(inner);
-                self.not_full.notify_one();
                 self.publish_depth(depth);
                 return Some(item);
             }
@@ -185,25 +151,11 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues without blocking; `None` when empty (closed or not).
-    pub fn try_pop(&self) -> Option<T> {
-        let mut inner = self.lock();
-        let item = inner.items.pop_front();
-        let depth = inner.items.len();
-        drop(inner);
-        if item.is_some() {
-            self.not_full.notify_one();
-            self.publish_depth(depth);
-        }
-        item
-    }
-
     /// Closes the queue: new pushes fail, queued items remain poppable,
-    /// every blocked waiter wakes.
+    /// every blocked consumer wakes.
     pub fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -221,10 +173,12 @@ mod tests {
             q.try_push(i).expect("under capacity");
         }
         assert_eq!(q.len(), 4);
+        q.close();
         for i in 0..4 {
-            assert_eq!(q.try_pop(), Some(i));
+            assert_eq!(q.pop_wait(), Some(i));
         }
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.pop_wait(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -233,7 +187,7 @@ mod tests {
         q.try_push(1).expect("slot 1");
         q.try_push(2).expect("slot 2");
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop_wait(), Some(1));
         q.try_push(3).expect("slot freed");
         assert_eq!(q.len(), 2);
     }
@@ -243,9 +197,7 @@ mod tests {
         let q = BoundedQueue::new(3);
         q.try_push("a").expect("open");
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.try_push("b"), Err(PushError::Closed("b")));
-        assert_eq!(q.push_wait("c"), Err(PushError::Closed("c")));
         assert_eq!(q.pop_wait(), Some("a"));
         assert_eq!(q.pop_wait(), None);
     }
@@ -256,23 +208,6 @@ mod tests {
         assert_eq!(q.capacity(), 1);
         q.try_push(7).expect("one slot");
         assert_eq!(q.try_push(8).map_err(PushError::into_inner), Err(8));
-    }
-
-    #[test]
-    fn blocking_push_waits_for_a_slot() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0u32).expect("fill");
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_wait(1))
-        };
-        // The producer blocks until the consumer pops.
-        assert_eq!(q.pop_wait(), Some(0));
-        producer
-            .join()
-            .expect("producer thread")
-            .expect("slot freed");
-        assert_eq!(q.pop_wait(), Some(1));
     }
 
     #[test]

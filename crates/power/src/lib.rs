@@ -16,12 +16,9 @@
 //!   large circuit can come out below the unmodified baseline (the
 //!   paper's s13207 observation).
 
-use std::sync::Arc;
-
-use flh_exec::ThreadPool;
 use flh_netlist::{CellId, CellKind, CompiledCircuit, Netlist};
 use flh_rng::Rng;
-use flh_sim::{Activity, CompiledSim, Logic};
+use flh_sim::{CompiledSim, Logic};
 use flh_tech::{CellLibrary, FlhPhysical};
 
 /// Environment knobs for power estimation.
@@ -193,10 +190,10 @@ pub fn estimate_compiled(
 
 /// The paper's measurement: apply `vectors` random primary-input vectors in
 /// normal mode (holding released), collect toggle activity, and estimate
-/// power. Deterministic in `seed`.
-///
-/// Flip-flops are initialized to random known values so activity is not
-/// suppressed by `X` propagation.
+/// power. Deterministic in `seed`: one RNG seeded `seed` draws, in order,
+/// a random known value for every flip-flop (so activity is not suppressed
+/// by `X` propagation), one warm-up vector whose settling is not counted,
+/// and the `vectors` counted vectors.
 ///
 /// # Errors
 ///
@@ -209,80 +206,11 @@ pub fn random_vector_power(
     vectors: usize,
     seed: u64,
 ) -> flh_netlist::Result<PowerBreakdown> {
-    // Single shard on the serial pool: exactly the legacy collector — one
-    // RNG, one FF init, one warmup, `vectors` applications.
-    random_vector_power_pooled(
-        netlist,
-        library,
-        config,
-        flh,
-        vectors,
-        seed,
-        vectors.max(1),
-        &ThreadPool::serial(),
-    )
-}
-
-/// Pooled [`random_vector_power`]: the vector budget is cut into fixed
-/// `shard_vectors`-sized shards fanned over the pool (see
-/// [`random_activity_sharded`]). For a fixed `shard_vectors` the result is
-/// bit-identical at any pool size; with `shard_vectors >= vectors` it
-/// degenerates to the legacy serial collector.
-///
-/// # Errors
-///
-/// Fails on combinationally cyclic netlists.
-#[allow(clippy::too_many_arguments)]
-pub fn random_vector_power_pooled(
-    netlist: &Netlist,
-    library: &CellLibrary,
-    config: &PowerConfig,
-    flh: Option<&FlhPowerAnnotation<'_>>,
-    vectors: usize,
-    seed: u64,
-    shard_vectors: usize,
-    pool: &ThreadPool,
-) -> flh_netlist::Result<PowerBreakdown> {
-    let compiled = CompiledCircuit::compile_shared(netlist)?;
-    let gated = flh.map(|ann| ann.gated);
-    let activity = random_activity_sharded(&compiled, gated, vectors, seed, shard_vectors, pool);
-    Ok(estimate_compiled(
-        &compiled,
-        library,
-        &activity,
-        config,
-        flh,
-        OperatingMode::Normal,
-    ))
-}
-
-/// Seed of activity shard `k`. Shard 0 inherits the campaign seed
-/// unchanged — a single-shard run consumes the RNG exactly like the legacy
-/// serial collector — and later shards decorrelate through a
-/// splitmix-style mix of `(seed, k)`.
-pub fn shard_seed(seed: u64, shard: u64) -> u64 {
-    if shard == 0 {
-        return seed;
-    }
-    let mut z = seed ^ shard.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One shard of random-vector activity: its own RNG, its own random FF
-/// init and warmup vector, then `vectors` applications — an independent
-/// miniature of the legacy collector, so shards compose by summation.
-fn collect_activity_shard(
-    compiled: &CompiledCircuit,
-    gated: Option<&[CellId]>,
-    vectors: usize,
-    seed: u64,
-) -> Activity {
+    let compiled = CompiledCircuit::compile(netlist)?;
     let mut rng = Rng::seed_from_u64(seed);
-    let mut sim = CompiledSim::new(compiled);
-    if let Some(cells) = gated {
-        sim.set_gated_cells(cells);
+    let mut sim = CompiledSim::new(&compiled);
+    if let Some(ann) = flh {
+        sim.set_gated_cells(ann.gated);
     }
     for i in 0..compiled.flip_flops().len() {
         sim.set_ff_by_index(i, Logic::from_bool(rng.gen()));
@@ -296,37 +224,14 @@ fn collect_activity_shard(
         let v: Vec<Logic> = (0..inputs).map(|_| Logic::from_bool(rng.gen())).collect();
         sim.apply_vector(&v);
     }
-    sim.activity().clone()
-}
-
-/// Sharded random-vector activity collection: `vectors` is cut into
-/// `shard_vectors`-sized shards (the last one smaller), shard `k` runs as
-/// an independent collector seeded [`shard_seed`]`(seed, k)`, and the
-/// toggle counts are summed **in shard-index order** over
-/// [`ThreadPool::run`] on `pool`. The shard structure depends only on
-/// `(vectors, shard_vectors)` — never on the pool — so toggle counts are
-/// bit-identical at any pool size (integer sums, no float order effects).
-pub fn random_activity_sharded(
-    compiled: &Arc<CompiledCircuit>,
-    gated: Option<&[CellId]>,
-    vectors: usize,
-    seed: u64,
-    shard_vectors: usize,
-    pool: &ThreadPool,
-) -> Activity {
-    let shard_vectors = shard_vectors.max(1);
-    let shards = vectors.div_ceil(shard_vectors).max(1);
-    let parts = pool.run(shards, |k| {
-        let lo = k * shard_vectors;
-        let hi = ((k + 1) * shard_vectors).min(vectors);
-        collect_activity_shard(compiled, gated, hi - lo, shard_seed(seed, k as u64))
-    });
-    let mut iter = parts.into_iter();
-    let mut total = iter.next().expect("at least one shard");
-    for part in iter {
-        total.merge(&part);
-    }
-    total
+    Ok(estimate_compiled(
+        &compiled,
+        library,
+        sim.activity(),
+        config,
+        flh,
+        OperatingMode::Normal,
+    ))
 }
 
 #[cfg(test)]
@@ -372,34 +277,6 @@ mod tests {
         let a = random_vector_power(&n, &lib, &cfg, None, 50, 42).unwrap();
         let b = random_vector_power(&n, &lib, &cfg, None, 50, 42).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_activity_is_pool_size_invariant() {
-        let n = toggler();
-        let compiled = CompiledCircuit::compile_shared(&n).unwrap();
-        let serial = random_activity_sharded(&compiled, None, 100, 9, 16, &ThreadPool::serial());
-        for workers in [2, 4, 8] {
-            let pooled =
-                random_activity_sharded(&compiled, None, 100, 9, 16, &ThreadPool::new(workers));
-            assert_eq!(pooled, serial, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn single_shard_matches_legacy_collector() {
-        // random_vector_power is the single-shard serial case; the pooled
-        // entry with shard_vectors >= vectors must agree bit for bit.
-        let n = toggler();
-        let lib = lib();
-        let cfg = PowerConfig::paper_default();
-        let legacy = random_vector_power(&n, &lib, &cfg, None, 80, 21).unwrap();
-        let pooled =
-            random_vector_power_pooled(&n, &lib, &cfg, None, 80, 21, 1000, &ThreadPool::new(4))
-                .unwrap();
-        assert_eq!(legacy, pooled);
-        assert_eq!(shard_seed(21, 0), 21);
-        assert_ne!(shard_seed(21, 1), shard_seed(21, 2));
     }
 
     #[test]

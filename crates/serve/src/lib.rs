@@ -53,7 +53,5 @@ pub use proto::{parse_request, render_request, Request};
 #[cfg(unix)]
 pub use server::serve_unix_socket;
 pub use server::{serve_lines, ServeConfig};
-pub use session::{
-    JobLatency, JobSession, SessionConfig, SessionStats, SessionSummary, SubmitError,
-};
+pub use session::{JobLatency, JobSession, SessionStats, SessionSummary, SubmitError};
 pub use source::{content_key, fnv1a, CircuitSource};

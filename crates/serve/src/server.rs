@@ -2,9 +2,9 @@
 //! stdin/stdout for `flh serve`, a Unix socket with `--socket`, in-memory
 //! buffers in tests.
 //!
-//! [`serve_lines`] always runs its [`JobSession`] **gated**: accepted jobs
-//! execute only while a `wait` or `shutdown` barrier is pumping, on one
-//! executor thread, in submission order. Combined with sorted-key
+//! [`serve_lines`] runs one gated [`JobSession`]: accepted jobs execute
+//! only while a `wait` or `shutdown` barrier is pumping, on one executor
+//! thread, in submission order. Combined with sorted-key
 //! rendering this makes the full transcript a deterministic function of
 //! the request script — `scripts/ci.sh` byte-diffs transcripts at
 //! `FLH_THREADS=1` and `4`. End of input acts as an implicit `shutdown`,
@@ -18,7 +18,7 @@ use crate::proto::{
     parse_request, render_accepted, render_bye, render_cancel_ack, render_error, render_event,
     render_idle, render_rejected, render_stats, render_status, Request, StatsFull,
 };
-use crate::session::{JobSession, SessionConfig, SessionSummary};
+use crate::session::{JobSession, SessionSummary};
 
 /// Server tuning.
 #[derive(Clone, Copy, Debug)]
@@ -54,13 +54,7 @@ pub fn serve_lines(
     engine: Arc<JobEngine>,
     config: ServeConfig,
 ) -> std::io::Result<SessionSummary> {
-    let mut session = JobSession::new(
-        engine,
-        SessionConfig {
-            queue_capacity: config.queue_capacity,
-            autostart: false,
-        },
-    );
+    let mut session = JobSession::new(engine, config.queue_capacity);
 
     for line in input.lines() {
         let line = line?;

@@ -15,14 +15,11 @@
 //! caller decides (the protocol replies `rejected`; an embedding caller
 //! may `wait` and retry).
 //!
-//! A session may start **gated** (`autostart: false`): the executor still
-//! pops the next job eagerly but parks before running it until a barrier
-//! opens the gate. Gated sessions make cancellation deterministic —
-//! [`JobSession::cancel`] marks a job, and a marked job that has not run
-//! by the next barrier is retired with a `Cancelled` event instead of
-//! executing. In an autostarted session cancellation is safe but racy
-//! (the job may complete first); the serve protocol therefore always runs
-//! gated.
+//! A session is **gated**: the executor pops the next job eagerly but
+//! parks before running it until a barrier opens the gate. That makes
+//! cancellation deterministic — [`JobSession::cancel`] marks a job, and a
+//! marked job that has not run by the next barrier is retired with a
+//! `Cancelled` event instead of executing.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -37,25 +34,6 @@ use flh_exec::{BoundedQueue, PushError};
 use crate::cache::CacheStats;
 use crate::engine::JobEngine;
 use crate::job::{JobEvent, JobId, JobSpec};
-
-/// Session tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct SessionConfig {
-    /// Bounded-queue capacity (back-pressure threshold).
-    pub queue_capacity: usize,
-    /// When false the session starts gated: queued jobs only execute
-    /// while a barrier (`wait`/`shutdown`) is pumping.
-    pub autostart: bool,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            queue_capacity: 64,
-            autostart: true,
-        }
-    }
-}
 
 /// Why a submission was not accepted.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,7 +67,7 @@ pub struct SessionSummary {
 /// The live session ledger behind the `status` and `stats` protocol
 /// verbs. Every count is logical — derived from the submission/retire
 /// sequence, never sampled from a running thread — so the ledger observed
-/// at a protocol step is deterministic for a gated session.
+/// at a protocol step is deterministic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionStats {
     /// Jobs accepted.
@@ -124,9 +102,10 @@ struct Gate {
 }
 
 impl Gate {
-    fn new(open: bool) -> Self {
+    /// A closed gate.
+    fn new() -> Self {
         Gate {
-            open: Mutex::new(open),
+            open: Mutex::new(false),
             changed: Condvar::new(),
         }
     }
@@ -168,7 +147,6 @@ pub struct JobSession {
     cancelled: Arc<Mutex<BTreeSet<u64>>>,
     events: mpsc::Receiver<JobEvent>,
     executor: Option<std::thread::JoinHandle<()>>,
-    autostart: bool,
     next_id: u64,
     submitted: u64,
     completed: u64,
@@ -188,17 +166,16 @@ pub struct JobSession {
 }
 
 impl JobSession {
-    /// Starts a session (and its executor thread) over `engine`.
-    pub fn new(engine: Arc<JobEngine>, config: SessionConfig) -> Self {
+    /// Starts a gated session (and its executor thread) over `engine`,
+    /// admitting at most `queue_capacity` queued jobs (the back-pressure
+    /// threshold).
+    pub fn new(engine: Arc<JobEngine>, queue_capacity: usize) -> Self {
         // `named`: the raw queue publishes its observed depth as
         // nondeterministic gauges (`serve.queue.raw.*`) — the executor
         // races producers for it, so the deterministic ledger gauge is
         // derived from submitted/completed instead.
-        let queue = Arc::new(BoundedQueue::named(
-            config.queue_capacity,
-            "serve.queue.raw",
-        ));
-        let gate = Arc::new(Gate::new(config.autostart));
+        let queue = Arc::new(BoundedQueue::named(queue_capacity, "serve.queue.raw"));
+        let gate = Arc::new(Gate::new());
         let cancelled = Arc::new(Mutex::new(BTreeSet::new()));
         let (tx, rx) = mpsc::channel();
         let exec_ns = Arc::new(Mutex::new(Vec::new()));
@@ -266,7 +243,6 @@ impl JobSession {
             cancelled,
             events: rx,
             executor: Some(executor),
-            autostart: config.autostart,
             next_id: 0,
             submitted: 0,
             completed: 0,
@@ -304,8 +280,7 @@ impl JobSession {
         self.cancelled_jobs
     }
 
-    /// Jobs accepted but not yet retired. In a gated session this is the
-    /// logical queue depth: the executor may have eagerly popped the next
+    /// Jobs accepted but not yet retired: the logical queue depth. the executor may have eagerly popped the next
     /// job off the raw queue, but it still counts until its terminal
     /// event is observed at a barrier.
     pub fn in_flight(&self) -> u64 {
@@ -406,8 +381,8 @@ impl JobSession {
 
     /// Marks a job for cancellation. Returns true when the id names a job
     /// this session accepted; whether it is actually retired as
-    /// `Cancelled` (rather than having already run) is decided at the
-    /// next barrier — deterministically so for gated sessions.
+    /// `Cancelled` (rather than having already run) is decided,
+    /// deterministically, at the next barrier.
     pub fn cancel(&mut self, job: JobId) -> bool {
         if job.0 == 0 || job.0 > self.next_id {
             return false;
@@ -421,12 +396,12 @@ impl JobSession {
 
     /// Barrier: opens the gate, streams buffered and in-flight events into
     /// `sink` until every accepted job has reached its terminal event,
-    /// then restores the gate. Returns the number of jobs retired during
-    /// this call.
+    /// then closes the gate again. Returns the number of jobs retired
+    /// during this call.
     pub fn wait(&mut self, sink: &mut dyn FnMut(JobEvent)) -> u64 {
         self.gate.set(true);
         let retired = self.pump(sink);
-        self.gate.set(self.autostart);
+        self.gate.set(false);
         retired
     }
 

@@ -6,12 +6,14 @@
 
 use std::sync::Arc;
 
-use flh_atpg::{random_transition_campaign_pooled, ApplicationStyle};
+use flh_atpg::{
+    enumerate_transition_faults, transition_campaign_filtered, ApplicationStyle, StaticFilter,
+    TestView,
+};
 use flh_exec::ThreadPool;
 use flh_netlist::iscas89_profile;
 use flh_serve::{
-    BatchPayload, CircuitSource, JobEngine, JobEvent, JobId, JobSession, JobSpec, SessionConfig,
-    SubmitError,
+    BatchPayload, CircuitSource, JobEngine, JobEvent, JobId, JobSession, JobSpec, SubmitError,
 };
 
 const PAIRS: usize = 48;
@@ -39,14 +41,18 @@ fn engine_campaign_matches_direct_pooled_campaign() {
     let netlist = CircuitSource::profile(profile)
         .load()
         .expect("builtin circuit generates");
-    let direct = random_transition_campaign_pooled(
-        &netlist,
+    let view = TestView::new(&netlist).expect("acyclic builtin circuit");
+    let faults = enumerate_transition_faults(&netlist);
+    let filter = StaticFilter::from_view(&view);
+    let direct = transition_campaign_filtered(
+        &view,
+        &faults,
         ApplicationStyle::ArbitraryTwoPattern,
         PAIRS,
         SEED,
         &ThreadPool::new(2),
-    )
-    .expect("direct campaign");
+        Some(&filter),
+    );
     assert_eq!(via_engine.total_faults, direct.total_faults);
     assert_eq!(via_engine.detected, direct.detected);
     assert_eq!(via_engine.pairs, direct.pairs);
@@ -181,13 +187,7 @@ fn campaign_progress_tracks_batches_and_matches_the_final_outcome() {
 #[test]
 fn gated_session_backpressure_cancel_and_event_order() {
     let engine = Arc::new(JobEngine::new(ThreadPool::new(1), 4));
-    let mut session = JobSession::new(
-        Arc::clone(&engine),
-        SessionConfig {
-            queue_capacity: 2,
-            autostart: false,
-        },
-    );
+    let mut session = JobSession::new(Arc::clone(&engine), 2);
 
     // The gate is closed: both submissions sit in the bounded queue, so
     // the third is rejected with back-pressure rather than blocking.
@@ -244,13 +244,7 @@ fn a_panicking_job_fails_alone() {
     // cores), width 1 inline on the executor thread.
     for width in [1, 2] {
         let engine = Arc::new(JobEngine::new(ThreadPool::new(width), 4).corrupt_panic_on("s344"));
-        let mut session = JobSession::new(
-            Arc::clone(&engine),
-            SessionConfig {
-                queue_capacity: 4,
-                autostart: false,
-            },
-        );
+        let mut session = JobSession::new(Arc::clone(&engine), 4);
         let s344 = iscas89_profile("s344").expect("builtin profile");
         let bad = session
             .submit(JobSpec::campaign(CircuitSource::profile(s344)).with_pairs(PAIRS))

@@ -58,27 +58,6 @@ impl Activity {
     pub fn total_toggles(&self) -> u64 {
         self.toggles.iter().sum()
     }
-
-    /// Accumulates another trace of the *same circuit* into this one:
-    /// per-cell toggle counts and cycle counts add. Integer sums commute,
-    /// so merging independently collected shards in any grouping yields
-    /// identical totals — the determinism anchor of the sharded activity
-    /// collection in `flh-power`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the traces were collected on different cell counts.
-    pub fn merge(&mut self, other: &Activity) {
-        assert_eq!(
-            self.toggles.len(),
-            other.toggles.len(),
-            "activity traces of different circuits cannot merge"
-        );
-        for (mine, theirs) in self.toggles.iter_mut().zip(&other.toggles) {
-            *mine += theirs;
-        }
-        self.cycles += other.cycles;
-    }
 }
 
 /// Three-valued zero-delay simulator over a netlist, with the holding

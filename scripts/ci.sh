@@ -70,9 +70,10 @@ echo "== static analysis gate (flh analyze, verifier + prune consistency) =="
 # `analyze` exits nonzero on any verifier violation; `--check-sim` cross-
 # checks the static untestability classifier, and the transition faults
 # the FIRE redundancy pass flags in every style, against random stuck-at
-# and transition fault simulation on the largest mid-size profile. The
-# report, redundancy column included, must also be byte-identical at any
-# pool width.
+# and transition fault simulation on the largest mid-size profile.
+# `analyze` simulates on the serial pool whatever FLH_THREADS says, so the
+# FLH_THREADS=4 rerun below checks that the report, redundancy column
+# included, is byte-identical from one run to the next, not across widths.
 FLH_THREADS=1 cargo run -q --release --offline --bin flh -- \
     analyze s9234 --check-sim | tee "$bench_tmp/analyze_w1.txt"
 if ! grep -q '^prune-consistency: OK$' "$bench_tmp/analyze_w1.txt"; then
@@ -93,8 +94,8 @@ fi
 # `--check-sim` is the golden flow for stuck-at fault simulation: its
 # deterministic counters (fsim.stuck.*, fsim.transition.*, replay work,
 # drops) must reproduce tests/golden/analyze_s1196.det.json byte for byte
-# at every width. Both fault models deal whole fanout-free regions, so the
-# stem replays do not depend on the width.
+# on every run of the loop (the serial path reads no width; the region
+# deal's width invariance is the metrics gate's and the tier-1 tests').
 for w in 1 2 3 4; do
     FLH_THREADS=$w cargo run -q --release --offline --bin flh -- \
         analyze s1196 --check-sim \
@@ -179,8 +180,9 @@ for pin in s9234:6343ac2adb30cb58:1501:502888:643590 \
         fi
     done
 done
-# Re-simulating the pinned file through the pooled pattern-list path must
-# reproduce the coverage `flh atpg s9234` reports, at any pool width.
+# Re-simulating the pinned file with `flh fsim` (the serial pattern-list
+# path, which reads no pool width) must reproduce the coverage `flh atpg
+# s9234` reports, on each of the two runs.
 for w in 1 4; do
     fsim="$(FLH_THREADS=$w cargo run -q --release --offline --bin flh -- \
         fsim s9234 "$bench_tmp/atpg_s9234.txt")"

@@ -21,11 +21,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Whole determinism-critical crates, plus the result-bearing files of
-# flh-netlist, whose other modules keep HashMap name indexes.
+# Whole determinism-critical crates — flh-power, flh-core and flh-timing
+# produce the Table I-III numbers and every serve evaluate result — plus
+# the result-bearing files of flh-netlist, whose other modules keep
+# HashMap name indexes.
 TARGETS=(
     crates/exec/src crates/atpg/src crates/obs/src crates/sim/src
     crates/lint/src crates/serve/src crates/bist/src
+    crates/power/src crates/core/src crates/timing/src
     crates/netlist/src/bytecode.rs
     crates/netlist/src/static_analysis.rs
     src/bin

@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`netlist`] | `flh-netlist` | gate-level netlist, `.bench` I/O, generator, mapper |
-//! | [`exec`] | `flh-exec` | deterministic scoped thread pool (`FLH_THREADS`), bounded work queue |
+//! | [`exec`] | `flh-exec` | deterministic scoped thread pool (`FLH_THREADS`) for transition campaigns, the serve session's bounded job queue |
 //! | [`tech`] | `flh-tech` | 70 nm device model and transistor-level cell library |
 //! | [`sim`] | `flh-sim` | event-driven logic simulation, scan machinery |
 //! | [`analog`] | `flh-analog` | transient circuit simulation (Fig. 2 / Fig. 4) |
