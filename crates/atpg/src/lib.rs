@@ -45,6 +45,7 @@ pub mod podem;
 pub mod prune;
 pub(crate) mod region;
 pub mod replay;
+pub(crate) mod sat;
 pub mod transition;
 pub mod tview;
 

@@ -24,6 +24,7 @@ use crate::fault::{Fault, StuckValue};
 use crate::fsim::{pack_block, simulate_pooled, BlockSim, Frames, Rows};
 use crate::podem::{NoCube, Podem, PodemConfig};
 use crate::region::{RegionFault, RegionSim};
+use crate::sat::SatCheck;
 use crate::tview::TestView;
 
 /// Transition polarity.
@@ -567,6 +568,7 @@ pub fn transition_atpg_with_filter(
         redundant.flags
     });
     let podem = Podem::new(view, config.clone());
+    let mut sat = SatCheck::default();
     let mut rng = Rng::seed_from_u64(seed);
     let mut detected = vec![false; faults.len()];
     let mut untestable = 0usize;
@@ -594,10 +596,10 @@ pub fn transition_atpg_with_filter(
         // V2 detects the site stuck at its initial value; V1 justifies
         // that value.
         let cubes = podem
-            .search(Some(&fault.stuck_equivalent()), &[])
+            .search(Some(&fault.stuck_equivalent()), &[], Some(&mut sat))
             .and_then(|v2| {
                 podem
-                    .search(None, &[(fault.site, fault.initial_value())])
+                    .search(None, &[(fault.site, fault.initial_value())], Some(&mut sat))
                     .map(|v1| (v1, v2))
             });
         let (v1_cube, v2_cube) = match cubes {

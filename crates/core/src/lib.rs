@@ -46,8 +46,8 @@ pub mod styles;
 pub use fanout_opt::{optimize_fanout, FanoutOptConfig, FanoutOptResult};
 pub use mixed_sizing::{select_critical_gating, MixedSizingResult};
 pub use overhead::{
-    evaluate_against, evaluate_all, evaluate_style, measure_baseline, overhead_improvement_pct,
-    EvalConfig, Measurement, StyleEvaluation,
+    baseline_row, evaluate_against, evaluate_all, evaluate_style, measure_baseline,
+    overhead_improvement_pct, EvalConfig, Measurement, StyleEvaluation,
 };
 pub use scan::insert_scan;
 pub use styles::{apply_flh_with_pi_hold, apply_style, DftNetlist, DftStyle};

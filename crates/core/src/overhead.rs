@@ -47,7 +47,7 @@ impl Default for EvalConfig {
 }
 
 /// Absolute and relative metrics of one style on one circuit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StyleEvaluation {
     /// The evaluated style.
     pub style: DftStyle,
@@ -155,8 +155,22 @@ pub fn evaluate_all(
         DftStyle::Flh,
     ]
     .into_iter()
-    .map(|style| evaluate_against(&baseline, &apply_style(netlist, style)?, config))
+    .map(|style| {
+        let styled = apply_style(netlist, style)?;
+        match style {
+            DftStyle::PlainScan => Ok(baseline_row(&baseline, &styled)),
+            _ => evaluate_against(&baseline, &styled, config),
+        }
+    })
     .collect()
+}
+
+/// The plain-scan row of an evaluation: `plain`, the plain-scan netlist
+/// `baseline` was measured on, against its own measurement. Measuring is
+/// deterministic, so this equals [`evaluate_against`] on `plain` without a
+/// second timing analysis and power simulation of the same netlist.
+pub fn baseline_row(baseline: &Measurement, plain: &DftNetlist) -> StyleEvaluation {
+    row(baseline, baseline, plain)
 }
 
 /// Evaluates a pre-built DFT netlist against a measured baseline. This is
@@ -171,8 +185,12 @@ pub fn evaluate_against(
     styled: &DftNetlist,
     config: &EvalConfig,
 ) -> flh_netlist::Result<StyleEvaluation> {
-    let measured = measure(styled, config)?;
-    Ok(StyleEvaluation {
+    Ok(row(baseline, &measure(styled, config)?, styled))
+}
+
+/// `styled`, measured as `measured`, against `baseline`.
+fn row(baseline: &Measurement, measured: &Measurement, styled: &DftNetlist) -> StyleEvaluation {
+    StyleEvaluation {
         style: styled.style,
         base_area_um2: baseline.area_um2,
         area_um2: measured.area_um2,
@@ -182,7 +200,7 @@ pub fn evaluate_against(
         power_uw: measured.power_uw,
         first_level_gates: styled.gated.len(),
         hold_cells: styled.hold_cells.len(),
-    })
+    }
 }
 
 /// Area, delay and power of one DFT netlist, FLH gating and keeper
@@ -251,6 +269,17 @@ mod tests {
             vectors: 40,
             ..EvalConfig::paper_default()
         }
+    }
+
+    /// `evaluate_all` reuses the baseline measurement for its plain-scan
+    /// row; the row is the one a second measurement gives.
+    #[test]
+    fn evaluate_all_plain_row_equals_evaluate_style() {
+        let n = test_circuit();
+        let all = evaluate_all(&n, &quick_config()).unwrap();
+        let plain = evaluate_style(&n, DftStyle::PlainScan, &quick_config()).unwrap();
+        assert_eq!(all[0], plain);
+        assert_eq!(all[0].style, DftStyle::PlainScan);
     }
 
     #[test]

@@ -496,6 +496,29 @@ pub const INST_WORDS: usize = 2 + MAX_FUSED_OPERANDS;
 /// (64 × [`Packed256`]).
 pub const BATCH_INSTS: u32 = 64;
 
+/// Operand columns of a truth table: bit `r` of `TABLE_ROWS[j]` is bit `j`
+/// of `r`, so running the opcode table on them over `u64` evaluates an
+/// instruction on all `2^k` rows of its `k` operands at once.
+const TABLE_ROWS: [u64; MAX_FUSED_OPERANDS] = [0xaaaa, 0xcccc, 0xf0f0, 0xff00];
+
+/// One instruction of a cell's chain as a Boolean function of its operand
+/// slots — what a clause encoder of the program reads
+/// ([`Program::chain_tables`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InstTable {
+    /// Operand count `k`; the table has `2^k` rows.
+    pub nops: usize,
+    /// Bit `r` is the instruction's value when operand `j` reads bit `j` of
+    /// `r`; bits at `2^k..` are zero.
+    pub table: u16,
+    /// Destination slot: the cell itself for the chain's last instruction,
+    /// a scratch slot (`cell_words() + r`) before it.
+    pub dst: u32,
+    /// Operand slots, cell ids below `cell_words()` and scratch slots
+    /// above; entries at `nops..` are zero.
+    pub operands: [u32; MAX_FUSED_OPERANDS],
+}
+
 /// One contiguous run of instructions inside a single level.
 #[derive(Clone, Copy, Debug)]
 pub struct Batch {
@@ -1205,6 +1228,42 @@ impl Program {
         unreachable!("chain must end with the cell store")
     }
 
+    /// The instructions of `cell`'s chain in execution order, each with its
+    /// truth table: the opcode table every executor runs, evaluated over
+    /// `u64` on the instruction's `2^k` operand rows. Empty for a source.
+    pub fn chain_tables(&self, cell: u32) -> impl Iterator<Item = InstTable> + '_ {
+        let (start, len) = self.cell_chain[cell as usize];
+        let chain = match start {
+            u32::MAX => &[][..],
+            _ => &self.code[start as usize..(start + len) as usize],
+        };
+        chain.chunks_exact(INST_WORDS).map(|inst| {
+            let nops = ((inst[0] >> NOPS_SHIFT) & 0xf) as usize;
+            let rows = eval_op::<u64>(inst[0], |k| TABLE_ROWS[k]);
+            let mut operands = [0u32; MAX_FUSED_OPERANDS];
+            operands.copy_from_slice(&inst[2..2 + MAX_FUSED_OPERANDS]);
+            InstTable {
+                nops,
+                table: (rows & ((1u64 << (1 << nops)) - 1)) as u16,
+                dst: inst[1],
+                operands,
+            }
+        })
+    }
+
+    /// Where fanin `pin` of `cell` enters the cell's chain, as
+    /// `(instruction, operand)`: the one slot [`Program::eval_cell_pinned`]
+    /// forces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` is not a fanin pin of a lowered `cell`.
+    pub fn pin_slot(&self, cell: u32, pin: usize) -> (usize, usize) {
+        let pins = self.pin_off[cell as usize] as usize..self.pin_off[cell as usize + 1] as usize;
+        let word = self.pin_operand[pins][pin] as usize;
+        (word / INST_WORDS, word % INST_WORDS - 2)
+    }
+
     /// Number of instructions in one cell's chain (0 for sources).
     pub fn chain_len(&self, cell: u32) -> usize {
         let (start, len) = self.cell_chain[cell as usize];
@@ -1794,5 +1853,91 @@ mod tests {
         assert!(text.contains("aoi21"), "{text}");
         assert!(text.contains("fused 3 micro-ops"), "{text}");
         assert!(text.contains("a, b, c"), "{text}");
+    }
+    /// Evaluates `cell`'s chain bit by bit through its truth tables, with
+    /// fanin `pin` (if any) read as `forced`.
+    fn eval_by_tables(p: &Program, cell: u32, values: &[u64], pinned: Option<(usize, u64)>) -> u64 {
+        let n_cells = p.cell_words() as u32;
+        let slot_pin = pinned.map(|(pin, word)| (p.pin_slot(cell, pin), word));
+        let mut scratch = vec![0u64; p.scratch_words()];
+        let mut out = 0;
+        for (i, inst) in p.chain_tables(cell).enumerate() {
+            let mut word = 0u64;
+            for lane in 0..64 {
+                let mut row = 0usize;
+                for k in 0..inst.nops {
+                    let slot = inst.operands[k];
+                    let w = match slot_pin {
+                        Some(((si, sk), forced)) if si == i && sk == k => forced,
+                        _ if slot < n_cells => values[slot as usize],
+                        _ => scratch[(slot - n_cells) as usize],
+                    };
+                    row |= ((w >> lane & 1) as usize) << k;
+                }
+                word |= u64::from(inst.table >> row & 1) << lane;
+            }
+            if inst.dst < n_cells {
+                assert_eq!(inst.dst, cell, "only the last instruction stores the cell");
+                out = word;
+            } else {
+                scratch[(inst.dst - n_cells) as usize] = word;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn chain_tables_evaluate_like_the_executor() {
+        // The library plus gates that read one driver on several pins.
+        let mut n = library_netlist();
+        let a = n.inputs()[0];
+        let b = n.inputs()[1];
+        for (i, (kind, fanin)) in [
+            (CellKind::Xor2, vec![a, a]),
+            (CellKind::Aoi21, vec![a, b, a]),
+            (CellKind::Mux2, vec![b, a, a]),
+            (CellKind::XorN(5), vec![a, b, a, b, a]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let g = n.add_cell(format!("dup{i}"), kind, fanin);
+            n.add_output(format!("ydup{i}"), g);
+        }
+        let c = CompiledCircuit::compile(&n).unwrap();
+        let p = Program::lower(&c);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state ^ state >> 29
+        };
+        for _ in 0..4 {
+            let mut values = vec![0u64; p.cell_words()];
+            for &src in c.inputs() {
+                values[src as usize] = next();
+            }
+            let mut scratch = vec![0u64; p.scratch_words()];
+            p.execute(&mut values, &mut scratch);
+            for &id in c.order() {
+                assert_eq!(
+                    eval_by_tables(&p, id, &values, None),
+                    values[id as usize],
+                    "cell {id}"
+                );
+                for pin in 0..c.fanin(id).len() {
+                    let forced = next();
+                    assert_eq!(
+                        eval_by_tables(&p, id, &values, Some((pin, forced))),
+                        p.eval_cell_pinned(id, pin, forced, &values, &mut scratch),
+                        "cell {id} pin {pin}"
+                    );
+                }
+            }
+        }
+        for &src in c.inputs() {
+            assert_eq!(p.chain_tables(src).count(), 0, "a source has no chain");
+        }
     }
 }

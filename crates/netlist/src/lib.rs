@@ -58,7 +58,9 @@ pub mod unroll;
 pub mod verilog;
 
 pub use analysis::{CircuitStats, FanoutMap, Levelization};
-pub use bytecode::{DecodedInst, Dual8, LaneWord, Opcode, Packed256, PatternWord, Program};
+pub use bytecode::{
+    DecodedInst, Dual8, InstTable, LaneWord, Opcode, Packed256, PatternWord, Program,
+};
 pub use cell::{CellId, CellKind, Dual64, HoldStyle};
 pub use compiled::CompiledCircuit;
 pub use error::NetlistError;

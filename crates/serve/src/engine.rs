@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 
 use flh_atpg::transition::enumerate_transition_faults;
 use flh_atpg::{transition_campaign_filtered, StaticFilter, TestView};
-use flh_core::{apply_style, evaluate_against, measure_baseline};
+use flh_core::{apply_style, baseline_row, evaluate_against, measure_baseline, DftStyle};
 use flh_exec::ThreadPool;
 
 use crate::cache::{CacheLookup, CacheStats, CircuitCache, CompiledEntry};
@@ -244,8 +244,11 @@ impl JobEngine {
                     Err(e) => return fail(e.to_string(), emit),
                 };
                 for (index, &style) in styles.iter().enumerate() {
-                    let eval = apply_style(&entry.netlist, style)
-                        .and_then(|styled| evaluate_against(&baseline, &styled, config));
+                    // The plain-scan row is the baseline itself.
+                    let eval = apply_style(&entry.netlist, style).and_then(|styled| match style {
+                        DftStyle::PlainScan => Ok(baseline_row(&baseline, &styled)),
+                        _ => evaluate_against(&baseline, &styled, config),
+                    });
                     let eval = match eval {
                         Ok(eval) => eval,
                         Err(e) => return fail(e.to_string(), emit),

@@ -133,8 +133,10 @@ echo "== ATPG gate (flh atpg s1196, s9234, s13207: pinned pattern files, golden 
 # flh_serve::fnv1a computes it) must stay the recorded value. Each run
 # must also reproduce every deterministic counter of
 # tests/golden/atpg_s1196.det.json (podem.backtracks, podem.decisions,
-# podem.aborts, replay work, atpg.redundancy.*): the redundancy pass off
-# moves podem.* and atpg.redundancy.*.
+# podem.aborts, the SAT checks' atpg.sat.*, replay work,
+# atpg.redundancy.*): the redundancy pass off moves podem.* and
+# atpg.redundancy.*, the SAT check off moves podem.* and atpg.sat.*. The
+# run repeats at every pool width.
 fnv1a() {
     local h=$((0xcbf29ce484222325)) b
     for b in $(od -An -v -tu1 "$1"); do
@@ -142,8 +144,8 @@ fnv1a() {
     done
     printf '%016x\n' "$h"
 }
-for run in 1 2; do
-    cargo run -q --release --offline --bin flh -- atpg s1196 \
+for run in 1 2 3 4; do
+    FLH_THREADS=$run cargo run -q --release --offline --bin flh -- atpg s1196 \
         --out "$bench_tmp/atpg_$run.txt" \
         --metrics-det-json "$bench_tmp/atpg_metrics_$run.json"
     hash="$(fnv1a "$bench_tmp/atpg_$run.txt")"
@@ -152,7 +154,7 @@ for run in 1 2; do
         exit 1
     fi
     if ! diff tests/golden/atpg_s1196.det.json "$bench_tmp/atpg_metrics_$run.json"; then
-        echo "ATPG GATE FAILED: deterministic metrics of run $run differ from the golden" >&2
+        echo "ATPG GATE FAILED: deterministic metrics at FLH_THREADS=$run differ from the golden" >&2
         exit 1
     fi
 done
@@ -160,10 +162,11 @@ done
 # most faults (2315), so a pass that pruned a testable fault would change
 # its file. A pattern hash alone does not prove that PODEM took the same
 # steps to reach the same cubes, so each run must also report the pinned
-# podem.aborts, .backtracks and .decisions.
-for pin in s9234:6343ac2adb30cb58:1501:502888:643590 \
-    s13207:298ad92551cb8882:1426:451805:645789; do
-    IFS=: read -r circuit pinned aborts backtracks decisions <<<"$pin"
+# podem.aborts, .backtracks and .decisions, and the SAT checks' calls,
+# unsatisfiable verdicts and conflicts.
+for pin in s9234:6343ac2adb30cb58:1441:467416:609015:278:225:362 \
+    s13207:298ad92551cb8882:1255:404038:597753:389:187:685; do
+    IFS=: read -r circuit pinned aborts backtracks decisions calls unsat conflicts <<<"$pin"
     cargo run -q --release --offline --bin flh -- atpg "$circuit" \
         --out "$bench_tmp/atpg_$circuit.txt" \
         --metrics-det-json "$bench_tmp/atpg_metrics_$circuit.json"
@@ -173,7 +176,8 @@ for pin in s9234:6343ac2adb30cb58:1501:502888:643590 \
         exit 1
     fi
     for count in "podem.aborts\":$aborts," "podem.backtracks\":$backtracks," \
-        "podem.decisions\":$decisions,"; do
+        "podem.decisions\":$decisions," "atpg.sat.calls\":$calls," \
+        "atpg.sat.unsat\":$unsat}" "atpg.sat.conflicts\":$conflicts,"; do
         if ! grep -qF "\"$count" "$bench_tmp/atpg_metrics_$circuit.json"; then
             echo "ATPG GATE FAILED: $circuit deterministic metrics lack \"$count" >&2
             exit 1
@@ -191,7 +195,25 @@ for w in 1 4; do
         exit 1
     fi
 done
-echo "pinned pattern files and PODEM steps, golden deterministic metrics on both s1196 runs, s9234 re-simulated at widths 1 and 4"
+echo "pinned pattern files and PODEM steps, golden deterministic metrics on s1196 at widths 1-4, s9234 re-simulated at widths 1 and 4"
+
+echo "== PODEM callers gate (broadside, path-delay and fill binaries vs golden stdout, FLH_THREADS=1 and 2) =="
+# Every other PODEM flow reaches the search through generate_with_goals,
+# justify_all or justify: E8's broadside ceilings (coverage_styles), the
+# path-delay tests (path_delay_critical), the per-style ATPG comparison
+# (coverage_invariance) and the fill study (lowpower_fill). Their stdout
+# is pinned, so a change to the search that moved any cube shows here.
+cargo build -q --release --offline -p flh-bench
+for bin in coverage_styles path_delay_critical coverage_invariance lowpower_fill; do
+    for w in 1 2; do
+        FLH_THREADS=$w "./target/release/$bin" > "$bench_tmp/$bin.w$w.txt"
+        if ! diff "tests/golden/$bin.txt" "$bench_tmp/$bin.w$w.txt"; then
+            echo "PODEM CALLERS GATE FAILED: $bin at FLH_THREADS=$w differs from tests/golden/$bin.txt" >&2
+            exit 1
+        fi
+    done
+done
+echo "golden stdout of the four PODEM-calling binaries at widths 1 and 2"
 
 echo "== flowbench helper tests =="
 # The end-to-end benchmark is a package of its own, outside the workspace;
