@@ -401,11 +401,11 @@ mod tests {
                     Packed256::bot(),
                 );
                 assert_eq!(values256, good256, "restore for seed {seed}");
-                for l in 0..4 {
+                for (l, values) in values64.iter_mut().enumerate() {
                     let mis64 = word_engine.replay(
                         compiled,
                         view.observed_drivers(),
-                        &mut values64[l],
+                        values,
                         seed,
                         forced.limb(l),
                         0,

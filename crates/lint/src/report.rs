@@ -76,9 +76,9 @@ pub enum LintCode {
     /// `FLH014` — generic wide gates survive where only library cells are
     /// expected (run the technology mapper).
     UnmappedGeneric,
-    /// `FLH015` — the compiled program's code stream or batch table is
-    /// structurally broken (ragged stream, bad batch tiling, instruction
-    /// count mismatch).
+    /// `FLH015` — the compiled program's code stream, batch table or run
+    /// table is structurally broken (ragged stream, bad batch tiling, runs
+    /// not tiling the batches, instruction count mismatch).
     BytecodeTruncated,
     /// `FLH016` — an opcode byte outside the fused opcode table.
     BytecodeBadOpcode,
@@ -92,8 +92,9 @@ pub enum LintCode {
     BytecodeScratchOrder,
     /// `FLH021` — a cell operand not strictly below its batch's level.
     BytecodeOperandLevel,
-    /// `FLH022` — a batch level out of range or non-monotone, or a root
-    /// destination scheduled at the wrong level.
+    /// `FLH022` — a batch level out of range or non-monotone, a root
+    /// destination scheduled at the wrong level, or an instruction that does
+    /// not carry its run's opcode and arity on cell slots.
     BytecodeBatchLevel,
     /// `FLH023` — chain-table entry inconsistent with the code stream, or
     /// the hold bit disagreeing with the destination cell's kind.

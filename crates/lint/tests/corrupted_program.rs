@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use flh_core::{apply_style, DftStyle};
 use flh_lint::{lint_target, LintCode, LintReport, LintTarget};
-use flh_netlist::{CellKind, CompiledCircuit, Netlist, Program};
+use flh_netlist::{CellKind, CompiledCircuit, Netlist, Opcode, Program};
 
 const INST_WORDS: usize = 6;
 
@@ -22,7 +22,7 @@ const INST_WORDS: usize = 6;
 /// through a scratch register — the shape the scratch-order check guards.
 fn fixture() -> Netlist {
     let mut n = Netlist::new("pfixture");
-    let ins: Vec<_> = (0..7).map(|i| n.add_input(&format!("a{i}"))).collect();
+    let ins: Vec<_> = (0..7).map(|i| n.add_input(format!("a{i}"))).collect();
     let f1 = n.add_cell("f1", CellKind::Dff, vec![ins[0]]);
     let f2 = n.add_cell("f2", CellKind::Dff, vec![ins[1]]);
     let wide = n.add_cell("wide", CellKind::AndN(7), ins.clone());
@@ -81,6 +81,32 @@ fn truncated_stream_fires_flh015() {
 fn ragged_stream_fires_flh015() {
     let r = corrupted_report(|_, p| p.corrupt_truncate_words(INST_WORDS + 1));
     assert_fires(&r, LintCode::BytecodeTruncated);
+}
+
+#[test]
+fn run_table_gap_fires_flh015() {
+    // Shrinking the first run by one instruction leaves that instruction in
+    // no run, so the executors would skip it.
+    let r = corrupted_report(|_, p| {
+        let run = p.runs()[0];
+        p.corrupt_run_bounds(0, run.start, run.end - INST_WORDS as u32);
+    });
+    assert_fires(&r, LintCode::BytecodeTruncated);
+}
+
+#[test]
+fn opcode_swapped_inside_a_run_fires_flh022() {
+    // NAND -> AND keeps a legal opcode and arity, so only the run check
+    // sees that the header no longer matches the shape the run executes.
+    let r = corrupted_report(|_, p| {
+        let i = (0..p.inst_count())
+            .find(|&i| p.decode_inst(i).opcode == Some(Opcode::Nand))
+            .unwrap();
+        p.corrupt_opcode(i, Opcode::And as u8);
+    });
+    assert_fires(&r, LintCode::BytecodeBatchLevel);
+    assert!(!r.fired(LintCode::BytecodeBadOpcode), "{}", r.render_text());
+    assert!(!r.fired(LintCode::BytecodeBadArity), "{}", r.render_text());
 }
 
 #[test]

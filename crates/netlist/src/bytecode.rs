@@ -17,7 +17,8 @@
 //!    file stays a handful of words for an entire circuit;
 //! 4. **emission** — instructions stream out level-major, chunked into
 //!    per-level batches whose destination working set is sized to a few
-//!    cache lines.
+//!    cache lines; each batch is cut into [`Run`]s of one opcode and arity,
+//!    which the executor dispatches on once per run.
 //!
 //! The executor is generic over [`LaneWord`], so one opcode table serves
 //! every engine: plain `u64` two-valued evaluation, the 256-lane
@@ -530,6 +531,22 @@ pub struct Batch {
     pub level: u32,
 }
 
+/// A maximal stretch of one batch whose instructions share one shape. The
+/// runs tile every batch in order, and the executors dispatch once per run
+/// instead of once per instruction.
+#[derive(Clone, Copy, Debug)]
+pub struct Run {
+    /// First code word of the run.
+    pub start: u32,
+    /// One past the last code word.
+    pub end: u32,
+    /// The opcode and operand count of every instruction in the run, all of
+    /// which read and write cell slots only; `None` for instructions that
+    /// touch scratch (a wide generic gate's chain), which keep the
+    /// per-instruction path.
+    pub shape: Option<(Opcode, u8)>,
+}
+
 // Instruction header layout (one u32, followed by the dst slot and the
 // fixed-width operand block; see INST_WORDS). Shared with the sibling
 // `static_analysis` module, whose verifier re-decodes the stream.
@@ -570,6 +587,7 @@ pub struct Program {
     n_scratch: u32,
     code: Vec<u32>,
     batches: Vec<Batch>,
+    runs: Vec<Run>,
     /// Per cell id: (first code word, word count) of its instruction chain,
     /// or `(u32::MAX, 0)` for sources that are never evaluated.
     cell_chain: Vec<(u32, u32)>,
@@ -887,6 +905,108 @@ fn eval_op<W: LaneWord>(header: u32, ld: impl Fn(usize) -> W) -> W {
     }
 }
 
+/// The shape of an instruction a run can hold: its opcode and operand count
+/// when it reads and writes cell slots only, `None` when it touches scratch.
+fn cell_shape(inst: &[u32], n_cells: u32) -> Option<(Opcode, u8)> {
+    let nops = ((inst[0] >> NOPS_SHIFT) & 0xf) as usize;
+    let cells_only = inst[1] < n_cells && inst[2..2 + nops].iter().all(|&s| s < n_cells);
+    cells_only.then(|| (Opcode::from_raw((inst[0] >> OP_SHIFT) as u8), nops as u8))
+}
+
+/// Cuts every batch into maximal runs of one [`cell_shape`].
+fn runs_of(code: &[u32], batches: &[Batch], n_cells: u32) -> Vec<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for b in batches {
+        for (i, inst) in code[b.start as usize..b.end as usize]
+            .chunks_exact(INST_WORDS)
+            .enumerate()
+        {
+            let start = b.start + (i * INST_WORDS) as u32;
+            let shape = cell_shape(inst, n_cells);
+            match runs.last_mut() {
+                Some(run) if run.end == start && run.start >= b.start && run.shape == shape => {
+                    run.end = start + INST_WORDS as u32;
+                }
+                _ => runs.push(Run {
+                    start,
+                    end: start + INST_WORDS as u32,
+                    shape,
+                }),
+            }
+        }
+    }
+    runs
+}
+
+/// Executes one run of `N`-operand cell instructions: every operand is a
+/// cell slot and `f` is the run's opcode, so the loop decodes no header
+/// (beyond the hold bit `commit` sees) and takes no slot branch.
+#[inline(always)]
+fn run_cells<W, C, const N: usize>(
+    window: &[u32],
+    values: &mut [W],
+    commit: &mut C,
+    f: impl Fn([W; N]) -> W,
+) where
+    W: LaneWord,
+    C: FnMut(u32, W, W, bool) -> W,
+{
+    for inst in window.chunks_exact(INST_WORDS) {
+        let new = f(std::array::from_fn(|k| values[inst[2 + k] as usize]));
+        let dst = inst[1] as usize;
+        values[dst] = commit(inst[1], values[dst], new, inst[0] & HOLD_BIT != 0);
+    }
+}
+
+/// [`run_cells`] for the `N`-operand members of the associative families.
+#[inline(always)]
+fn run_family<W, C, const N: usize>(op: Opcode, window: &[u32], values: &mut [W], commit: &mut C)
+where
+    W: LaneWord,
+    C: FnMut(u32, W, W, bool) -> W,
+{
+    fn fold<W: LaneWord, const N: usize>(ops: [W; N], f: fn(W, W) -> W) -> W {
+        ops[1..].iter().fold(ops[0], |acc, &o| f(acc, o))
+    }
+    match op {
+        Opcode::And => run_cells(window, values, commit, |o: [W; N]| fold(o, W::and)),
+        Opcode::Nand => run_cells(window, values, commit, |o: [W; N]| fold(o, W::and).not()),
+        Opcode::Or => run_cells(window, values, commit, |o: [W; N]| fold(o, W::or)),
+        Opcode::Nor => run_cells(window, values, commit, |o: [W; N]| fold(o, W::or).not()),
+        Opcode::Xor => run_cells(window, values, commit, |o: [W; N]| fold(o, W::xor)),
+        Opcode::Xnor => run_cells(window, values, commit, |o: [W; N]| fold(o, W::xor).not()),
+        _ => unreachable!("{op:?} is not an associative family"),
+    }
+}
+
+/// Executes one run of shape `(op, nops)`: the one dispatch of the run.
+#[inline(always)]
+fn run_shape<W, C>(op: Opcode, nops: u8, window: &[u32], values: &mut [W], commit: &mut C)
+where
+    W: LaneWord,
+    C: FnMut(u32, W, W, bool) -> W,
+{
+    let (v, c) = (values, commit);
+    match (op, nops) {
+        (Opcode::Const0, _) => run_cells(window, v, c, |[]: [W; 0]| W::bot()),
+        (Opcode::Const1, _) => run_cells(window, v, c, |[]: [W; 0]| W::top()),
+        (Opcode::Copy, _) => run_cells(window, v, c, |[a]: [W; 1]| a),
+        (Opcode::Not, _) => run_cells(window, v, c, |[a]: [W; 1]| a.not()),
+        (Opcode::Aoi21, _) => run_cells(window, v, c, |[a, b, d]: [W; 3]| a.and(b).or(d).not()),
+        (Opcode::Aoi22, _) => run_cells(window, v, c, |[a, b, d, e]: [W; 4]| {
+            a.and(b).or(d.and(e)).not()
+        }),
+        (Opcode::Oai21, _) => run_cells(window, v, c, |[a, b, d]: [W; 3]| a.or(b).and(d).not()),
+        (Opcode::Oai22, _) => run_cells(window, v, c, |[a, b, d, e]: [W; 4]| {
+            a.or(b).and(d.or(e)).not()
+        }),
+        (Opcode::Mux, _) => run_cells(window, v, c, |[a, b, s]: [W; 3]| W::mux(a, b, s)),
+        (_, 2) => run_family::<W, C, 2>(op, window, v, c),
+        (_, 3) => run_family::<W, C, 3>(op, window, v, c),
+        _ => run_family::<W, C, 4>(op, window, v, c),
+    }
+}
+
 impl Program {
     /// Lowers a compiled circuit through the full pipeline (expansion →
     /// fusion → scratch allocation → emission). Deterministic: same
@@ -916,22 +1036,22 @@ impl Program {
         let mut free: Vec<u32> = Vec::new();
         let mut slot_of: Vec<u32> = Vec::new();
 
-        let mut lowered: Vec<(u8, u32, Vec<Node>)> = Vec::new();
+        let mut lowered: Vec<((u8, usize), u32, Vec<Node>)> = Vec::new();
         for level in 1..=compiled.levels() {
-            // Lower every cell on the level, then schedule the chains in
-            // opcode order (ties by cell id — deterministic). Chains on one
-            // level are independent, so the order is free; grouping same
-            // opcodes gives the executor's dispatch branch long predictable
-            // runs instead of data-dependent hopping.
+            // Lower every cell on the level, then schedule the chains by
+            // root opcode and arity (ties by cell id — deterministic).
+            // Chains on one level are independent, so the order is free;
+            // grouping one shape gives the executor long runs it enters
+            // once each (see `runs_of`).
             lowered.clear();
             for &id in compiled.level_cells(level) {
                 let mut nodes = expand(compiled.kind(id), compiled.fanin(id).len());
                 micro_ops += nodes.len() as u64;
                 fuse(&mut nodes);
-                let root_op = nodes[nodes.len() - 1].op as u8;
-                lowered.push((root_op, id, nodes));
+                let root = &nodes[nodes.len() - 1];
+                lowered.push(((root.op as u8, root.args.len()), id, nodes));
             }
-            lowered.sort_by_key(|&(op, id, _)| (op, id));
+            lowered.sort_by_key(|&(shape, id, _)| (shape, id));
 
             let mut batch_start = code.len() as u32;
             let mut batch_insts = 0u32;
@@ -1017,11 +1137,13 @@ impl Program {
             }
         }
 
+        let runs = runs_of(&code, &batches, n_cells);
         let program = Program {
             n_cells,
             n_scratch,
             code,
             batches,
+            runs,
             cell_chain,
             pin_operand,
             pin_off,
@@ -1077,6 +1199,12 @@ impl Program {
         &self.batches
     }
 
+    /// The run table: maximal same-shape stretches tiling every batch in
+    /// order, which the executors dispatch on.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
     /// Decode and evaluate one fixed-width instruction (an
     /// [`INST_WORDS`]-word slice). Returns `(value, dst slot, header)`.
     /// The operand indices below are all constants, so the slice bounds
@@ -1104,23 +1232,7 @@ impl Program {
     /// Panics if `values.len() != self.cell_words()` or `scratch` is
     /// shorter than [`Program::scratch_words`].
     pub fn execute<W: LaneWord>(&self, values: &mut [W], scratch: &mut [W]) -> u64 {
-        assert_eq!(values.len(), self.n_cells as usize);
-        assert!(scratch.len() >= self.n_scratch as usize);
-        let n_cells = self.n_cells as usize;
-        let mut executed = 0u64;
-        for b in &self.batches {
-            let window = &self.code[b.start as usize..b.end as usize];
-            for inst in window.chunks_exact(INST_WORDS) {
-                let (v, dst, _header) = self.eval_inst(inst, values, scratch);
-                if dst < n_cells {
-                    values[dst] = v;
-                } else {
-                    scratch[dst - n_cells] = v;
-                }
-                executed += 1;
-            }
-        }
-        executed
+        self.execute_with(values, scratch, |_, _, new, _| new)
     }
 
     /// [`Program::execute`] with a commit hook on every cell store: the
@@ -1128,6 +1240,14 @@ impl Program {
     /// store (return `old` to freeze). The scalar simulator uses this for
     /// hold/sleep skipping and toggle accounting. Returns instructions
     /// executed.
+    ///
+    /// The loop dispatches once per [`Run`]: a run of cell instructions
+    /// goes through a body specialised for its opcode and arity, and only
+    /// instructions that touch scratch decode each header.
+    ///
+    /// # Panics
+    ///
+    /// As [`Program::execute`].
     pub fn execute_with<W, F>(&self, values: &mut [W], scratch: &mut [W], mut commit: F) -> u64
     where
         W: LaneWord,
@@ -1136,9 +1256,12 @@ impl Program {
         assert_eq!(values.len(), self.n_cells as usize);
         assert!(scratch.len() >= self.n_scratch as usize);
         let n_cells = self.n_cells as usize;
-        let mut executed = 0u64;
-        for b in &self.batches {
-            let window = &self.code[b.start as usize..b.end as usize];
+        for run in &self.runs {
+            let window = &self.code[run.start as usize..run.end as usize];
+            if let Some((op, nops)) = run.shape {
+                run_shape(op, nops, window, values, &mut commit);
+                continue;
+            }
             for inst in window.chunks_exact(INST_WORDS) {
                 let (v, dst, header) = self.eval_inst(inst, values, scratch);
                 if dst < n_cells {
@@ -1147,10 +1270,9 @@ impl Program {
                 } else {
                     scratch[dst - n_cells] = v;
                 }
-                executed += 1;
             }
         }
-        executed
+        self.inst_count as u64
     }
 
     /// Evaluates a single cell's instruction chain against the current
@@ -1450,6 +1572,13 @@ impl Program {
     /// schedule contract.
     pub fn corrupt_batch_level(&mut self, index: usize, level: u32) {
         self.batches[index].level = level;
+    }
+
+    /// Overwrites the bounds of run `index` with **no tiling check**
+    /// against its neighbours or its batch.
+    pub fn corrupt_run_bounds(&mut self, index: usize, start: u32, end: u32) {
+        self.runs[index].start = start;
+        self.runs[index].end = end;
     }
 
     /// Overwrites a cell's chain table entry with **no consistency check**
@@ -1801,13 +1930,147 @@ mod tests {
         p.execute(&mut v256, &mut s256);
         for &id in c.order() {
             let id = id as usize;
-            for l in 0..4 {
-                assert_eq!(v256[id].limb(l), lanes64[l][id], "cell {id} limb {l}");
+            for (l, lane) in lanes64.iter().enumerate() {
+                assert_eq!(v256[id].limb(l), lane[id], "cell {id} limb {l}");
             }
         }
         // eval_cell agrees at superword width too.
         for &id in c.order() {
             assert_eq!(p.eval_cell(id, &v256, &mut s256), v256[id as usize]);
+        }
+    }
+
+    /// The generated s344 profile with a hold latch or hold mux behind
+    /// every flip-flop, each read by a gate that reaches an output.
+    fn generated_with_holds() -> Netlist {
+        let profile = crate::profiles::iscas89_profile("s344").unwrap();
+        let mut n = crate::generate::generate_circuit(&profile.generator_config()).unwrap();
+        let ffs = n.flip_flops().to_vec();
+        for (k, &ff) in ffs.iter().enumerate() {
+            let kind = if k % 2 == 0 {
+                CellKind::HoldLatch
+            } else {
+                CellKind::HoldMux
+            };
+            let h = n.add_cell(format!("hold{k}"), kind, vec![ff]);
+            let other = ffs[(k + 1) % ffs.len()];
+            let g = n.add_cell(format!("hg{k}"), CellKind::Nand2, vec![h, other]);
+            n.add_output(format!("hy{k}"), g);
+        }
+        n
+    }
+
+    /// The run executor against a per-cell [`Program::eval_cell`] sweep over
+    /// `compiled.order()` (the per-instruction path), from one dirty start
+    /// state. `execute_with` runs under the commit hook of
+    /// `CompiledSim::settle` with hold and sleep off and on: a hold cell
+    /// freezes under hold, every third cell under sleep. Each cell must be
+    /// committed exactly once, with its hold flag, and end at the sweep's
+    /// value; plain `execute` must equal the unfrozen sweep.
+    fn assert_runs_match_the_sweep<W>(n: &Netlist, word: impl Fn([u64; 4]) -> W)
+    where
+        W: LaneWord + PartialEq + std::fmt::Debug,
+    {
+        let c = CompiledCircuit::compile(n).unwrap();
+        let p = Program::lower(&c);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let start: Vec<W> = (0..c.cell_count())
+            .map(|_| word([next(), next(), next(), next()]))
+            .collect();
+        let gated: Vec<bool> = (0..c.cell_count()).map(|i| i % 3 == 0).collect();
+        let mut scratch = vec![W::bot(); p.scratch_words()];
+        let mut unfrozen = Vec::new();
+        for (hold, sleep) in [(false, false), (true, false), (false, true), (true, true)] {
+            let commit = |cell: u32, old: W, new: W, holdable: bool| {
+                if (hold && holdable) || (sleep && gated[cell as usize]) {
+                    old
+                } else {
+                    new
+                }
+            };
+            let mut sweep = start.clone();
+            for &id in c.order() {
+                let new = p.eval_cell(id, &sweep, &mut scratch);
+                let holdable = c.kind(id).is_hold_element();
+                sweep[id as usize] = commit(id, sweep[id as usize], new, holdable);
+            }
+            let mut values = start.clone();
+            let mut stores = vec![0u32; c.cell_count()];
+            let executed = p.execute_with(&mut values, &mut scratch, |cell, old, new, holdable| {
+                stores[cell as usize] += 1;
+                assert_eq!(holdable, c.kind(cell).is_hold_element(), "cell {cell}");
+                commit(cell, old, new, holdable)
+            });
+            assert_eq!(executed, p.inst_count() as u64);
+            for id in 0..c.cell_count() as u32 {
+                let want = u32::from(c.level_of(id) > 0);
+                assert_eq!(stores[id as usize], want, "cell {id} stores");
+            }
+            assert_eq!(values, sweep, "hold {hold}, sleep {sleep}");
+            if !hold && !sleep {
+                unfrozen = sweep;
+            }
+        }
+        let mut values = start;
+        p.execute(&mut values, &mut scratch);
+        assert_eq!(values, unfrozen, "execute");
+    }
+
+    /// Runs of every lane width against the per-cell sweep, on a generated
+    /// circuit with hold cells and on the library netlist, whose wide
+    /// generic gates spill scratch chains onto the per-instruction path.
+    #[test]
+    fn run_executor_matches_a_per_cell_sweep() {
+        let generated = generated_with_holds();
+        let library = library_netlist();
+        let p = Program::lower(&CompiledCircuit::compile(&generated).unwrap());
+        assert!(
+            p.runs().len() * 2 < p.inst_count(),
+            "runs group instructions"
+        );
+        assert!(p.runs().iter().all(|r| r.shape.is_some()));
+        let p = Program::lower(&CompiledCircuit::compile(&library).unwrap());
+        assert!(p.runs().iter().any(|r| r.shape.is_none()), "a scratch run");
+        let dual = |l: [u64; 4]| Dual64 {
+            one: l[0] & (l[1] | l[2]),
+            zero: !l[0] & (l[1] | l[2]),
+        };
+        for n in [&generated, &library] {
+            assert_runs_match_the_sweep(n, |l| l[0]);
+            assert_runs_match_the_sweep(n, Packed256::from_limbs);
+            assert_runs_match_the_sweep(n, dual);
+            assert_runs_match_the_sweep(n, |l| {
+                let d = dual(l);
+                Dual8 {
+                    one: d.one as u8,
+                    zero: d.zero as u8,
+                }
+            });
+        }
+    }
+
+    /// Levels are scheduled by (opcode, arity), so a batch never returns to
+    /// a shape it left: each shape is one run per batch. The verifier
+    /// proves the run table's tiling and shapes.
+    #[test]
+    fn a_batch_holds_one_run_per_shape() {
+        let c = CompiledCircuit::compile(&generated_with_holds()).unwrap();
+        let p = Program::lower(&c);
+        assert!(crate::static_analysis::verify_program(&c, &p).is_clean());
+        for b in p.batches() {
+            let shapes: Vec<Option<(u8, u8)>> = p
+                .runs()
+                .iter()
+                .filter(|r| r.start >= b.start && r.end <= b.end)
+                .map(|r| r.shape.map(|(op, nops)| (op as u8, nops)))
+                .collect();
+            assert!(shapes.windows(2).all(|w| w[0] < w[1]), "{shapes:?}");
         }
     }
 

@@ -59,7 +59,7 @@ pub mod verilog;
 
 pub use analysis::{CircuitStats, FanoutMap, Levelization};
 pub use bytecode::{
-    DecodedInst, Dual8, InstTable, LaneWord, Opcode, Packed256, PatternWord, Program,
+    DecodedInst, Dual8, InstTable, LaneWord, Opcode, Packed256, PatternWord, Program, Run,
 };
 pub use cell::{CellId, CellKind, Dual64, HoldStyle};
 pub use compiled::CompiledCircuit;

@@ -5,7 +5,7 @@
 //!
 //! * [`verify_program`] — a bytecode verifier that decodes every fixed-stride
 //!   instruction and proves the emission invariants `Program::lower` relies
-//!   on: stream/batch structure, opcode legality, fused arity, operand and
+//!   on: stream/batch/run structure, opcode legality, fused arity, operand and
 //!   destination ranges, level-monotone scheduling, the per-chain LIFO
 //!   scratch discipline (no read-before-write) and chain-table consistency.
 //!   Violations are data, not panics, so `flh-lint` can surface them as
@@ -49,11 +49,11 @@ use crate::compiled::CompiledCircuit;
 /// a stable `flh-lint` code (FLH015..FLH023); keep the set append-only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VerifyKind {
-    /// The code stream or batch table is structurally broken: ragged stream,
-    /// batch bounds out of range/misaligned, gaps or overlaps in the tiling,
-    /// oversized batch, or an instruction count that disagrees with the
-    /// stream length. Structure violations abort the walk (everything later
-    /// would cascade).
+    /// The code stream, batch table or run table is structurally broken:
+    /// ragged stream, batch bounds out of range/misaligned, gaps or overlaps
+    /// in the tiling, oversized batch, runs that do not tile every batch in
+    /// order, or an instruction count that disagrees with the stream length.
+    /// Structure violations abort the walk (everything later would cascade).
     Truncated,
     /// An opcode byte outside the fused opcode table.
     BadOpcode,
@@ -70,8 +70,10 @@ pub enum VerifyKind {
     /// A cell operand whose level is not strictly below the batch level, so
     /// the level-major schedule would read it before it is computed.
     OperandLevel,
-    /// A batch whose level is out of range or non-monotone, or a root
-    /// destination scheduled in a batch of the wrong level.
+    /// A batch whose level is out of range or non-monotone, a root
+    /// destination scheduled in a batch of the wrong level, or an
+    /// instruction inside a run whose opcode, arity or cell-only slots it
+    /// does not share.
     BatchLevel,
     /// The chain table disagrees with the code stream (wrong bounds, wrong
     /// terminating destination, a chain for a source cell) or the hold bit
@@ -150,7 +152,7 @@ pub fn verify_program(compiled: &CompiledCircuit, program: &Program) -> VerifyRe
 
     // --- Layer 1: stream and batch structure -----------------------------
     report.checks += 1;
-    if code.len() % INST_WORDS != 0 {
+    if !code.len().is_multiple_of(INST_WORDS) {
         report.push(
             VerifyKind::Truncated,
             None,
@@ -179,7 +181,8 @@ pub fn verify_program(compiled: &CompiledCircuit, program: &Program) -> VerifyRe
     let mut cursor = 0u32;
     for (bi, b) in program.batches().iter().enumerate() {
         report.checks += 4;
-        let aligned = b.start as usize % INST_WORDS == 0 && b.end as usize % INST_WORDS == 0;
+        let aligned = (b.start as usize).is_multiple_of(INST_WORDS)
+            && (b.end as usize).is_multiple_of(INST_WORDS);
         let sized = b.start < b.end
             && b.end as usize <= code.len()
             && (b.end - b.start) / INST_WORDS as u32 <= BATCH_INSTS;
@@ -209,11 +212,52 @@ pub fn verify_program(compiled: &CompiledCircuit, program: &Program) -> VerifyRe
         );
         return report;
     }
+    // The executors walk the run table, not the batches, so the runs must
+    // tile every batch in order.
+    let runs = program.runs();
+    let mut ri = 0usize;
+    for (bi, b) in program.batches().iter().enumerate() {
+        let mut at = b.start;
+        while at < b.end {
+            report.checks += 1;
+            let tiles = runs.get(ri).is_some_and(|r| {
+                r.start == at
+                    && r.start < r.end
+                    && r.end <= b.end
+                    && (r.end as usize).is_multiple_of(INST_WORDS)
+            });
+            if !tiles {
+                report.push(
+                    VerifyKind::Truncated,
+                    None,
+                    None,
+                    format!(
+                        "run {ri} breaks the tiling of batch {bi} [{}, {}) at word {at}",
+                        b.start, b.end
+                    ),
+                );
+                return report;
+            }
+            at = runs[ri].end;
+            ri += 1;
+        }
+    }
+    report.checks += 1;
+    if ri != runs.len() {
+        report.push(
+            VerifyKind::Truncated,
+            None,
+            None,
+            format!("{} runs past the last batch", runs.len() - ri),
+        );
+        return report;
+    }
 
     // --- Layer 2: per-instruction walk ------------------------------------
     let mut scratch_written = vec![false; n_scratch];
     let mut prev_level = 0u32;
     let mut inst_index = 0usize;
+    let mut ri = 0usize;
     for (bi, b) in program.batches().iter().enumerate() {
         report.checks += 2;
         if b.level < 1 || b.level as usize > compiled.levels() {
@@ -245,6 +289,32 @@ pub fn verify_program(compiled: &CompiledCircuit, program: &Program) -> VerifyRe
         for inst in window.chunks_exact(INST_WORDS) {
             let d = program.decode_inst(inst_index);
             debug_assert_eq!(inst[1], d.dst);
+
+            // A run's body trusts the run's shape, not the header: every
+            // instruction in it must carry that shape on cell slots only.
+            if runs[ri].end as usize <= inst_index * INST_WORDS {
+                ri += 1;
+            }
+            if let Some((op, nops)) = runs[ri].shape {
+                report.checks += 1;
+                let cells = d.dst < n_cells as u32
+                    && d.operands[..d.nops.min(MAX_FUSED_OPERANDS)]
+                        .iter()
+                        .all(|&s| s < n_cells as u32);
+                if d.opcode != Some(op) || d.nops != nops as usize || !cells {
+                    report.push(
+                        VerifyKind::BatchLevel,
+                        Some(inst_index),
+                        None,
+                        format!(
+                            "instruction (opcode 0x{:02x}, {} operands{}) inside run {ri} of {op:?} with {nops}",
+                            d.opcode_raw,
+                            d.nops,
+                            if cells { "" } else { ", touching a non-cell slot" }
+                        ),
+                    );
+                }
+            }
 
             report.checks += 1;
             let Some(op) = d.opcode else {
@@ -385,7 +455,8 @@ pub fn verify_program(compiled: &CompiledCircuit, program: &Program) -> VerifyRe
             continue;
         }
         report.checks += 2;
-        let aligned = start as usize % INST_WORDS == 0 && len as usize % INST_WORDS == 0;
+        let aligned = (start as usize).is_multiple_of(INST_WORDS)
+            && (len as usize).is_multiple_of(INST_WORDS);
         if start == u32::MAX
             || len == 0
             || !aligned
@@ -618,7 +689,7 @@ pub fn pin_blocked(kind: CellKind, pin: usize, side: &[Option<bool>]) -> bool {
 /// Compute [`Observability`] against the constant lattice from
 /// [`ternary_constants`] (pass all-`None` for a purely structural answer).
 pub fn observability(compiled: &CompiledCircuit, constants: &[Option<bool>]) -> Observability {
-    let n = compiled.cell_count() as usize;
+    let n = compiled.cell_count();
     debug_assert_eq!(constants.len(), n);
     let mut observed_driver = vec![false; n];
     for &m in compiled.outputs() {
@@ -1334,11 +1405,11 @@ mod tests {
         n.add_output("yg", g);
         n.add_output("yl", leak);
         let (c, p) = lower(&n);
-        let mut ff_src = vec![false; c.cell_count() as usize];
+        let mut ff_src = vec![false; c.cell_count()];
         for &f in c.flip_flops() {
             ff_src[f as usize] = true;
         }
-        let frozen = vec![false; c.cell_count() as usize];
+        let frozen = vec![false; c.cell_count()];
         let taint = compiled_hold_taint(&p, &ff_src, &frozen);
         let id = |cid: crate::CellId| c.id_of(cid) as usize;
         assert!(taint[id(ff)]);

@@ -49,8 +49,9 @@ pub enum JobKind {
     Evaluate {
         /// Styles to evaluate, in batch order.
         styles: Vec<DftStyle>,
-        /// Shared evaluation environment.
-        config: EvalConfig,
+        /// Shared evaluation environment, boxed so a campaign job does not
+        /// carry its size.
+        config: Box<EvalConfig>,
     },
 }
 
@@ -87,7 +88,10 @@ impl JobSpec {
         JobSpec {
             source,
             dft: None,
-            kind: JobKind::Evaluate { styles, config },
+            kind: JobKind::Evaluate {
+                styles,
+                config: Box::new(config),
+            },
         }
     }
 

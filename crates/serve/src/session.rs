@@ -334,11 +334,9 @@ impl JobSession {
         flh_obs::gauge_set("serve.jobs.in_flight", depth);
         let cache = self.engine.cache_stats();
         let lookups = cache.hits + cache.misses;
-        let ratio_bp = if lookups == 0 {
-            0
-        } else {
-            (cache.hits * 10_000 / lookups) as i64
-        };
+        let ratio_bp = (cache.hits * 10_000)
+            .checked_div(lookups)
+            .map_or(0, |r| r as i64);
         flh_obs::gauge_set("serve.cache.hit_ratio_bp", ratio_bp);
     }
 

@@ -63,6 +63,47 @@ use flh::serve::{
 use flh::atpg::ApplicationStyle;
 use std::sync::Arc;
 
+/// `flh`'s one stdout writer: the `out!`/`outln!` macros and the serve
+/// transcript write through it. Once the reader has closed the pipe
+/// (`flh disasm s13207 | head -1`), the next write ends the command
+/// quietly with status 0, where `print!` would panic.
+struct Stdout;
+
+impl std::io::Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        end_on_closed_pipe(std::io::stdout().lock().write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        end_on_closed_pipe(std::io::stdout().lock().flush())
+    }
+}
+
+fn end_on_closed_pipe<T>(result: std::io::Result<T>) -> std::io::Result<T> {
+    match result {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        other => other,
+    }
+}
+
+/// `print!` through [`Stdout`]. Any other write error ends the command
+/// with the error on stderr.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = std::io::Write::write_fmt(&mut Stdout, format_args!($($arg)*)) {
+            eprintln!("error: stdout: {e}");
+            std::process::exit(1);
+        }
+    };
+}
+
+/// `println!` through [`Stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  flh stats  <circuit>\n  flh eval   <circuit>\n  flh apply  <circuit> <plain|enhanced|mux|flh> [--verilog|--dot|--bench]\n  flh atpg   <circuit> [--out FILE]\n  flh fsim   <circuit> <pattern-file>\n  flh disasm <circuit> [--dft STYLE]\n  flh analyze <circuit> [--check-sim]\n  flh campaign <circuit> [--pairs N] [--seed S] [--styles all|LIST] [--dft STYLE]\n  flh serve  [--queue N] [--cache N] [--socket PATH] [--timings]\n  flh top    <socket> [--interval-ms N] [--polls N]\n  flh top    --script FILE\n  flh list\n\nglobal flags: --metrics-json PATH, --metrics-det-json PATH\n(FLH_TRACE=<path> writes a Chrome trace-event file)\n\n<circuit> = builtin profile name (see `flh list`) or a .bench file path\ncampaign --styles = all or a comma list of arbitrary, broadside, skewed\ndisasm prints the lowered fused-opcode bytecode the simulators execute\nanalyze runs the bytecode verifier + static testability analysis per style;\n  --check-sim cross-checks the static classifier against fault simulation\nserve --timings adds wall-clock pairs/s + ETA to progress events\ntop polls a serve socket's stats verb (or replays a script) and renders a\n  plain-stdout dashboard: ledger, queue, cache, throughput, coverage"
@@ -91,35 +132,41 @@ fn parse_style(s: &str) -> Option<DftStyle> {
 
 fn cmd_stats(circuit: &Netlist) -> Result<(), String> {
     let stats = CircuitStats::compute(circuit).map_err(|e| e.to_string())?;
-    println!("{circuit}");
-    println!("logic depth:              {}", stats.logic_depth);
-    println!("FF fanout pins:           {}", stats.total_ff_fanouts);
-    println!(
+    outln!("{circuit}");
+    outln!("logic depth:              {}", stats.logic_depth);
+    outln!("FF fanout pins:           {}", stats.total_ff_fanouts);
+    outln!(
         "unique first-level gates: {}",
         stats.unique_first_level_gates
     );
-    println!("avg FF fanout:            {:.2}", stats.avg_ff_fanout());
-    println!(
+    outln!("avg FF fanout:            {:.2}", stats.avg_ff_fanout());
+    outln!(
         "unique/FF ratio:          {:.2}",
         stats.unique_fanout_ratio()
     );
     let mut kinds: Vec<(&String, &usize)> = stats.kind_histogram.iter().collect();
     kinds.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-    println!("gate mix:");
+    outln!("gate mix:");
     for (kind, count) in kinds {
-        println!("  {kind:<8} {count}");
+        outln!("  {kind:<8} {count}");
     }
     Ok(())
 }
 
 fn cmd_eval(circuit: &Netlist) -> Result<(), String> {
     let evals = evaluate_all(circuit, &EvalConfig::paper_default()).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{:>14} | {:>12} {:>9} | {:>10} {:>9} | {:>11} {:>9}",
-        "style", "area (um2)", "area %", "delay(ps)", "delay %", "power (uW)", "power %"
+        "style",
+        "area (um2)",
+        "area %",
+        "delay(ps)",
+        "delay %",
+        "power (uW)",
+        "power %"
     );
     for e in &evals {
-        println!(
+        outln!(
             "{:>14} | {:>12.2} {:>9.2} | {:>10.0} {:>9.2} | {:>11.2} {:>9.2}",
             e.style.label(),
             e.area_um2,
@@ -136,8 +183,8 @@ fn cmd_eval(circuit: &Netlist) -> Result<(), String> {
 fn cmd_apply(circuit: &Netlist, style: DftStyle, format: &str) -> Result<(), String> {
     let dft = apply_style(circuit, style).map_err(|e| e.to_string())?;
     match format {
-        "--verilog" => print!("{}", verilog::write_verilog(&dft.netlist)),
-        "--dot" => print!(
+        "--verilog" => out!("{}", verilog::write_verilog(&dft.netlist)),
+        "--dot" => out!(
             "{}",
             dot::to_dot(
                 &dft.netlist,
@@ -147,7 +194,7 @@ fn cmd_apply(circuit: &Netlist, style: DftStyle, format: &str) -> Result<(), Str
                 },
             )
         ),
-        "--bench" => print!("{}", write_bench(&dft.netlist)),
+        "--bench" => out!("{}", write_bench(&dft.netlist)),
         other => return Err(format!("unknown format {other:?}")),
     }
     if style == DftStyle::Flh {
@@ -171,7 +218,7 @@ fn cmd_atpg(circuit: &Netlist, out: Option<&str>) -> Result<(), String> {
     let text = write_patterns(&result.patterns, view.primary_input_count());
     match out {
         Some(path) => std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?,
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -194,7 +241,7 @@ fn cmd_fsim(circuit: &Netlist, pattern_file: &str) -> Result<(), String> {
     let faults = enumerate_transition_faults(&dft.netlist);
     let detected = simulate_transition_patterns(&view, &faults, &patterns);
     let hits = detected.iter().filter(|&&d| d).count();
-    println!(
+    outln!(
         "{} pattern pairs detect {}/{} transition faults ({:.2}%)",
         patterns.len(),
         hits,
@@ -220,26 +267,26 @@ fn cmd_disasm(circuit: &Netlist, dft: Option<DftStyle>) -> Result<(), String> {
     };
     let compiled = CompiledCircuit::compile(netlist).map_err(|e| e.to_string())?;
     let program = Program::lower(&compiled);
-    print!(
+    out!(
         "{}",
         program.disasm_with(|slot| netlist.cell(compiled.cell_id(slot)).name().to_string())
     );
     let total = program.inst_count().max(1);
-    println!(
+    outln!(
         "\nopcode histogram ({} instructions):",
         program.inst_count()
     );
     for (op, count) in program.opcode_histogram() {
-        println!(
+        outln!(
             "  {:<10} {:>8}  {:>5.1}%",
             format!("{op:?}"),
             count,
             100.0 * count as f64 / total as f64
         );
     }
-    println!("\nlevel occupancy (level: batches / instructions):");
+    outln!("\nlevel occupancy (level: batches / instructions):");
     for (level, batches, insts) in program.level_occupancy() {
-        println!("  L{level:<4} {batches:>4} batch(es)  {insts:>8} inst");
+        outln!("  L{level:<4} {batches:>4} batch(es)  {insts:>8} inst");
     }
     Ok(())
 }
@@ -254,8 +301,8 @@ fn cmd_disasm(circuit: &Netlist, dft: Option<DftStyle>) -> Result<(), String> {
 fn cmd_analyze(circuit: &Netlist, check_sim: bool) -> Result<(), String> {
     use flh::netlist::static_analysis::{analyze, verify_program};
     let _span = obs::span("flh.analyze");
-    println!("{circuit}: bytecode static analysis");
-    println!(
+    outln!("{circuit}: bytecode static analysis");
+    outln!(
         "{:>14} | {:>6} | {:>16} | {:>6} | {:>5} | {:>13} | {:>13} | {:>13}",
         "style",
         "insts",
@@ -328,7 +375,7 @@ fn cmd_analyze(circuit: &Netlist, check_sim: bool) -> Result<(), String> {
         } else {
             format!("{} VIOLATIONS", verify.violations.len())
         };
-        println!(
+        outln!(
             "{:>14} | {:>6} | {:>16} | {:>6} | {:>5} | {:>6}/{:<6} | {:>6}/{:<6} | {:>6}/{:<6}",
             style.map_or("bare", DftStyle::label),
             program.inst_count(),
@@ -401,7 +448,7 @@ fn check_prune_consistency(
         .filter(|(f, &d)| d && filter.transition_untestable(f))
         .count();
 
-    println!(
+    outln!(
         "check-sim: {CHECK_SIM_PATTERNS} random patterns, {} stuck + {} transition faults, \
          {} redundant transition faults over all styles",
         stuck.len(),
@@ -409,10 +456,10 @@ fn check_prune_consistency(
         redundant_checked
     );
     if stuck_bad == 0 && trans_bad == 0 && redundant_bad == 0 {
-        println!("prune-consistency: OK");
+        outln!("prune-consistency: OK");
         Ok(())
     } else {
-        println!(
+        outln!(
             "prune-consistency: FAIL ({stuck_bad} stuck, {trans_bad} transition, \
              {redundant_bad} redundant)"
         );
@@ -441,20 +488,23 @@ fn cmd_campaign(
     engine
         .run(JobId(1), &job, &mut |event| match event {
             JobEvent::Started { circuit, .. } => {
-                println!(
+                outln!(
                     "{circuit}: random transition campaign, {pairs} pairs, seed {seed}, \
 pool width {width}"
                 );
-                println!(
+                outln!(
                     "{:>22} | {:>7} | {:>8} | {:>10}",
-                    "application style", "faults", "detected", "coverage %"
+                    "application style",
+                    "faults",
+                    "detected",
+                    "coverage %"
                 );
             }
             JobEvent::Batch {
                 payload: BatchPayload::Campaign(r),
                 ..
             } => {
-                println!(
+                outln!(
                     "{:>22} | {:>7} | {:>8} | {:>10.2}",
                     r.style.to_string(),
                     r.total_faults,
@@ -484,8 +534,7 @@ fn cmd_serve(
             .map_err(|e| format!("{path}: {e}")),
         None => {
             let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout().lock();
-            serve_lines(stdin.lock(), &mut stdout, engine, config)
+            serve_lines(stdin.lock(), &mut Stdout, engine, config)
                 .map(|_| ())
                 .map_err(|e| e.to_string())
         }
@@ -667,7 +716,7 @@ fn cmd_top_script(path: &str) -> Result<(), String> {
     for line in transcript.lines() {
         if let Some(sample) = parse_stats_sample(line) {
             polls += 1;
-            print!("{}", render_top_frame(polls, &sample, prev.as_ref(), None));
+            out!("{}", render_top_frame(polls, &sample, prev.as_ref(), None));
             prev = Some(sample);
         }
     }
@@ -713,10 +762,10 @@ fn cmd_top_socket(path: &str, interval_ms: u64, polls: usize) -> Result<(), Stri
                     Some((p, at)) => (Some(p), Some(now.duration_since(*at).as_secs_f64())),
                     None => (None, None),
                 };
-                print!("{}", render_top_frame(poll, &sample, prev_sample, dt));
+                out!("{}", render_top_frame(poll, &sample, prev_sample, dt));
                 prev = Some((sample, now));
             }
-            None => print!("{line}"),
+            None => out!("{line}"),
         }
         if polls != 0 && poll >= polls {
             return Ok(());
@@ -768,7 +817,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("list") => {
             for p in iscas89_profiles() {
-                println!(
+                outln!(
                     "{:<8} {:>4} PI {:>4} PO {:>4} FF {:>6} gates  depth {}",
                     p.name,
                     p.primary_inputs,

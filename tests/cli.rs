@@ -165,6 +165,31 @@ level occupancy (level: batches / instructions):
     assert!(stdout.contains(occupancy), "occupancy drifted:\n{stdout}");
 }
 
+/// A reader that closes the pipe after one line (`flh disasm s13207 |
+/// head -1`) ends the command quietly: no panic message, no panic status.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_flh"))
+        .args(["disasm", "s13207"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    // The reader is dropped at the end of the statement, closing the pipe
+    // while most of the listing is still unwritten.
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("; 8103 insts"), "{first}");
+    let out = child.wait_with_output().expect("flh exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
 /// `flh top --script` replays a protocol script in-process and renders one
 /// dashboard frame per `stats` response — deterministic (no clock in the
 /// script path), so the frames can be asserted exactly.
