@@ -9,58 +9,22 @@
 //! ([`TwoFrameUnrolling`]), the launch condition becomes a side goal on the
 //! frame-1 copy, the detection becomes a stuck-at fault on the frame-2
 //! copy, and the goal-constrained PODEM solves the sequential
-//! justification exactly.
+//! justification exactly. The transition-ATPG driver of the `transition`
+//! module runs the loop, as it does for arbitrary pairs.
 
-use flh_netlist::{CellId, CellKind, Netlist, Packed256, PatternWord, TwoFrameUnrolling};
-use flh_rng::Rng;
+use flh_netlist::{CellId, CellKind, Netlist, TwoFrameUnrolling};
 
-use crate::fault::{Fault, StuckValue};
-use crate::podem::{Podem, PodemConfig};
-use crate::transition::{TransitionFault, TransitionSimulator};
+use crate::fault::Fault;
+use crate::podem::{NoCube, Podem, PodemConfig};
+use crate::prune::StaticFilter;
+use crate::transition::{drive_atpg, TransitionAtpgResult, TransitionFault, TransitionPattern};
 use crate::tview::TestView;
 
-/// One broadside test: V1 in full, V2's primary-input part (its state part
-/// is the circuit's response to V1 by construction).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BroadsidePattern {
-    /// First pattern, primary inputs.
-    pub pi1: Vec<bool>,
-    /// First pattern, state part.
-    pub state1: Vec<bool>,
-    /// Second pattern, primary inputs.
-    pub pi2: Vec<bool>,
-}
-
-/// Result of a deterministic broadside ATPG run.
-#[derive(Clone, Debug)]
-pub struct BroadsideAtpgResult {
-    /// Generated broadside tests.
-    pub patterns: Vec<BroadsidePattern>,
-    /// Per-fault detection flags (aligned with the input fault list).
-    pub detected: Vec<bool>,
-}
-
-impl BroadsideAtpgResult {
-    /// Detected-fault count.
-    pub fn detected_count(&self) -> usize {
-        self.detected.iter().filter(|&&d| d).count()
-    }
-
-    /// Coverage in percent.
-    pub fn coverage_pct(&self) -> f64 {
-        if self.detected.is_empty() {
-            100.0
-        } else {
-            100.0 * self.detected_count() as f64 / self.detected.len() as f64
-        }
-    }
-}
+type FrameMap = Vec<Option<CellId>>;
 
 /// Unrolls with isolation buffers on the frame-2 state nodes, so a stuck-at
 /// injection at a flip-flop's frame-2 value perturbs *only* frame-2 logic
 /// (the physical transition happens at the capture edge).
-type FrameMap = Vec<Option<CellId>>;
-
 fn unroll_with_state_buffers(
     original: &Netlist,
 ) -> flh_netlist::Result<(Netlist, FrameMap, FrameMap)> {
@@ -107,8 +71,10 @@ fn unroll_with_state_buffers(
 ///
 /// `faults` are transition faults on `original`; the returned coverage is
 /// the *broadside-reachable* ceiling (up to the PODEM backtrack budget).
-/// Every generated pattern is verified by sequential resimulation before
-/// being kept.
+/// The static filter and the FIRE pass of `original` prune as they do for
+/// arbitrary pairs: a fault no arbitrary pair detects, no broadside pair
+/// does. Every pattern is the applied (V1, V2) pair, kept only after
+/// sequential fault simulation on `original` detects its target.
 ///
 /// # Errors
 ///
@@ -118,95 +84,53 @@ pub fn broadside_transition_atpg(
     faults: &[TransitionFault],
     config: &PodemConfig,
     seed: u64,
-) -> flh_netlist::Result<BroadsideAtpgResult> {
+) -> flh_netlist::Result<TransitionAtpgResult> {
     let (unrolled, frame1, frame2) = unroll_with_state_buffers(original)?;
-    let view2 = TestView::new(&unrolled)?;
-    let podem = Podem::new(&view2, config.clone());
-
-    // Views of the original for the sequential verification / dropping.
-    let view1 = TestView::new(original)?;
-    let mut seq_sim = TransitionSimulator::new(&view1);
-
+    let unrolled_view = TestView::new(&unrolled)?;
+    let podem = Podem::new(&unrolled_view, config.clone());
+    let view = TestView::new(original)?;
+    let filter = StaticFilter::from_view(&view);
     let n_pi = original.inputs().len();
-    let n_ff = original.flip_flops().len();
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut detected = vec![false; faults.len()];
-    let mut patterns = Vec::new();
-
-    // The sequential capture: returns (v1, v2) assignments for the original
-    // circuit from a broadside pattern.
-    let seq_pair = |p: &BroadsidePattern| -> (Vec<u64>, Vec<u64>) {
-        let mut v1 = Vec::with_capacity(n_pi + n_ff);
-        for &b in &p.pi1 {
-            v1.push(if b { !0u64 } else { 0 });
-        }
-        for &b in &p.state1 {
-            v1.push(if b { !0u64 } else { 0 });
-        }
-        let good1 = view1.eval64(&v1, None);
-        let mut v2 = Vec::with_capacity(n_pi + n_ff);
-        for &b in &p.pi2 {
-            v2.push(if b { !0u64 } else { 0 });
-        }
-        for &ff in original.flip_flops() {
-            let d = original.cell(ff).fanin()[0];
-            v2.push(good1[d.index()]);
-        }
-        (v1, v2)
-    };
-
-    for fi in 0..faults.len() {
-        if detected[fi] {
-            continue;
-        }
-        let fault = faults[fi];
-        let s1 = match frame1[fault.site.index()] {
-            Some(c) => c,
-            None => continue,
-        };
-        let s2 = match frame2[fault.site.index()] {
-            Some(c) => c,
-            None => continue,
-        };
-        let stuck = if fault.initial_value() {
-            StuckValue::One
-        } else {
-            StuckValue::Zero
-        };
-        let Some(cube) =
-            podem.generate_with_goals(&Fault::stem(s2, stuck), &[(s1, fault.initial_value())])
-        else {
-            continue;
-        };
-        let bits = cube.fill_random(&mut rng);
-        let pattern = BroadsidePattern {
-            pi1: bits[..n_pi].to_vec(),
-            pi2: bits[n_pi..2 * n_pi].to_vec(),
-            state1: bits[2 * n_pi..].to_vec(),
-        };
-        // Verify and drop against all remaining faults sequentially (the
-        // pair rides in lane 0 of the superword batch).
-        let (v1, v2) = seq_pair(&pattern);
-        let w1: Vec<Packed256> = v1.iter().map(|&w| Packed256::from_word(w)).collect();
-        let w2: Vec<Packed256> = v2.iter().map(|&w| Packed256::from_word(w)).collect();
-        let hits = seq_sim.run_batch(&w1, &w2, Packed256::lane_bit(0), faults, &mut detected);
-        debug_assert!(
-            detected[fi],
-            "broadside pattern failed sequential verification for {fault:?}"
-        );
-        if hits > 0 {
-            patterns.push(pattern);
-        }
-    }
-
-    Ok(BroadsideAtpgResult { patterns, detected })
+    // The cells each flip-flop captures, in assignable order.
+    let captures: Vec<CellId> = original
+        .flip_flops()
+        .iter()
+        .map(|&ff| original.cell(ff).fanin()[0])
+        .collect();
+    let mut good1 = Vec::new();
+    Ok(drive_atpg(
+        &view,
+        faults,
+        Some(&filter),
+        seed,
+        |fault, sat, rng| {
+            let site = fault.site.index();
+            let (Some(s1), Some(s2)) = (frame1[site], frame2[site]) else {
+                return Err(NoCube::Exhausted); // no copy to launch or detect at
+            };
+            // Detection on the frame-2 copy, the initial value on frame 1.
+            let detect = Fault::stem(s2, fault.stuck_equivalent().stuck);
+            let cube = podem.search(Some(&detect), &[(s1, fault.initial_value())], Some(sat))?;
+            // The unrolled assignables: frame-1 inputs, frame-2 inputs, state.
+            let bits = cube.fill_random(rng);
+            let mut v1 = bits[..n_pi].to_vec();
+            v1.extend_from_slice(&bits[2 * n_pi..]);
+            let words: Vec<u64> = v1.iter().map(|&b| u64::from(b)).collect();
+            view.eval64_into(&words, None, &mut good1);
+            let mut v2 = bits[n_pi..2 * n_pi].to_vec();
+            v2.extend(captures.iter().map(|d| good1[d.index()] & 1 != 0));
+            Ok(TransitionPattern { v1, v2 })
+        },
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::application::{random_transition_campaign, ApplicationStyle};
-    use crate::transition::{enumerate_transition_faults, transition_atpg};
+    use crate::transition::{
+        enumerate_transition_faults, simulate_transition_patterns, transition_atpg,
+    };
     use flh_netlist::{generate_circuit, GeneratorConfig};
 
     fn circuit() -> Netlist {
@@ -227,32 +151,29 @@ mod tests {
 
     #[test]
     fn broadside_atpg_verifies_sequentially() {
-        // Every generated pattern already passed the debug assertion; here
-        // the release-mode check: resimulate the whole set and compare.
+        // The release-mode check behind the driver's debug assertion: the
+        // applied pairs, resimulated on the original circuit, detect
+        // exactly the faults the run reports, and each V2 state part is
+        // the capture of V1's response.
         let n = circuit();
         let faults = enumerate_transition_faults(&n);
         let result =
             broadside_transition_atpg(&n, &faults, &PodemConfig::paper_default(), 5).unwrap();
         assert!(result.detected_count() > 0);
-        // Rebuild detection from scratch using the sequential pairs.
+        assert!(result.efficiency_pct() <= 100.0);
+        assert!(result.aborted <= result.untestable);
         let view = TestView::new(&n).unwrap();
-        let mut sim = TransitionSimulator::new(&view);
-        let mut redetected = vec![false; faults.len()];
+        let resim = simulate_transition_patterns(&view, &faults, &result.patterns);
+        assert_eq!(resim, result.detected);
+        let n_pi = n.inputs().len();
         for p in &result.patterns {
-            let mut v1: Vec<u64> = p.pi1.iter().map(|&b| if b { !0 } else { 0 }).collect();
-            v1.extend(p.state1.iter().map(|&b| if b { !0u64 } else { 0 }));
-            let good1 = view.eval64(&v1, None);
-            let mut v2: Vec<u64> = p.pi2.iter().map(|&b| if b { !0 } else { 0 }).collect();
-            for &ff in n.flip_flops() {
-                let d = n.cell(ff).fanin()[0];
-                v2.push(good1[d.index()]);
+            let words: Vec<u64> = p.v1.iter().map(|&b| u64::from(b)).collect();
+            let good1 = view.eval64(&words, None);
+            for (i, &ff) in n.flip_flops().iter().enumerate() {
+                let capture = good1[n.cell(ff).fanin()[0].index()] & 1 != 0;
+                assert_eq!(p.v2[n_pi + i], capture, "state bit {i} of {p:?}");
             }
-            let w1: Vec<Packed256> = v1.iter().map(|&w| Packed256::from_word(w)).collect();
-            let w2: Vec<Packed256> = v2.iter().map(|&w| Packed256::from_word(w)).collect();
-            sim.run_batch(&w1, &w2, Packed256::lane_bit(0), &faults, &mut redetected);
         }
-        let re = redetected.iter().filter(|&&d| d).count();
-        assert_eq!(re, result.detected_count());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Every multi-block simulation — a pattern list here or in the
 //! `transition` module, a seeded pair stream in the `application` module —
 //! runs through one shard loop (`simulate_shard`): one shard's faults in
-//! region-major order, a [`BlockSource`] of pattern blocks, and a live
+//! region-major order, a `BlockSource` of pattern blocks, and a live
 //! fault list compacted after every block, so a fault is dropped at its
 //! first detecting block. `simulate_pooled` deals a fault list over the
 //! pool in whole fanout-free regions and runs the loop on every shard;
@@ -105,7 +105,7 @@ impl<'v, 'a> StuckSimulator<'v, 'a> {
                 self.core.request(fault.entry(), flip, &mut evals);
             }
         }
-        self.core.replay_requests(false);
+        self.core.replay_requests();
         if flh_obs::enabled() {
             // Per-fault quantities only: invariant under fault-list
             // sharding, so safe as a deterministic metric. The per-shard

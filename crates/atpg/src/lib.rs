@@ -24,7 +24,8 @@
 //!   event-driven in-place faulty resimulation (per-level bucket queue,
 //!   undo log, observed-driver miscompare, early exit on detection);
 //! * [`transition`] — two-pattern transition-fault ATPG built on PODEM
-//!   (launch value justified by V1, detection by a stuck-at test as V2) and
+//!   (launch value justified by V1, detection by a stuck-at test as V2)
+//!   in the one transition-ATPG loop, which [`broadside`] ATPG shares, and
 //!   the two-frame front of the fault simulator for pattern pairs;
 //! * [`application`] — the three scan application styles: arbitrary
 //!   two-pattern (enhanced scan / FLH), broadside (V2's state = circuit
@@ -53,26 +54,23 @@ pub use application::{
     cycles_per_pattern, pairs_to_reach_coverage, random_transition_campaign,
     transition_campaign_filtered, ApplicationStyle, CampaignResult,
 };
-pub use broadside::{broadside_transition_atpg, BroadsideAtpgResult, BroadsidePattern};
+pub use broadside::broadside_transition_atpg;
 pub use diagnose::{diagnose, faulty_responses, golden_responses, DiagnosisCandidate};
 pub use fault::{
     collapse_faults, enumerate_stuck_faults, inject_fault, Fault, FaultSite, StuckValue,
 };
 pub use fsim::{stuck_coverage, stuck_detects_reference, StuckSimulator, PATTERN_BLOCK};
 pub use path::{
-    generate_path_test, generate_robust_path_test, longest_paths, longest_sensitizable_path,
-    path_delay_atpg, verify_non_robust, verify_robust, PathDelayFault, PathDelayReport,
-    PathTestOutcome, StructuralPath,
+    generate_path_test, longest_paths, longest_sensitizable_path, path_delay_atpg,
+    verify_non_robust, PathDelayFault, PathDelayReport, PathTestOutcome, StructuralPath,
 };
 pub use patterns_io::{parse_patterns, read_patterns_file, write_patterns};
 pub use podem::{Podem, PodemConfig, TestCube};
 pub use prune::{PruneOutcome, RedundantTransitions, StaticFilter};
 pub use replay::DeviationReplay;
 pub use transition::{
-    collapse_transition_faults, compact_transition_patterns, enumerate_transition_faults,
-    simulate_transition_patterns, transition_atpg, transition_atpg_ndetect,
-    transition_atpg_with_filter, transition_collapse_justifier, transition_detects_reference,
-    NDetectResult, TransitionAtpgResult, TransitionFault, TransitionKind, TransitionPattern,
-    TransitionSimulator,
+    enumerate_transition_faults, simulate_transition_patterns, transition_atpg,
+    transition_atpg_with_filter, transition_detects_reference, TransitionAtpgResult,
+    TransitionFault, TransitionKind, TransitionPattern, TransitionSimulator,
 };
 pub use tview::TestView;

@@ -448,108 +448,6 @@ pub fn longest_sensitizable_path(
     Some((structural, pattern))
 }
 
-/// Generates a *robust* two-pattern test for a path-delay fault, under the
-/// conservative steady-side criterion: every off-path constraint value is
-/// held in **both** vectors, so no side-input transition can mask or
-/// produce the observed edge. This is strictly stronger than the textbook
-/// robust condition (which relaxes sides at gates whose on-path input ends
-/// at the controlling value), so every test returned is genuinely robust;
-/// some robustly-testable paths may be reported `Untested`.
-pub fn generate_robust_path_test(
-    view: &TestView<'_>,
-    fault: &PathDelayFault,
-    config: &PodemConfig,
-    seed: u64,
-) -> PathTestOutcome {
-    let netlist = view.netlist();
-    let path = &fault.path;
-    let mut per_gate: Vec<Vec<Vec<(CellId, bool)>>> = Vec::new();
-    for w in path.cells().windows(2) {
-        let gate = w[1];
-        let on_pin = netlist
-            .cell(gate)
-            .fanin()
-            .iter()
-            .position(|&f| f == w[0])
-            .expect("path is connected");
-        match side_constraints(netlist, gate, on_pin) {
-            Some(alts) => per_gate.push(alts),
-            None => return PathTestOutcome::Unsupported,
-        }
-    }
-    const MAX_VARIANTS: usize = 16;
-    let variant_count: usize = per_gate
-        .iter()
-        .map(|alts| alts.len())
-        .product::<usize>()
-        .min(MAX_VARIANTS);
-    let podem = Podem::new(view, config.clone());
-    for variant in 0..variant_count.max(1) {
-        let mut sides: Vec<(CellId, bool)> = Vec::new();
-        let mut radix = variant;
-        for alts in &per_gate {
-            let pick = radix % alts.len();
-            radix /= alts.len();
-            sides.extend(alts[pick].iter().copied());
-        }
-        // Both vectors must justify the same steady side values.
-        let mut v2_goals = sides.clone();
-        v2_goals.push((path.source(), fault.rising_launch));
-        let mut v1_goals = sides.clone();
-        v1_goals.push((path.source(), !fault.rising_launch));
-        if let (Some(v2), Some(v1)) = (podem.justify_all(&v2_goals), podem.justify_all(&v1_goals)) {
-            let mut rng = Rng::seed_from_u64(seed);
-            return PathTestOutcome::Tested(TransitionPattern {
-                v1: v1.fill_random(&mut rng),
-                v2: v2.fill_random(&mut rng),
-            });
-        }
-    }
-    PathTestOutcome::Untested
-}
-
-/// Verifies the steady-side robust criterion by simulation: the source
-/// transitions and some constraint alternative of every on-path gate holds
-/// under **both** vectors with identical values.
-pub fn verify_robust(
-    view: &TestView<'_>,
-    fault: &PathDelayFault,
-    pattern: &TransitionPattern,
-) -> bool {
-    let netlist = view.netlist();
-    let words =
-        |bits: &[bool]| -> Vec<u64> { bits.iter().map(|&b| if b { !0 } else { 0 }).collect() };
-    let good1 = view.eval64(&words(&pattern.v1), None);
-    let good2 = view.eval64(&words(&pattern.v2), None);
-    let src = fault.path.source();
-    let launched = good1[src.index()] & 1 != good2[src.index()] & 1
-        && (good2[src.index()] & 1 == 1) == fault.rising_launch;
-    if !launched {
-        return false;
-    }
-    for w in fault.path.cells().windows(2) {
-        let gate = w[1];
-        let on_pin = netlist
-            .cell(gate)
-            .fanin()
-            .iter()
-            .position(|&f| f == w[0])
-            .expect("connected");
-        let Some(alternatives) = side_constraints(netlist, gate, on_pin) else {
-            return false;
-        };
-        let sensitized = alternatives.iter().any(|cs| {
-            cs.iter().all(|&(cell, want)| {
-                (good2[cell.index()] & 1 == 1) == want && (good1[cell.index()] & 1 == 1) == want
-            })
-        });
-        if !sensitized {
-            return false;
-        }
-    }
-    true
-}
-
 /// Batch summary over the `k` longest paths (both launch polarities).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PathDelayReport {
@@ -693,50 +591,6 @@ mod tests {
             generate_path_test(&view, &fault, &PodemConfig::paper_default(), 1),
             PathTestOutcome::Unsupported
         );
-    }
-
-    #[test]
-    fn robust_tests_are_also_non_robust_and_steady() {
-        let mut n = Netlist::new("rob");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let g = n.add_cell("g", CellKind::Nand2, vec![a, b]);
-        let h = n.add_cell("h", CellKind::Inv, vec![g]);
-        n.add_output("y", h);
-        let view = TestView::new(&n).unwrap();
-        let fault = PathDelayFault {
-            path: StructuralPath::new(&n, vec![a, g, h]),
-            rising_launch: true,
-        };
-        match generate_robust_path_test(&view, &fault, &PodemConfig::paper_default(), 2) {
-            PathTestOutcome::Tested(p) => {
-                assert!(verify_robust(&view, &fault, &p));
-                assert!(verify_non_robust(&view, &fault, &p));
-                // Side input b held at 1 in both vectors.
-                assert!(p.v1[1] && p.v2[1]);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn robust_is_harder_than_non_robust() {
-        // A path whose side input is the complement of the launch input
-        // cannot be held steady: non-robust works, robust must fail.
-        let mut n = Netlist::new("hard");
-        let a = n.add_input("a");
-        let inv = n.add_cell("inv", CellKind::Inv, vec![a]);
-        let g = n.add_cell("g", CellKind::And2, vec![a, inv]);
-        let o = n.add_cell("o", CellKind::Or2, vec![g, a]);
-        n.add_output("y", o);
-        let view = TestView::new(&n).unwrap();
-        // Path a -> g: side input is !a, which moves whenever a moves.
-        let fault = PathDelayFault {
-            path: StructuralPath::new(&n, vec![a, g]),
-            rising_launch: true,
-        };
-        let robust = generate_robust_path_test(&view, &fault, &PodemConfig::paper_default(), 1);
-        assert_eq!(robust, PathTestOutcome::Untested);
     }
 
     #[test]

@@ -683,14 +683,6 @@ impl<'v, 'a> Podem<'v, 'a> {
         }
     }
 
-    /// Generates a test cube detecting `fault` while *also* satisfying the
-    /// given line goals — the workhorse of constrained (e.g. broadside)
-    /// test generation, where the extra goals encode launch conditions.
-    pub fn generate_with_goals(&self, fault: &Fault, goals: &[(CellId, bool)]) -> Option<TestCube> {
-        self.search(Some(fault), goals, Some(&mut SatCheck::default()))
-            .ok()
-    }
-
     /// Generates a test cube detecting `fault`, or `None` if the fault is
     /// untestable or the backtrack budget ran out.
     ///
@@ -764,11 +756,16 @@ impl<'v, 'a> Podem<'v, 'a> {
         let mut backtracks = 0usize;
         let mut decisions = 0u64;
         let mut verdict: Option<(Verdict, u64)> = None;
+        #[cfg(test)]
+        let (period, mut step) = (tests::CHECK_PERIOD.with(std::cell::Cell::get), 0usize);
 
         let outcome = loop {
             #[cfg(test)]
-            if tests::CHECK_STEPS.with(std::cell::Cell::get) {
-                imp.assert_matches_eval3(fault);
+            {
+                step += 1;
+                if step % period == 0 {
+                    imp.assert_matches_eval3(fault);
+                }
             }
             let status = match target {
                 Some((driver, want)) => self.fault_status(&mut imp, goals, driver, want),
@@ -974,9 +971,10 @@ mod tests {
     use flh_netlist::{generate_circuit, GeneratorConfig, Netlist};
 
     thread_local! {
-        /// Whether [`Podem::search`] checks every step against the oracle;
-        /// tests about verdicts alone switch it off for speed.
-        pub(super) static CHECK_STEPS: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
+        /// [`Podem::search`] checks every `CHECK_PERIOD`-th step of a
+        /// search against the oracle: every step by default. Tests about
+        /// verdicts alone sample the long searches instead.
+        pub(super) static CHECK_PERIOD: std::cell::Cell<usize> = const { std::cell::Cell::new(1) };
     }
 
     fn view_podem(n: &Netlist) -> TestView<'_> {
@@ -1463,7 +1461,9 @@ mod tests {
         use crate::fsim::stuck_detects_reference;
         use crate::transition::enumerate_transition_faults;
         use flh_netlist::iscas89_profiles;
-        CHECK_STEPS.with(|c| c.set(false));
+        // Steps 64, 128, ... of each search: those of the long searches
+        // that reach the SAT checkpoint.
+        CHECK_PERIOD.with(|c| c.set(64));
         let mut rng = Rng::seed_from_u64(43);
         let mut check = SatCheck::default();
         let (mut sat, mut unsat) = (0, 0);

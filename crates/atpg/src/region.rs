@@ -222,7 +222,7 @@ where
 ///    replayed once, with `forced = good ⊕ U`, and its miscompare word `O`
 ///    is kept.
 /// 3. [`RegionSim::observed`]: a fault is detected in `flip ∧ D(entry) ∧
-///    O`; counting takes its popcount.
+///    O`.
 ///
 /// This is exact. The chain from an entry to its stem is a single path, so
 /// the fault flips the stem in exactly the lanes `lanes`, and nothing else
@@ -337,17 +337,13 @@ impl<'v, 'a> RegionSim<'v, 'a> {
         true
     }
 
-    /// Pass 2: replays each requested stem once. Counting replays run to
-    /// quiescence (`stop_lanes = ⊥`) for an exact per-lane word, as does
-    /// any stem more than one fault asked for; a stem one fault asked for
-    /// stops on its first miscompare.
-    pub(crate) fn replay_requests(&mut self, counting: bool) {
+    /// Pass 2: replays each requested stem once. A stem more than one
+    /// fault asked for replays to quiescence (`stop_lanes = ⊥`) for an
+    /// exact per-lane word; a stem one fault asked for stops on its first
+    /// miscompare.
+    pub(crate) fn replay_requests(&mut self) {
         for (&(stem, faults), word) in self.requests.iter().zip(self.words.iter_mut()) {
-            let stop = if counting || faults > 1 {
-                Packed256::bot()
-            } else {
-                *word
-            };
+            let stop = if faults > 1 { Packed256::bot() } else { *word };
             let forced = self.good[stem as usize].xor(*word);
             *word = self.replay.replay(
                 self.view.compiled(),

@@ -15,8 +15,8 @@
 //! * detection scans **changed observation drivers only** — the caller's
 //!   `observed` flags gate which writes feed the miscompare word — and the
 //!   replay **stops as soon as an active lane miscompares** (pass
-//!   `stop_lanes = W::bot()` to force full propagation when an exact
-//!   per-lane count is needed, as N-detect counting is).
+//!   `stop_lanes = W::bot()` to force full propagation when the exact
+//!   per-lane word is needed, as it is for a stem several faults share).
 //!
 //! The engine is generic over [`PatternWord`], so one undo log / bucket /
 //! miscompare implementation serves both widths: `u64` (64 pattern lanes,

@@ -23,6 +23,7 @@ use flh_rng::Rng;
 use crate::fault::{Fault, StuckValue};
 use crate::fsim::{pack_block, simulate_pooled, BlockSim, Frames, Rows};
 use crate::podem::{NoCube, Podem, PodemConfig};
+use crate::prune::StaticFilter;
 use crate::region::{RegionFault, RegionSim};
 use crate::sat::SatCheck;
 use crate::tview::TestView;
@@ -130,107 +131,6 @@ pub fn enumerate_transition_faults(netlist: &Netlist) -> Vec<TransitionFault> {
     faults
 }
 
-/// The representative that justifies *dropping* `fault` during
-/// [`collapse_transition_faults`], or `None` if the fault must be kept.
-///
-/// Two local rules, mirroring [`crate::fault::collapse_faults`] but
-/// restricted so their justification chains can never meet in a cycle:
-///
-/// * **Equivalence** (through `Buf`/`Inv`): a site whose only reader is a
-///   buffer or inverter launches the reader's transition on the same pair
-///   — same V1/V2 site conditions up to the inversion, same stuck-at
-///   detection condition (classic single-fanout equivalence). The fault
-///   folds *forward* into the reader, polarity flipped through `Inv`.
-/// * **Dominance** (into `And*`/`Nand*`/`Or*`/`Nor*`): any pair detecting
-///   a single-fanout fanin's transition through the gate holds every other
-///   fanin non-controlling in V2 and drives the fanin's V1 value through
-///   to the gate output, so it also launches and detects the gate's output
-///   transition of the matching polarity (`And`: slow-to-rise, `Nand`/
-///   `Or`: slow-to-fall, `Nor`: slow-to-rise). The gate fault folds
-///   *backward* into that fanin. Constant fanins are excluded (they never
-///   transition).
-///
-/// Equivalence edges point forward through `Buf`/`Inv` readers only, and
-/// dominance edges point backward from `And`/`Nand`/`Or`/`Nor` gates only;
-/// a justifier of either rule can therefore only be dropped again by the
-/// *same* rule, chains run strictly forward or strictly backward through
-/// the DAG, and every chain ends at a kept fault. By induction, a test set
-/// detecting every kept fault detects every dropped one.
-pub fn transition_collapse_justifier(
-    netlist: &Netlist,
-    fanouts: &analysis::FanoutMap,
-    fault: &TransitionFault,
-) -> Option<TransitionFault> {
-    // Equivalence: single reader, Buf/Inv, reader itself drives something.
-    if fanouts.fanout_count(fault.site) == 1 {
-        let reader = fanouts.readers(fault.site)[0];
-        let kind = netlist.cell(reader).kind();
-        if matches!(kind, CellKind::Buf | CellKind::Inv) && fanouts.fanout_count(reader) > 0 {
-            let rkind = if kind == CellKind::Buf {
-                fault.kind
-            } else {
-                match fault.kind {
-                    TransitionKind::SlowToRise => TransitionKind::SlowToFall,
-                    TransitionKind::SlowToFall => TransitionKind::SlowToRise,
-                }
-            };
-            return Some(TransitionFault {
-                site: reader,
-                kind: rkind,
-            });
-        }
-    }
-    // Dominance: the gate's output transition of the polarity launched by a
-    // rising (And/Nand) or falling (Or/Nor) single-fanout fanin.
-    let cell = netlist.cell(fault.site);
-    let (dropped_kind, fanin_kind) = match cell.kind() {
-        CellKind::And2 | CellKind::And3 | CellKind::And4 => {
-            (TransitionKind::SlowToRise, TransitionKind::SlowToRise)
-        }
-        CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 => {
-            (TransitionKind::SlowToFall, TransitionKind::SlowToRise)
-        }
-        CellKind::Or2 | CellKind::Or3 | CellKind::Or4 => {
-            (TransitionKind::SlowToFall, TransitionKind::SlowToFall)
-        }
-        CellKind::Nor2 | CellKind::Nor3 | CellKind::Nor4 => {
-            (TransitionKind::SlowToRise, TransitionKind::SlowToFall)
-        }
-        _ => return None,
-    };
-    if fault.kind != dropped_kind {
-        return None;
-    }
-    cell.fanin()
-        .iter()
-        .find(|&&f| {
-            fanouts.fanout_count(f) == 1
-                && !matches!(netlist.cell(f).kind(), CellKind::Const0 | CellKind::Const1)
-        })
-        .map(|&f| TransitionFault {
-            site: f,
-            kind: fanin_kind,
-        })
-}
-
-/// Equivalence/dominance collapsing of a transition fault list (see
-/// [`transition_collapse_justifier`] for the rules and their soundness).
-/// Only ever removes faults: a test set detecting the collapsed list
-/// detects the full list, so campaign coverage semantics are preserved
-/// while every dropped fault saves its activation check and replay in
-/// every batch.
-pub fn collapse_transition_faults(
-    netlist: &Netlist,
-    faults: &[TransitionFault],
-) -> Vec<TransitionFault> {
-    let fanouts = analysis::FanoutMap::compute(netlist);
-    faults
-        .iter()
-        .filter(|f| transition_collapse_justifier(netlist, &fanouts, f).is_none())
-        .copied()
-        .collect()
-}
-
 /// A fully specified two-pattern test in assignable order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransitionPattern {
@@ -249,8 +149,8 @@ pub struct TransitionPattern {
 /// sets the initial value and V2 the final value: per block of up to 256
 /// pattern pairs, `lanes = act ∧ D(site)` is ORed into the stem's request
 /// word, each requested stem of the V2 frame is replayed once, and the
-/// fault is detected iff `lanes ∧ O ≠ 0` (counting takes `popcount(lanes ∧
-/// O)`). See the core's docs for `D`, `O` and why this is exact.
+/// fault is detected iff `lanes ∧ O ≠ 0`. See the core's docs for `D`, `O`
+/// and why this is exact.
 pub struct TransitionSimulator<'v, 'a> {
     /// Good V1 values (never mutated per fault).
     values1: Vec<Packed256>,
@@ -287,7 +187,7 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
             .eval_lanes_into(v1_words, &mut self.values1);
         self.core.load(v2_words);
         let live = faults.iter().zip(detected.iter()).filter(|(_, &d)| !d);
-        self.replay_regions(active_mask, live.map(|(f, _)| f), false);
+        self.replay_regions(active_mask, live.map(|(f, _)| f));
         let mut new_hits = 0;
         for (fault, d) in faults.iter().zip(detected.iter_mut()) {
             if !*d && self.detection_lanes(fault, active_mask).any() {
@@ -301,51 +201,13 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
         new_hits
     }
 
-    /// Like [`TransitionSimulator::run_batch`], but counts *how many*
-    /// distinct pattern lanes detect each fault (saturating at `target`),
-    /// for N-detect test generation. Returns the number of faults that
-    /// reached `target` in this batch.
-    pub fn run_batch_counting(
-        &mut self,
-        v1_words: &[Packed256],
-        v2_words: &[Packed256],
-        active_mask: Packed256,
-        faults: &[TransitionFault],
-        counts: &mut [u32],
-        target: u32,
-    ) -> usize {
-        self.core
-            .view()
-            .eval_lanes_into(v1_words, &mut self.values1);
-        self.core.load(v2_words);
-        let live = faults
-            .iter()
-            .zip(counts.iter())
-            .filter(|(_, &c)| c < target);
-        self.replay_regions(active_mask, live.map(|(f, _)| f), true);
-        let mut newly_saturated = 0;
-        for (fault, count) in faults.iter().zip(counts.iter_mut()) {
-            if *count >= target {
-                continue;
-            }
-            let hits = self.detection_lanes(fault, active_mask).count_ones();
-            *count = (*count + hits).min(target);
-            if *count >= target {
-                newly_saturated += 1;
-            }
-        }
-        newly_saturated
-    }
-
     /// Passes 1 and 2 of a block over the good machines already loaded:
     /// requests the stem of every `live` fault with sensitized activation
-    /// lanes, then replays each requested stem once (to quiescence when
-    /// `counting`).
+    /// lanes, then replays each requested stem once.
     fn replay_regions<'f>(
         &mut self,
         mask: Packed256,
         live: impl Iterator<Item = &'f TransitionFault>,
-        counting: bool,
     ) {
         let (mut activation_skips, mut masked, mut evals) = (0u64, 0u64, 0u64);
         for fault in live {
@@ -356,7 +218,7 @@ impl<'v, 'a> TransitionSimulator<'v, 'a> {
                 masked += 1;
             }
         }
-        self.core.replay_requests(counting);
+        self.core.replay_requests();
         if flh_obs::enabled() {
             // Per-fault and per-region quantities only: regions are dealt
             // whole, so these are invariant under fault-list sharding (the
@@ -412,7 +274,7 @@ impl<'v, 'a> BlockSim<'v, 'a> for TransitionSimulator<'v, 'a> {
         self.core.view().eval_lanes_into(&v1[0], &mut self.values1);
         launch(&self.values1, &mut v2[0]);
         self.core.load(&v2[0]);
-        self.replay_regions(mask, live.iter(), false);
+        self.replay_regions(mask, live.iter());
         let before = live.len();
         live.retain(|fault| !self.detection_lanes(fault, mask).any());
         if flh_obs::enabled() {
@@ -485,7 +347,8 @@ pub fn simulate_transition_patterns(
 /// Result of a deterministic transition ATPG run.
 #[derive(Clone, Debug)]
 pub struct TransitionAtpgResult {
-    /// Generated pattern pairs.
+    /// Generated pattern pairs, as applied: under broadside, V2's state
+    /// part is the circuit's response to V1.
     pub patterns: Vec<TransitionPattern>,
     /// Per-fault detection flags (aligned with the input fault list).
     pub detected: Vec<bool>,
@@ -538,27 +401,65 @@ pub fn transition_atpg(
     config: &PodemConfig,
     seed: u64,
 ) -> TransitionAtpgResult {
-    let filter = crate::prune::StaticFilter::from_view(view);
+    let filter = StaticFilter::from_view(view);
     transition_atpg_with_filter(view, faults, config, seed, Some(&filter))
 }
 
 /// [`transition_atpg`] with an explicit prune filter (`None` disables
 /// pruning). With a filter, the FIRE redundancy pass
-/// ([`crate::prune::StaticFilter::redundant_transitions`]) runs once before
-/// the fault loop, and the faults it flags are counted untestable without a
-/// PODEM search. The two modes produce byte-identical results on a sound
-/// filter: PODEM consumes no randomness during generation (`fill_random`
-/// runs only after both cubes exist), and a pruned fault is exactly one
-/// PODEM would have declared untestable anyway — skipping it changes
-/// neither the RNG stream nor the pattern sequence. The bench suite asserts
-/// this equality on real circuits.
+/// ([`StaticFilter::redundant_transitions`]) runs once before the fault
+/// loop, and the faults it flags are counted untestable without a PODEM
+/// search. The two modes produce byte-identical results on a sound filter:
+/// PODEM consumes no randomness during generation (`fill_random` runs only
+/// after both cubes exist), and a pruned fault is exactly one PODEM would
+/// have declared untestable anyway — skipping it changes neither the RNG
+/// stream nor the pattern sequence. The bench suite asserts this equality
+/// on real circuits.
 pub fn transition_atpg_with_filter(
     view: &TestView<'_>,
     faults: &[TransitionFault],
     config: &PodemConfig,
     seed: u64,
-    filter: Option<&crate::prune::StaticFilter>,
+    filter: Option<&StaticFilter>,
 ) -> TransitionAtpgResult {
+    let podem = Podem::new(view, config.clone());
+    drive_atpg(view, faults, filter, seed, |fault, sat, rng| {
+        // V2 detects the site stuck at its initial value; V1 justifies
+        // that value.
+        let v2 = podem.search(Some(&fault.stuck_equivalent()), &[], Some(sat))?;
+        let v1 = podem.search(None, &[(fault.site, fault.initial_value())], Some(sat))?;
+        Ok(TransitionPattern {
+            v1: v1.fill_random(rng),
+            v2: v2.fill_random(rng),
+        })
+    })
+}
+
+/// The one transition-ATPG loop, behind both arbitrary and broadside pairs.
+///
+/// Walks `faults` in order and skips each fault already detected. With a
+/// `filter`, a fault it marks untestable, or one the FIRE redundancy pass
+/// (run once, before the loop) flags, counts as untestable without a
+/// search. For every other fault `pair` returns a filled pair or the
+/// reason there is none; a fault without a pair counts as untestable, and
+/// as aborted too when its search ran out of budget. The pair is
+/// fault-simulated in lane 0 against every fault still undetected, on
+/// `view`, the original circuit's view, and kept only when it detects its
+/// target, as every PODEM cube does (the debug assertion).
+///
+/// `pair` gets the loop's one [`SatCheck`] and seeded [`Rng`]. It draws
+/// only once its searches have succeeded, so a pruned fault changes
+/// neither the draw sequence nor the pattern list.
+pub(crate) fn drive_atpg<F>(
+    view: &TestView<'_>,
+    faults: &[TransitionFault],
+    filter: Option<&StaticFilter>,
+    seed: u64,
+    mut pair: F,
+) -> TransitionAtpgResult
+where
+    F: FnMut(&TransitionFault, &mut SatCheck, &mut Rng) -> Result<TransitionPattern, NoCube>,
+{
     let redundant = filter.map(|f| {
         let _span = flh_obs::span("atpg.redundancy");
         let redundant = f.redundant_transitions(faults);
@@ -567,24 +468,20 @@ pub fn transition_atpg_with_filter(
         }
         redundant.flags
     });
-    let podem = Podem::new(view, config.clone());
     let mut sat = SatCheck::default();
     let mut rng = Rng::seed_from_u64(seed);
     let mut detected = vec![false; faults.len()];
-    let mut untestable = 0usize;
-    let mut aborted = 0usize;
-    let mut pruned = 0u64;
+    let (mut untestable, mut aborted, mut pruned) = (0usize, 0usize, 0u64);
     let mut patterns = Vec::new();
     let mut sim = TransitionSimulator::new(view);
     let n = view.assignable().len();
     let (mut v1_words, mut v2_words) = (vec![Packed256::bot(); n], vec![Packed256::bot(); n]);
 
-    for fi in 0..faults.len() {
+    for (fi, fault) in faults.iter().enumerate() {
         if detected[fi] {
             continue;
         }
-        let fault = faults[fi];
-        if filter.is_some_and(|f| f.transition_untestable(&fault)) {
+        if filter.is_some_and(|f| f.transition_untestable(fault)) {
             untestable += 1;
             continue;
         }
@@ -593,29 +490,15 @@ pub fn transition_atpg_with_filter(
             pruned += 1;
             continue;
         }
-        // V2 detects the site stuck at its initial value; V1 justifies
-        // that value.
-        let cubes = podem
-            .search(Some(&fault.stuck_equivalent()), &[], Some(&mut sat))
-            .and_then(|v2| {
-                podem
-                    .search(None, &[(fault.site, fault.initial_value())], Some(&mut sat))
-                    .map(|v1| (v1, v2))
-            });
-        let (v1_cube, v2_cube) = match cubes {
-            Ok(cubes) => cubes,
+        let pattern = match pair(fault, &mut sat, &mut rng) {
+            Ok(pattern) => pattern,
             Err(end) => {
                 untestable += 1;
                 aborted += usize::from(end == NoCube::Aborted);
                 continue;
             }
         };
-        let pattern = TransitionPattern {
-            v1: v1_cube.fill_random(&mut rng),
-            v2: v2_cube.fill_random(&mut rng),
-        };
-        // Simulate the new pair against every remaining fault (lane 0
-        // carries the pair; the rest of the block is masked off).
+        // Lane 0 carries the pair; the rest of the block is masked off.
         pack_block(&mut v1_words, std::iter::once(&pattern.v1[..]));
         pack_block(&mut v2_words, std::iter::once(&pattern.v2[..]));
         sim.run_batch(
@@ -626,8 +509,9 @@ pub fn transition_atpg_with_filter(
             &mut detected,
         );
         debug_assert!(detected[fi], "generated pair must detect its target");
-        detected[fi] = true;
-        patterns.push(pattern);
+        if detected[fi] {
+            patterns.push(pattern);
+        }
     }
     if redundant.is_some() && flh_obs::enabled() {
         flh_obs::named_add("atpg.redundancy.pruned", pruned);
@@ -639,131 +523,6 @@ pub fn transition_atpg_with_filter(
         untestable,
         aborted,
     }
-}
-
-/// Result of N-detect transition ATPG.
-#[derive(Clone, Debug)]
-pub struct NDetectResult {
-    /// Generated pattern pairs.
-    pub patterns: Vec<TransitionPattern>,
-    /// Detection count per fault (saturated at the requested N).
-    pub counts: Vec<u32>,
-    /// Faults PODEM proved or abandoned as untestable.
-    pub untestable: usize,
-}
-
-impl NDetectResult {
-    /// Faults detected at least `n` times.
-    pub fn fully_detected(&self, n: u32) -> usize {
-        self.counts.iter().filter(|&&c| c >= n).count()
-    }
-
-    /// N-detect coverage in percent.
-    pub fn coverage_pct(&self, n: u32) -> f64 {
-        if self.counts.is_empty() {
-            100.0
-        } else {
-            100.0 * self.fully_detected(n) as f64 / self.counts.len() as f64
-        }
-    }
-}
-
-/// N-detect transition ATPG: every fault is targeted until it has been
-/// detected by `n` *distinct* pattern pairs. Diversity comes from the
-/// random fill of PODEM's don't-cares (the specified cube per fault is
-/// deterministic), which is the standard low-cost approximation of
-/// path-diverse N-detect; identical consecutive fills terminate the
-/// per-fault loop early.
-pub fn transition_atpg_ndetect(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    config: &PodemConfig,
-    seed: u64,
-    n: u32,
-) -> NDetectResult {
-    assert!(n >= 1, "n-detect needs n >= 1");
-    let podem = Podem::new(view, config.clone());
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut counts = vec![0u32; faults.len()];
-    let mut untestable = 0usize;
-    let mut patterns: Vec<TransitionPattern> = Vec::new();
-    let mut sim = TransitionSimulator::new(view);
-    let na = view.assignable().len();
-    let (mut v1_words, mut v2_words) = (vec![Packed256::bot(); na], vec![Packed256::bot(); na]);
-
-    for fi in 0..faults.len() {
-        if counts[fi] >= n {
-            continue;
-        }
-        let fault = faults[fi];
-        let Some(v2_cube) = podem.generate(&fault.stuck_equivalent()) else {
-            untestable += 1;
-            continue;
-        };
-        let Some(v1_cube) = podem.justify(fault.site, fault.initial_value()) else {
-            untestable += 1;
-            continue;
-        };
-        let mut last: Option<TransitionPattern> = None;
-        let mut attempts = 0u32;
-        while counts[fi] < n && attempts < 3 * n {
-            attempts += 1;
-            let pattern = TransitionPattern {
-                v1: v1_cube.fill_random(&mut rng),
-                v2: v2_cube.fill_random(&mut rng),
-            };
-            if last.as_ref() == Some(&pattern) {
-                // Fully specified cube: no diversity left; count it once.
-                counts[fi] = counts[fi].max(1);
-                break;
-            }
-            pack_block(&mut v1_words, std::iter::once(&pattern.v1[..]));
-            pack_block(&mut v2_words, std::iter::once(&pattern.v2[..]));
-            sim.run_batch_counting(
-                &v1_words,
-                &v2_words,
-                Packed256::lane_bit(0),
-                faults,
-                &mut counts,
-                n,
-            );
-            last = Some(pattern.clone());
-            patterns.push(pattern);
-        }
-    }
-
-    NDetectResult {
-        patterns,
-        counts,
-        untestable,
-    }
-}
-
-/// Static (reverse-order) compaction of a transition test set: patterns
-/// are re-fault-simulated in reverse generation order and kept only if
-/// they detect a fault nothing later in the pass has covered. The
-/// compacted set provably preserves coverage (verified by the caller's
-/// tests via resimulation) and is typically 20-50 % smaller, reducing the
-/// scan-in time that dominates two-pattern test application.
-pub fn compact_transition_patterns(
-    view: &TestView<'_>,
-    faults: &[TransitionFault],
-    patterns: &[TransitionPattern],
-) -> Vec<TransitionPattern> {
-    let mut sim = TransitionSimulator::new(view);
-    let mut detected = vec![false; faults.len()];
-    let n = view.assignable().len();
-    let mut kept: Vec<TransitionPattern> = Vec::new();
-    let (mut v1, mut v2) = (vec![Packed256::bot(); n], vec![Packed256::bot(); n]);
-    for pattern in patterns.iter().rev() {
-        pack_block(&mut v1, std::iter::once(&pattern.v1[..]));
-        pack_block(&mut v2, std::iter::once(&pattern.v2[..]));
-        if sim.run_batch(&v1, &v2, Packed256::lane_bit(0), faults, &mut detected) > 0 {
-            kept.push(pattern.clone());
-        }
-    }
-    kept.reverse();
-    kept
 }
 
 #[cfg(test)]
@@ -841,6 +600,35 @@ mod tests {
     }
 
     #[test]
+    fn driver_searches_only_unpruned_faults() {
+        // A flavour that never finds a pair: every fault ends untestable,
+        // and exactly the faults the filter and the FIRE pass leave reach
+        // the search, each counted aborted.
+        let n = small();
+        let view = TestView::new(&n).unwrap();
+        let faults = enumerate_transition_faults(&n);
+        let filter = StaticFilter::from_view(&view);
+        let redundant = filter.redundant_transitions(&faults).flags;
+        let live: Vec<TransitionFault> = faults
+            .iter()
+            .zip(&redundant)
+            .filter(|&(f, &r)| !r && !filter.transition_untestable(f))
+            .map(|(f, _)| *f)
+            .collect();
+        assert!(live.len() < faults.len(), "nothing pruned");
+        let mut asked = Vec::new();
+        let result = drive_atpg(&view, &faults, Some(&filter), 9, |fault, _, _| {
+            asked.push(*fault);
+            Err(NoCube::Aborted)
+        });
+        assert_eq!(asked, live);
+        assert!(result.patterns.is_empty());
+        assert_eq!(result.detected_count(), 0);
+        assert_eq!(result.untestable, faults.len());
+        assert_eq!(result.aborted, live.len());
+    }
+
+    #[test]
     fn batch_and_serial_simulation_agree() {
         let n = small();
         let view = TestView::new(&n).unwrap();
@@ -887,79 +675,6 @@ mod tests {
                 Rows::new(&patterns)
             });
             assert_eq!(pooled, serial, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn ndetect_reaches_higher_multiplicity() {
-        let n = small();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_transition_faults(&n);
-        let cfg = PodemConfig::paper_default();
-        let one = transition_atpg(&view, &faults, &cfg, 9);
-        let three = transition_atpg_ndetect(&view, &faults, &cfg, 9, 3);
-        // 1-detect coverage matches the plain generator's detections.
-        assert_eq!(
-            three.coverage_pct(1),
-            100.0 * one.detected_count() as f64 / faults.len() as f64
-        );
-        // Most detected faults reach multiplicity 3 through fill diversity.
-        assert!(
-            three.fully_detected(3) as f64 >= 0.5 * one.detected_count() as f64,
-            "only {}/{} reached 3-detect",
-            three.fully_detected(3),
-            one.detected_count()
-        );
-        // And it costs more patterns than single-detect.
-        assert!(three.patterns.len() > one.patterns.len());
-        // Resimulation confirms every counted fault is genuinely detected.
-        let resim = simulate_transition_patterns(&view, &faults, &three.patterns);
-        for (fi, &d) in resim.iter().enumerate() {
-            assert_eq!(d, three.counts[fi] > 0, "fault {fi}");
-        }
-    }
-
-    #[test]
-    fn ndetect_with_n1_equals_plain_coverage() {
-        let n = small();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_transition_faults(&n);
-        let cfg = PodemConfig::paper_default();
-        let plain = transition_atpg(&view, &faults, &cfg, 4);
-        let nd = transition_atpg_ndetect(&view, &faults, &cfg, 4, 1);
-        assert_eq!(nd.fully_detected(1), plain.detected_count());
-        assert_eq!(nd.untestable, plain.untestable);
-    }
-
-    #[test]
-    fn compaction_preserves_coverage_and_shrinks_the_set() {
-        let n = small();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_transition_faults(&n);
-        // A deliberately redundant set: ATPG patterns plus random filler.
-        let atpg = transition_atpg(&view, &faults, &PodemConfig::paper_default(), 9);
-        let mut rng = Rng::seed_from_u64(77);
-        let na = view.assignable().len();
-        let mut patterns = atpg.patterns.clone();
-        for _ in 0..100 {
-            patterns.push(TransitionPattern {
-                v1: (0..na).map(|_| rng.gen()).collect(),
-                v2: (0..na).map(|_| rng.gen()).collect(),
-            });
-        }
-        let before = simulate_transition_patterns(&view, &faults, &patterns);
-        let compacted = compact_transition_patterns(&view, &faults, &patterns);
-        let after = simulate_transition_patterns(&view, &faults, &compacted);
-        assert_eq!(before, after, "compaction changed coverage");
-        assert!(
-            compacted.len() < patterns.len(),
-            "no compaction achieved: {} -> {}",
-            patterns.len(),
-            compacted.len()
-        );
-        // Every kept pattern appears in the original set.
-        for p in &compacted {
-            assert!(patterns.contains(p));
         }
     }
 
@@ -1013,27 +728,15 @@ mod tests {
                     reference.iter().any(|&r| r != 0),
                     "{fault:?} {mask:?}"
                 );
-                // And exact per-lane agreement through the counting path.
-                let mut counts = vec![0u32];
-                sim.run_batch_counting(
-                    &w1,
-                    &w2,
-                    mask,
-                    std::slice::from_ref(fault),
-                    &mut counts,
-                    256,
-                );
-                let hits: u32 = reference.iter().map(|r| r.count_ones()).sum();
-                assert_eq!(counts[0], hits, "{fault:?} {mask:?}");
             }
         }
     }
 
     /// Checks stem-region simulation lane by lane against the references
     /// on `n`. Transition faults against [`transition_detects_reference`]:
-    /// `run_batch` and `run_batch_counting` over the whole fault list at
-    /// once (several faults per stem: full propagation) and `run_batch` per
-    /// fault (one fault per stem: early exit). Stuck-at stem and branch
+    /// `run_batch` over the whole fault list at once (several faults per
+    /// stem: full propagation) and per fault (one fault per stem: early
+    /// exit). Stuck-at stem and branch
     /// faults on the V2 frame against [`stuck_detects_reference`], whole
     /// list and one fault at a time. All under full, single-lane,
     /// single-limb and sparse masks. Returns the number of branch faults
@@ -1090,13 +793,6 @@ mod tests {
                 let hits = sim.run_batch(&w1, &w2, mask, &faults, &mut detected);
                 assert_eq!(detected, expected, "{}: all faults, {mask:?}", n.name());
                 assert_eq!(hits, expected.iter().filter(|&&d| d).count());
-                let mut counts = vec![0u32; faults.len()];
-                sim.run_batch_counting(&w1, &w2, mask, &faults, &mut counts, 256);
-                let lanes: Vec<u32> = reference
-                    .iter()
-                    .map(|r| r.iter().map(|w| w.count_ones()).sum())
-                    .collect();
-                assert_eq!(counts, lanes, "{}: counts, {mask:?}", n.name());
                 for (fault, &want) in faults.iter().zip(&expected) {
                     let mut one = vec![false];
                     sim.run_batch(&w1, &w2, mask, std::slice::from_ref(fault), &mut one);
@@ -1301,129 +997,6 @@ mod tests {
         let faults = enumerate_transition_faults(&n);
         assert!(faults.iter().any(|f| f.site == h));
         assert!(faults.iter().any(|f| f.site == ff));
-    }
-
-    #[test]
-    fn chain_collapse_folds_forward_through_buf_and_inv() {
-        // a -> inv -> buf -> y: a's faults fold into inv (flipped), inv's
-        // into buf (same), buf's are kept (reader is the output marker).
-        let mut n = Netlist::new("chain");
-        let a = n.add_input("a");
-        let i = n.add_cell("i", CellKind::Inv, vec![a]);
-        let b = n.add_cell("b", CellKind::Buf, vec![i]);
-        n.add_output("y", b);
-        let faults = enumerate_transition_faults(&n);
-        assert_eq!(faults.len(), 6);
-        let collapsed = collapse_transition_faults(&n, &faults);
-        assert_eq!(collapsed.len(), 2);
-        assert!(collapsed.iter().all(|f| f.site == b));
-        // The justifier of a's slow-to-rise is inv's slow-to-fall.
-        let fanouts = analysis::FanoutMap::compute(&n);
-        let j = transition_collapse_justifier(
-            &n,
-            &fanouts,
-            &TransitionFault {
-                site: a,
-                kind: TransitionKind::SlowToRise,
-            },
-        )
-        .unwrap();
-        assert_eq!(j.site, i);
-        assert_eq!(j.kind, TransitionKind::SlowToFall);
-    }
-
-    #[test]
-    fn gate_dominance_drops_the_matching_polarity_only() {
-        // Single-fanout inputs into an AND: the gate's slow-to-rise is
-        // dominated by an input's slow-to-rise; its slow-to-fall is kept.
-        let mut n = Netlist::new("dom");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let g = n.add_cell("g", CellKind::And2, vec![a, b]);
-        n.add_output("y", g);
-        let faults = enumerate_transition_faults(&n);
-        let collapsed = collapse_transition_faults(&n, &faults);
-        assert!(!collapsed.contains(&TransitionFault {
-            site: g,
-            kind: TransitionKind::SlowToRise,
-        }));
-        assert!(collapsed.contains(&TransitionFault {
-            site: g,
-            kind: TransitionKind::SlowToFall,
-        }));
-        // Inputs keep both faults (their reader is a gate, not Buf/Inv).
-        for site in [a, b] {
-            for kind in [TransitionKind::SlowToRise, TransitionKind::SlowToFall] {
-                assert!(collapsed.contains(&TransitionFault { site, kind }));
-            }
-        }
-    }
-
-    #[test]
-    fn every_justifier_detection_implies_the_dropped_fault() {
-        // Simulation check of the collapsing soundness argument: on a real
-        // circuit, any random pair batch detecting a justifier also
-        // detects the fault it justified dropping.
-        let n = small();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_transition_faults(&n);
-        let fanouts = analysis::FanoutMap::compute(&n);
-        let mut rng = Rng::seed_from_u64(41);
-        let na = view.assignable().len();
-        let mut checked = 0;
-        for _ in 0..4 {
-            let v1: Vec<u64> = (0..na).map(|_| rng.gen()).collect();
-            let v2: Vec<u64> = (0..na).map(|_| rng.gen()).collect();
-            for fault in &faults {
-                let Some(j) = transition_collapse_justifier(&n, &fanouts, fault) else {
-                    continue;
-                };
-                let jd = transition_detects_reference(&view, &j, &v1, &v2, !0);
-                let fd = transition_detects_reference(&view, fault, &v1, &v2, !0);
-                // Per-lane: a lane detecting the justifier detects the
-                // dropped fault (dominance); equivalence is two-sided but
-                // satisfies the same inclusion.
-                assert_eq!(jd & !fd, 0, "{fault:?} justified by {j:?}");
-                checked += 1;
-            }
-        }
-        assert!(checked > 0, "collapsing never fired on the test circuit");
-    }
-
-    #[test]
-    fn collapsed_campaign_coverage_implies_full_coverage() {
-        // ATPG on the collapsed list, resimulate the full list: every
-        // fault whose representative chain is covered must be covered.
-        let n = small();
-        let view = TestView::new(&n).unwrap();
-        let faults = enumerate_transition_faults(&n);
-        let collapsed = collapse_transition_faults(&n, &faults);
-        assert!(collapsed.len() < faults.len());
-        let result = transition_atpg(&view, &collapsed, &PodemConfig::paper_default(), 9);
-        let full = simulate_transition_patterns(&view, &faults, &result.patterns);
-        // det-ok: test-only lookup table, keyed reads only, never iterated.
-        let by_fault: std::collections::HashMap<TransitionFault, bool> =
-            faults.iter().copied().zip(full.iter().copied()).collect();
-        for (cf, &cd) in collapsed.iter().zip(&result.detected) {
-            if cd {
-                assert!(by_fault[cf], "{cf:?} lost by resimulation");
-            }
-        }
-        // Dropped faults whose justifier (transitively, a kept fault) was
-        // detected are detected too.
-        let fanouts = analysis::FanoutMap::compute(&n);
-        for f in &faults {
-            let mut cur = *f;
-            let mut hops = 0;
-            while let Some(j) = transition_collapse_justifier(&n, &fanouts, &cur) {
-                cur = j;
-                hops += 1;
-                assert!(hops < faults.len(), "justifier chain cycled");
-            }
-            if cur != *f && by_fault[&cur] {
-                assert!(by_fault[f], "{f:?} not covered though {cur:?} is");
-            }
-        }
     }
 
     #[test]

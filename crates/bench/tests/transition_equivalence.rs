@@ -10,11 +10,9 @@
 //! miscompare) but must never change *what* is detected. The oracle
 //! re-evaluates the whole faulty V2 machine per fault and 64-pair word and
 //! shares no code with [`flh_atpg::DeviationReplay`]. This suite holds the
-//! simulator to it on all three result surfaces:
+//! simulator to it on both result surfaces:
 //!
 //! * per-batch detected flags (`run_batch`);
-//! * N-detect hit counts (`run_batch_counting`, whose replay runs to
-//!   quiescence — the early-exit path must not leak into the counts);
 //! * whole-set detection flags ([`simulate_transition_patterns`]), and
 //!   the end-to-end pooled campaign ([`transition_campaign_filtered`] at
 //!   pools 1, 2 and 4) against the serial [`random_transition_campaign`].
@@ -35,7 +33,6 @@ const STYLES: [DftStyle; 3] = [DftStyle::EnhancedScan, DftStyle::MuxHold, DftSty
 const POOLS: [usize; 3] = [1, 2, 4];
 const PAIRS: usize = 96;
 const MAX_FAULTS: usize = 900;
-const NDETECT_TARGET: u32 = 4;
 
 /// Every k-th element, keeping the debug-build runtime bounded while still
 /// spanning the whole id range (and thus every partition boundary).
@@ -124,8 +121,8 @@ fn event_driven_transition_sim_matches_the_reference_oracle() {
                 "{circuit_name} / {style}: coverage diverged from the oracle"
             );
 
-            // Single-batch detected flags and N-detect hit counts over the
-            // first 64 pairs, widened into the low limb of a superword.
+            // Single-batch detected flags over the first 64 pairs, widened
+            // into the low limb of a superword.
             let (v1_words, v2_words, _) = &batches[0];
             let w1: Vec<Packed256> = v1_words.iter().map(|&w| Packed256::from_word(w)).collect();
             let w2: Vec<Packed256> = v2_words.iter().map(|&w| Packed256::from_word(w)).collect();
@@ -140,26 +137,6 @@ fn event_driven_transition_sim_matches_the_reference_oracle() {
                 (h_event, d_event),
                 (h_oracle, d_oracle),
                 "{circuit_name} / {style}: run_batch diverged from the oracle"
-            );
-
-            let c_oracle: Vec<u32> = oracle
-                .iter()
-                .map(|words| words[0].count_ones().min(NDETECT_TARGET))
-                .collect();
-            let s_oracle = c_oracle.iter().filter(|&&c| c >= NDETECT_TARGET).count();
-            let mut c_event = vec![0u32; faults.len()];
-            let s_event = event_sim.run_batch_counting(
-                &w1,
-                &w2,
-                wmask,
-                &faults,
-                &mut c_event,
-                NDETECT_TARGET,
-            );
-            assert_eq!(
-                (s_event, c_event),
-                (s_oracle, c_oracle),
-                "{circuit_name} / {style}: run_batch_counting diverged from the oracle"
             );
         }
     }

@@ -294,17 +294,15 @@ impl LaneWord for Packed256 {
 
 /// A two-valued [`LaneWord`] whose lanes are individually addressable —
 /// the contract the deviation replay and the fault simulators need on top
-/// of the opcode connectives: per-lane masks for partial pattern blocks,
-/// lane population counts for n-detect, and equality for the undo log's
-/// change detection. Implemented by `u64` (64 lanes) and [`Packed256`]
-/// (256 lanes); the dual-rail words are not pattern words.
+/// of the opcode connectives: per-lane masks for partial pattern blocks
+/// and equality for the undo log's change detection. Implemented by `u64`
+/// (64 lanes) and [`Packed256`] (256 lanes); the dual-rail words are not
+/// pattern words.
 pub trait PatternWord: LaneWord + PartialEq + Default {
     /// Number of pattern lanes in one word.
     const LANES: usize;
     /// True if any lane is set.
     fn any(self) -> bool;
-    /// Number of set lanes.
-    fn count_ones(self) -> u32;
     /// A word with the low `n` lanes set (`n == LANES` ⇒ all lanes).
     ///
     /// # Panics
@@ -324,10 +322,6 @@ impl PatternWord for u64 {
     #[inline(always)]
     fn any(self) -> bool {
         self != 0
-    }
-    #[inline(always)]
-    fn count_ones(self) -> u32 {
-        u64::count_ones(self)
     }
     #[inline]
     fn mask_lanes(n: usize) -> Self {
@@ -350,13 +344,6 @@ impl PatternWord for Packed256 {
     #[inline(always)]
     fn any(self) -> bool {
         (self.0[0] | self.0[1] | self.0[2] | self.0[3]) != 0
-    }
-    #[inline(always)]
-    fn count_ones(self) -> u32 {
-        self.0[0].count_ones()
-            + self.0[1].count_ones()
-            + self.0[2].count_ones()
-            + self.0[3].count_ones()
     }
     #[inline]
     fn mask_lanes(n: usize) -> Self {
@@ -1892,7 +1879,6 @@ mod tests {
         let w = Packed256::from_limbs([0b101, 0, 1 << 63, 7]);
         assert!(w.any());
         assert!(!Packed256::bot().any());
-        assert_eq!(PatternWord::count_ones(w), 6);
         assert_eq!(w.limb(2), 1 << 63);
         // Default is the zero word, matching u64 (the undo/scratch filler).
         assert_eq!(Packed256::default(), Packed256::bot());

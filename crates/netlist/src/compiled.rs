@@ -175,8 +175,9 @@ impl CompiledCircuit {
         })
     }
 
-    /// [`CompiledCircuit::compile`] straight into an [`Arc`], the form the
-    /// execution layer's campaigns hand to worker threads.
+    /// [`CompiledCircuit::compile`] straight into an
+    /// [`Arc`](std::sync::Arc), the form the execution layer's campaigns
+    /// hand to worker threads.
     ///
     /// # Errors
     ///

@@ -84,9 +84,9 @@ fn style_rank(dft: Option<DftStyle>) -> u8 {
     }
 }
 
-/// The cache. Not internally synchronized — the [`JobEngine`]
-/// (`crate::engine`) wraps it in a `Mutex` and performs every access on
-/// the executing job's thread.
+/// The cache. Not internally synchronized — the
+/// [`JobEngine`](crate::JobEngine) wraps it in a `Mutex` and performs
+/// every access on the executing job's thread.
 #[derive(Debug)]
 pub struct CircuitCache {
     capacity: usize,

@@ -45,6 +45,10 @@ else
     echo "NOTICE: cargo clippy unavailable in this toolchain; skipping the lint step"
 fi
 
+echo "== rustdoc (no warnings: broken or private intra-doc links fail) =="
+# A deleted or renamed item must not leave a dangling link in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== determinism lint (hash collections in determinism-critical crates) =="
 ./scripts/determinism_lint.sh
 
@@ -199,11 +203,13 @@ done
 echo "pinned pattern files and PODEM steps, golden deterministic metrics on s1196 at widths 1-4, s9234 re-simulated at widths 1 and 4"
 
 echo "== PODEM callers gate (broadside, path-delay and fill binaries vs golden stdout, FLH_THREADS=1 and 2) =="
-# Every other PODEM flow reaches the search through generate_with_goals,
-# justify_all or justify: E8's broadside ceilings (coverage_styles), the
-# path-delay tests (path_delay_critical), the per-style ATPG comparison
-# (coverage_invariance) and the fill study (lowpower_fill). Their stdout
-# is pinned, so a change to the search that moved any cube shows here.
+# Every other PODEM flow reaches the search through the transition-ATPG
+# driver, justify_all or justify: E8's arbitrary and broadside ceilings
+# (coverage_styles), the path-delay tests (path_delay_critical), the
+# per-style ATPG comparison (coverage_invariance) and the fill study
+# (lowpower_fill). Their stdout is pinned, so a change to the search that
+# moved any cube shows here. The tier-1 test golden_stdout.rs diffs the
+# same files at the dev profile.
 cargo build -q --release --offline -p flh-bench
 for bin in coverage_styles path_delay_critical coverage_invariance lowpower_fill; do
     for w in 1 2; do

@@ -43,7 +43,7 @@ use std::process::ExitCode;
 
 use flh::atpg::transition::{enumerate_transition_faults, TransitionFault, TransitionPattern};
 use flh::atpg::{
-    enumerate_stuck_faults, parse_patterns, simulate_transition_patterns, stuck_coverage,
+    enumerate_stuck_faults, read_patterns_file, simulate_transition_patterns, stuck_coverage,
     transition_atpg, write_patterns, PodemConfig, StaticFilter, TestView,
 };
 use flh::core::{apply_style, evaluate_all, DftStyle, EvalConfig};
@@ -224,8 +224,7 @@ fn cmd_atpg(circuit: &Netlist, out: Option<&str>) -> Result<(), String> {
 }
 
 fn cmd_fsim(circuit: &Netlist, pattern_file: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(pattern_file).map_err(|e| format!("{pattern_file}: {e}"))?;
-    let patterns = parse_patterns(&text).map_err(|e| e.to_string())?;
+    let patterns = read_patterns_file(pattern_file).map_err(|e| e.to_string())?;
     let dft = apply_style(circuit, DftStyle::Flh).map_err(|e| e.to_string())?;
     let view = TestView::new(&dft.netlist).map_err(|e| e.to_string())?;
     if let Some(p) = patterns.first() {
